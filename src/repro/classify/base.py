@@ -93,9 +93,9 @@ class ReferenceLibrary:
     def nearest(self, trace: Trace) -> tuple[str, float]:
         """Nearest known CCA to *trace* and the distance to it.
 
-        Comparison is restricted to the reference measured under the same
-        environment (same position in the probe matrix) when available,
-        falling back to the minimum over all references.
+        The distance is the minimum over every reference signature of
+        every known CCA, whichever probe environment it was measured
+        under; on a tie the CCA listed first in ``known_ccas`` wins.
         """
         self._ensure_built()
         target = trace_signature(trace)

@@ -10,6 +10,11 @@ the paper cites as prior analysis it wants to enable).
 Each flow keeps private sender/receiver state (sequence spaces are
 per-flow); the queue, link and event clock are shared.  Per-flow traces
 come back in the same :class:`~repro.trace.model.Trace` format.
+
+The event loop is deliberately plain (one heap event per action, one
+timer event per re-arm): run with a single flow it produces exactly the
+trace of :class:`~repro.netsim.simulator.Simulator`, whose faster event
+core is tested against it.
 """
 
 from __future__ import annotations
@@ -322,6 +327,7 @@ class MultiFlowSimulator:
             flow.in_recovery = False
             flow.dupacks = 0
             flow.rtx_sent.clear()
+            flow.rtx_sent.add(flow.snd_una)
             self._transmit(
                 _FlowPacket(
                     index, flow.snd_una, self.env.mss, self.now, retransmit=True
