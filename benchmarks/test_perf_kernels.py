@@ -172,8 +172,8 @@ SCORING_SKETCHES = (
 
 SCORING_POOL = (0.25, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 4.0)
 
-#: Minimum batched/scalar throughput ratio; measured ~8x on the dev
-#: box, asserted with headroom so the gate survives noisy CI runners.
+#: Minimum batched/scalar throughput ratio; measured ~8.4x on a 2-vCPU
+#: host, asserted with headroom so the gate survives noisy CI runners.
 SCORING_MIN_SPEEDUP = 5.0
 
 

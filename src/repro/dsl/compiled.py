@@ -13,14 +13,19 @@ expression reads, so the replay loop can bind trace columns positionally
 and avoid building a dict per ACK.
 
 :func:`compile_sketch_vector` is the batched backend: it compiles a
-*sketch* (holes allowed) once into a numpy function over K-wide lane
-vectors, one lane per pool concretization, so a single per-ACK call
-replaces K scalar calls.  The vector helpers reproduce the scalar
-saturation semantics elementwise — including ``np.float_power`` for
-``Cube``, the one operation where numpy's default ``**`` fast-path
-(``x*x*x`` for small integer exponents) is *not* bit-identical to
-Python's libm ``pow`` — so batched replay matches scalar replay bit for
-bit (enforced by property tests).
+*sketch* (holes allowed) once for all K pool concretizations, one lane
+each.  A sketch that reads ``cwnd`` feeds every row's window into the
+next, so it compiles to one generated replay loop: over lanes, then over
+rows, the scalar expression above with the holes bound as lane
+parameters, then the replay clamp chain.  It runs on Python floats only,
+so every operation is the one the scalar path runs.  A cwnd-free sketch
+has independent rows and compiles to a numpy function over K-wide lane
+vectors, so one call computes the whole (K, n) matrix.  Its helpers
+reproduce the scalar saturation semantics elementwise — including
+``np.float_power`` for ``Cube``, the one operation where numpy's default
+``**`` fast-path (``x*x*x`` for small integer exponents) is *not*
+bit-identical to Python's libm ``pow`` — so both backends match scalar
+replay bit for bit (enforced by property tests).
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro.dsl import ast
-from repro.dsl.evaluate import MODEQ_TOLERANCE, _DIV_EPSILON, _VALUE_CAP
-from repro.dsl.macros import expand_macros
+from repro.dsl.evaluate import MODEQ_TOLERANCE, _DIV_EPSILON, _VALUE_CAP, _cube
+from repro.dsl.macros import macro_definition
 from repro.errors import EvaluationError
 
 __all__ = [
@@ -77,15 +82,27 @@ def _modeq(value: float, modulus: float) -> bool:
 _HELPERS = {
     "_clamp": _clamp,
     "_div": _div,
+    "_cube": _cube,
     "_cbrt": _cbrt,
     "_modeq": _modeq,
+    "_isfinite": math.isfinite,
 }
 
 
-def _emit(expr: ast.Expr, names: list[str]) -> str:
-    """Emit a Python expression string; collect signal names into *names*."""
+def _emit(
+    expr: ast.Expr,
+    names: list[str],
+    hole_params: Mapping[int, str] | None = None,
+) -> str:
+    """Emit a Python expression string; collect signal names into *names*.
+
+    With *hole_params*, a hole becomes the named parameter instead of an
+    error (the replay loop binds one per lane).
+    """
     if isinstance(expr, ast.Const):
         if expr.is_hole:
+            if hole_params is not None:
+                return hole_params[expr.hole_id]
             raise EvaluationError(
                 f"cannot compile a sketch: hole c{expr.hole_id} is unfilled"
             )
@@ -94,27 +111,31 @@ def _emit(expr: ast.Expr, names: list[str]) -> str:
         if expr.name not in names:
             names.append(expr.name)
         return f"_s_{expr.name}"
+    if isinstance(expr, ast.Macro):
+        return _emit(macro_definition(expr.name).expansion, names, hole_params)
     if isinstance(expr, ast.BinOp):
-        left = _emit(expr.left, names)
-        right = _emit(expr.right, names)
+        left = _emit(expr.left, names, hole_params)
+        right = _emit(expr.right, names, hole_params)
         if expr.op == "/":
             return f"_div({left}, {right})"
         return f"_clamp(({left}) {expr.op} ({right}))"
     if isinstance(expr, ast.Cond):
-        pred = _emit(expr.pred, names)
-        then = _emit(expr.then, names)
-        otherwise = _emit(expr.otherwise, names)
+        pred = _emit(expr.pred, names, hole_params)
+        then = _emit(expr.then, names, hole_params)
+        otherwise = _emit(expr.otherwise, names, hole_params)
         return f"(({then}) if ({pred}) else ({otherwise}))"
     if isinstance(expr, ast.Cube):
-        return f"_clamp(({_emit(expr.arg, names)}) ** 3)"
+        return f"_cube({_emit(expr.arg, names, hole_params)})"
     if isinstance(expr, ast.Cbrt):
-        return f"_cbrt({_emit(expr.arg, names)})"
+        return f"_cbrt({_emit(expr.arg, names, hole_params)})"
     if isinstance(expr, ast.Cmp):
-        left = _emit(expr.left, names)
-        right = _emit(expr.right, names)
+        left = _emit(expr.left, names, hole_params)
+        right = _emit(expr.right, names, hole_params)
         return f"(({left}) {expr.op} ({right}))"
     if isinstance(expr, ast.ModEq):
-        return f"_modeq({_emit(expr.left, names)}, {_emit(expr.right, names)})"
+        left = _emit(expr.left, names, hole_params)
+        right = _emit(expr.right, names, hole_params)
+        return f"_modeq({left}, {right})"
     raise EvaluationError(f"cannot compile node {type(expr).__name__}")
 
 
@@ -152,9 +173,8 @@ def compile_handler(expr: ast.NumExpr) -> CompiledHandler:
     :func:`repro.dsl.evaluate.evaluate` on every input (enforced by
     property tests), but runs roughly an order of magnitude faster.
     """
-    expanded = expand_macros(expr)
     names: list[str] = []
-    body = _emit(expanded, names)
+    body = _emit(expr, names)
     params = ", ".join(f"_s_{name}" for name in names)
     source = f"def _handler({params}):\n    return {body}\n"
     namespace: dict[str, object] = dict(_HELPERS)
@@ -234,6 +254,9 @@ def _emit_vector(
         if expr.name not in names:
             names.append(expr.name)
         return f"_s_{expr.name}"
+    if isinstance(expr, ast.Macro):
+        expansion = macro_definition(expr.name).expansion
+        return _emit_vector(expansion, names, hole_params)
     if isinstance(expr, ast.BinOp):
         left = _emit_vector(expr.left, names, hole_params)
         right = _emit_vector(expr.right, names, hole_params)
@@ -264,17 +287,56 @@ def _emit_vector(
     raise EvaluationError(f"cannot compile node {type(expr).__name__}")
 
 
+def _replay_loop_source(body: str, names: list[str], hole_count: int) -> str:
+    """The stateful replay loop around one row's expression *body*.
+
+    Each row tuple holds one value per entry of *names*.  Its ``cwnd``
+    entry is dropped, because each lane feeds its own window back in,
+    and every new window goes through the clamp chain of
+    :func:`repro.synth.replay.replay_handler`.
+    """
+    lane = "".join(f"_h_{index}, " for index in range(hole_count)) or "_ "
+    row = "".join(
+        "_, " if name == "cwnd" else f"_s_{name}, " for name in names
+    )
+    return (
+        "def _replay(_lanes, _rows, _cwnd, _mss, _cap):\n"
+        "    _out = []\n"
+        f"    for {lane}in _lanes:\n"
+        "        _s_cwnd = _cwnd\n"
+        f"        for {row}in _rows:\n"
+        f"            _s_cwnd = {body}\n"
+        "            if not _isfinite(_s_cwnd):\n"
+        "                _s_cwnd = _cap\n"
+        "            elif _s_cwnd < _mss:\n"
+        "                _s_cwnd = _mss\n"
+        "            elif _s_cwnd > _cap:\n"
+        "                _s_cwnd = _cap\n"
+        "            _out.append(_s_cwnd)\n"
+        "    return _out\n"
+    )
+
+
 @dataclass(frozen=True)
 class CompiledVectorSketch:
-    """A sketch compiled to one numpy function over candidate lanes.
+    """A sketch compiled to one function over candidate lanes.
 
-    ``fn`` takes the ``signals`` values (scalars, or arrays broadcast
-    along the lane axis) followed by one lane vector per entry of
-    ``hole_ids``, and returns the next-window values for every lane at
-    once.  ``assignment_positions`` maps each hole parameter to its
-    index in an assignment tuple aligned with ``ast.holes`` pre-order
-    (the last occurrence of a repeated id, matching ``fill_holes``'s
-    dict semantics).
+    A sketch that reads ``cwnd`` (:attr:`stateful`) compiles to its
+    replay loop: ``fn(lanes, rows, cwnd, mss, cap)`` takes one list of
+    hole values per lane (one per entry of ``hole_ids``), the row tuples
+    (one value per entry of ``signals``), the initial window, and the
+    clamp floor and cap, all Python floats.  It returns the windows in
+    one flat list, lane after lane.
+
+    Any other sketch compiles to a numpy lane program: ``fn`` takes the
+    ``signals`` values (scalars, or arrays broadcast along the lane
+    axis) followed by one lane vector per entry of ``hole_ids``, and
+    returns the next-window values for every lane at once.
+
+    ``assignment_positions`` maps each hole parameter to its index in an
+    assignment tuple aligned with ``ast.holes`` pre-order (the last
+    occurrence of a repeated id, matching ``fill_holes``'s dict
+    semantics).
     """
 
     signals: tuple[str, ...]
@@ -283,19 +345,22 @@ class CompiledVectorSketch:
     fn: Callable[..., object]
     source: str
 
+    @property
+    def stateful(self) -> bool:
+        """Whether the sketch reads its own window (``fn`` is a loop)."""
+        return "cwnd" in self.signals
+
 
 def compile_sketch_vector(expr: ast.NumExpr) -> CompiledVectorSketch:
     """Compile *expr* (holes allowed, macros expanded) into a
     :class:`CompiledVectorSketch`.
 
-    Property tests assert that for every assignment, evaluating the
-    vector function on 1-wide lanes is bit-identical to compiling the
-    filled handler with :func:`compile_handler`.
+    Property tests assert that for every assignment, replaying the
+    compiled sketch is bit-identical to replaying the filled handler
+    compiled by :func:`compile_handler`.
     """
-    expanded = expand_macros(expr)
     # Hole order must match what concretization uses: pre-order on the
-    # *unexpanded* expression (macro expansion only substitutes holeless
-    # leaves, but aligning on the same tree removes any doubt).
+    # sketch expression (macro expansions hold no holes).
     all_holes = ast.holes(expr)
     last_position: dict[int, int] = {}
     for position, hole in enumerate(all_holes):
@@ -305,18 +370,29 @@ def compile_sketch_vector(expr: ast.NumExpr) -> CompiledVectorSketch:
         hole_id: f"_h_{index}" for index, hole_id in enumerate(hole_ids)
     }
     names: list[str] = []
-    body = _emit_vector(expanded, names, hole_params)
-    params = ", ".join(
-        [f"_s_{name}" for name in names]
-        + [hole_params[hole_id] for hole_id in hole_ids]
-    )
-    source = f"def _sketch({params}):\n    return {body}\n"
-    namespace: dict[str, object] = dict(_VECTOR_HELPERS)
-    exec(compile(source, "<compiled-vector-sketch>", "exec"), namespace)
+    body = _emit(expr, names, hole_params)
+    if "cwnd" in names:
+        # Each row feeds the next its window: compile the row loop only.
+        source = _replay_loop_source(body, names, len(hole_ids))
+        namespace: dict[str, object] = dict(_HELPERS)
+        exec(compile(source, "<compiled-replay-loop>", "exec"), namespace)
+        fn = namespace["_replay"]
+    else:
+        # Independent rows: one numpy call computes every lane and row.
+        names = []
+        body = _emit_vector(expr, names, hole_params)
+        params = ", ".join(
+            [f"_s_{name}" for name in names]
+            + [hole_params[hole_id] for hole_id in hole_ids]
+        )
+        source = f"def _sketch({params}):\n    return {body}\n"
+        namespace = dict(_VECTOR_HELPERS)
+        exec(compile(source, "<compiled-vector-sketch>", "exec"), namespace)
+        fn = namespace["_sketch"]
     return CompiledVectorSketch(
         signals=tuple(names),
         hole_ids=hole_ids,
         assignment_positions=tuple(last_position[i] for i in hole_ids),
-        fn=namespace["_sketch"],  # type: ignore[arg-type]
+        fn=fn,  # type: ignore[arg-type]
         source=source,
     )

@@ -44,6 +44,16 @@ def _clamp(value: float) -> float:
     return value
 
 
+def _cube(value: float) -> float:
+    # Python's float ``**`` raises OverflowError where numpy's power
+    # returns an infinity; saturate to the cap the vector backend's
+    # clamp gives that infinity.
+    try:
+        return _clamp(value**3)
+    except OverflowError:
+        return math.copysign(_VALUE_CAP, value)
+
+
 def evaluate(expr: ast.NumExpr, env: Environment) -> float:
     """Evaluate a numeric expression over *env*.
 
@@ -84,7 +94,7 @@ def evaluate(expr: ast.NumExpr, env: Environment) -> float:
             return evaluate(expr.then, env)
         return evaluate(expr.otherwise, env)
     if isinstance(expr, ast.Cube):
-        return _clamp(evaluate(expr.arg, env) ** 3)
+        return _cube(evaluate(expr.arg, env))
     if isinstance(expr, ast.Cbrt):
         value = evaluate(expr.arg, env)
         return _clamp(math.copysign(abs(value) ** (1.0 / 3.0), value))

@@ -1343,10 +1343,14 @@ class PooledExecutor:
         completed: list[ScoredHandler] = []
         backstop = self._backstop_seconds()
         if deadline is None and backstop is None:
-            # Fast path: chunked map, results in submission order.
+            # Fast path: chunked map, results in submission order.  A
+            # worker can die while map() is still submitting, so the
+            # submission sits inside the broken-pool handler too.
             chunk = derive_chunksize(len(sketches), self.workers)
-            iterator = self._pool.map(_score_one, sketches, chunksize=chunk)
             try:
+                iterator = self._pool.map(
+                    _score_one, sketches, chunksize=chunk
+                )
                 for sketch in sketches:
                     outcome = next(iterator)
                     completed.append(self._resolve_outcome(sketch, outcome))
@@ -1358,7 +1362,13 @@ class PooledExecutor:
                     blame_next=True,
                 ) from exc
             return completed
-        futures = [self._pool.submit(_score_one, s) for s in sketches]
+        try:
+            futures = [self._pool.submit(_score_one, s) for s in sketches]
+        except BrokenProcessPool as exc:
+            raise _PoolBroken(
+                completed, "worker-crash", str(exc) or "pool broken",
+                blame_next=True,
+            ) from exc
         cut_short = False
         for index, (sketch, future) in enumerate(zip(sketches, futures)):
             if cut_short:
@@ -1567,9 +1577,17 @@ class PooledExecutor:
                     )
                     for group, sketch in chunk
                 ]
-                pending.append(
-                    (chunk, self._pool.submit(_score_chunk_bounded, payload))
-                )
+                try:
+                    future = self._pool.submit(_score_chunk_bounded, payload)
+                except BrokenProcessPool as exc:
+                    # A worker died after an earlier submission.
+                    drain_pending()
+                    note_occupancy()
+                    raise _PoolBroken(
+                        completed, "worker-crash", str(exc) or "pool broken",
+                        blame_next=True,
+                    ) from exc
+                pending.append((chunk, future))
                 next_chunk += 1
             self._waves.peak_in_flight = max(
                 self._waves.peak_in_flight,

@@ -10,7 +10,11 @@ distance metric then compares against the observed series.
 This is the synthesis hot loop, so handlers are compiled
 (:mod:`repro.dsl.compiled`) and trace columns are bound positionally;
 the tree-walking evaluator remains the semantic reference (property
-tests assert agreement).
+tests assert agreement).  :func:`replay_batch` replays all K
+concretizations of a sketch at once: a stateful sketch in one call of
+its generated loop (lanes, then rows, on Python floats), a cwnd-free
+sketch in one call of its numpy lane program.  :func:`replay_handler`
+stays the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ CWND_CAP_FACTOR = 16.0
 
 
 def _bind_columns(
-    compiled: CompiledHandler, table: SignalTable
+    compiled: CompiledHandler | CompiledVectorSketch, table: SignalTable
 ) -> tuple[list, int | None]:
     """Bind the handler's signals to per-row value sequences.
 
@@ -60,7 +64,7 @@ def _bind_columns(
             cwnd_index = position
             sequences.append(itertools.repeat(0.0))
         elif name == "mss":
-            sequences.append(itertools.repeat(table.mss))
+            sequences.append(itertools.repeat(float(table.mss)))
         elif name == "wmax":
             sequences.append(itertools.repeat(table.wmax))
         elif name in table.columns:
@@ -150,31 +154,48 @@ def replay_batch(
     ``ast.holes(sketch.expr)`` pre-order, exactly what
     :func:`repro.synth.concretize.concretization_assignments` yields).
     Returns a ``(K, n)`` matrix whose row ``k`` is bit-identical to
-    ``replay_handler(fill_holes(sketch, assignments[k]), table)`` —
-    the per-row clamp chain below deliberately mirrors the scalar one
-    branch for branch (property-tested).
+    ``replay_handler(fill_holes(sketch, assignments[k]), table)``
+    (property-tested).  A stateful sketch runs its generated loop, which
+    evaluates the scalar expression and the clamp chain of
+    :func:`replay_handler` row by row; a cwnd-free sketch computes the
+    whole matrix in one call of its numpy lane program.
     """
     lanes = len(assignments)
     observed = table.observed_cwnd()
     count = len(table)
     if count == 0:
         return np.empty((lanes, 0))
-    mss = table.mss
+    mss = float(table.mss)
     cap = CWND_CAP_FACTOR * float(observed.max())
-    out = np.empty((lanes, count))
 
+    if vector.stateful:
+        try:
+            sequences, _ = _bind_columns(vector, table)
+        except EvaluationError:
+            return np.full((lanes, count), cap)
+        if initial_cwnd is None:
+            initial_cwnd = observed[0]
+        # Python floats only: a numpy scalar would send ``**`` through
+        # numpy's power instead of the libm pow the scalar path uses.
+        positions = vector.assignment_positions
+        windows = vector.fn(
+            [[float(values[p]) for p in positions] for values in assignments],
+            list(itertools.islice(zip(*sequences), count)),
+            float(initial_cwnd),
+            mss,
+            cap,
+        )
+        return np.array(windows, dtype=float).reshape(lanes, count)
+
+    out = np.empty((lanes, count))
     hole_values = [
         np.array([values[position] for values in assignments], dtype=float)
         for position in vector.assignment_positions
     ]
     args: list = []
-    cwnd_index: int | None = None
     try:
-        for position, name in enumerate(vector.signals):
-            if name == "cwnd":
-                cwnd_index = position
-                args.append(None)  # replaced with the lane state vector
-            elif name == "mss":
+        for name in vector.signals:
+            if name == "mss":
                 args.append(table.mss)
             elif name == "wmax":
                 args.append(table.wmax)
@@ -198,42 +219,21 @@ def replay_batch(
             clamped = np.minimum(np.maximum(values, mss), cap)
             out[:] = np.where(np.isfinite(values), clamped, cap)[:, None]
             return out
-        if cwnd_index is None:
-            # Stateless sketch: no feedback, so every row is independent
-            # and the whole (K, n) matrix falls out of one call.
-            flat = [
-                arg[np.newaxis, :] if isinstance(arg, np.ndarray) else arg
-                for arg in args
-            ]
-            raw = np.broadcast_to(
-                np.asarray(
-                    fn(*flat, *(h[:, None] for h in hole_values)),
-                    dtype=float,
-                ),
-                (lanes, count),
-            )
-            low = np.where(raw < mss, mss, np.where(raw > cap, cap, raw))
-            out[:] = np.where(np.isfinite(raw), low, cap)
-            return out
-        # Stateful sketch: the per-ACK loop survives, but each iteration
-        # is one K-wide numpy call instead of K interpreter calls.
-        columns = [
-            (position, table.column_list(name))
-            for position, name in enumerate(vector.signals)
-            if isinstance(args[position], np.ndarray)
+        # Stateless sketch: no feedback, so every row is independent
+        # and the whole (K, n) matrix falls out of one call.
+        flat = [
+            arg[np.newaxis, :] if isinstance(arg, np.ndarray) else arg
+            for arg in args
         ]
-        cwnd_vec = np.full(
-            lanes,
-            float(observed[0]) if initial_cwnd is None else initial_cwnd,
+        raw = np.broadcast_to(
+            np.asarray(
+                fn(*flat, *(h[:, None] for h in hole_values)),
+                dtype=float,
+            ),
+            (lanes, count),
         )
-        for index in range(count):
-            for position, column in columns:
-                args[position] = column[index]
-            args[cwnd_index] = cwnd_vec
-            raw = np.asarray(fn(*args, *hole_values), dtype=float)
-            low = np.where(raw < mss, mss, np.where(raw > cap, cap, raw))
-            cwnd_vec = np.where(np.isfinite(raw), low, cap)
-            out[:, index] = cwnd_vec
+        low = np.where(raw < mss, mss, np.where(raw > cap, cap, raw))
+        out[:] = np.where(np.isfinite(raw), low, cap)
     return out
 
 

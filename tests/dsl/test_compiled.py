@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsl.compiled import compile_handler
+from repro.dsl.compiled import compile_handler, compile_sketch_vector
 from repro.dsl.evaluate import evaluate
 from repro.dsl.parser import parse
 from repro.errors import EvaluationError
@@ -79,6 +80,20 @@ def test_missing_signal_in_env():
     compiled = compile_handler(parse("wmax + mss"))
     with pytest.raises(EvaluationError):
         compiled.call_env({"mss": 1500.0})
+
+
+@pytest.mark.parametrize("value", [1e200, -1e200])
+def test_cube_overflow_saturates_in_every_backend(value):
+    """``cube`` is total: where Python's ``**`` overflows, the
+    interpreter, the compiled handler and the vector backend all
+    saturate at the value cap."""
+    expr = parse("cube(rtt)")
+    expected = math.copysign(1e18, value)
+    assert evaluate(expr, {"rtt": value}) == expected
+    assert compile_handler(expr)(value) == expected
+    with np.errstate(over="ignore"):  # as replay_batch calls it
+        lanes = compile_sketch_vector(expr).fn(np.array([value]))
+    assert lanes.tolist() == [expected]
 
 
 def test_all_table2_handlers_compile():

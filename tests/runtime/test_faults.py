@@ -220,6 +220,46 @@ def test_pooled_persistent_crash_quarantines_culprit(sketches, reno_segments):
     assert collector.of_kind("sketch_quarantined")
 
 
+@pytest.mark.parametrize("grouped", [False, True])
+def test_pool_broken_during_submission_recovers(
+    sketches, reno_segments, monkeypatch, grouped
+):
+    """A worker can die while a wave is still being submitted, and then
+    ``submit`` itself raises BrokenProcessPool.  That is a worker crash
+    like any other: rebuild, re-score, fault-free distances."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    working = reno_segments[:1]
+    groups = [sketches[:3], sketches[3:]]
+    serial = SerialExecutor(_scorer())
+    expected = (
+        _group_minima(serial.score_grouped(groups, working))
+        if grouped
+        else _baseline(sketches, working)
+    )
+    collector, ctx = _collected()
+    with PooledExecutor(_scorer(), POOL_WORKERS, context=ctx) as pooled:
+        pooled.score(sketches, working)  # a live, primed pool
+        real_submit = pooled._pool.submit
+        submitted = []
+
+        def submit(fn, *args, **kwargs):
+            submitted.append(fn)
+            if len(submitted) > 1:
+                raise BrokenProcessPool("worker died mid-submission")
+            return real_submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(pooled._pool, "submit", submit)
+        if grouped:
+            actual = _group_minima(pooled.score_grouped(groups, working))
+        else:
+            actual = [r.distance for r in pooled.score(sketches, working)]
+        assert pooled.pool_rebuilds == 1
+    assert actual == pytest.approx(expected)
+    assert pooled.quarantined == []
+    assert len(collector.of_kind("worker_crashed")) == 1
+
+
 def test_pooled_degrades_to_serial_after_rebuild_budget(
     sketches, reno_segments
 ):

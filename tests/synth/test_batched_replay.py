@@ -25,9 +25,11 @@ from repro.synth.scoring import Scorer
 from repro.synth.sketch import Sketch
 from repro.trace.signals import SIGNAL_NAMES, SignalTable
 
-#: Sketch shapes spanning the vector backend's branches: stateful /
-#: stateless / signal-free lanes, holes in one or two positions,
-#: conditionals, the modular test, cube/cbrt, and division.
+#: Sketch shapes spanning the batched backends' branches: stateful
+#: (the generated loop, with and without trace columns) / stateless /
+#: signal-free lanes, holes in one or two positions, a repeated hole id
+#: (the last occurrence wins, as in ``fill_holes``), conditionals, the
+#: modular test, cube/cbrt (of a hole and of a signal), and division.
 SKETCH_TEXTS = [
     "cwnd + c0 * mss",
     "c0",
@@ -38,15 +40,19 @@ SKETCH_TEXTS = [
     "cwnd + acked_bytes / rtt * c0",
     "(time % c0 == 0) ? cwnd + mss : cwnd",
     "cbrt(cwnd * c0)",
+    "cwnd * c0 + mss",
+    "c0 * cwnd + c0 * mss",
+    "cwnd + c0 * cube(rtt)",
 ]
 
 POOL = (0.5, 0.7, 1.0, 2.0)
 
-#: Finite magnitudes stay below 1e30 so a scalar ``x ** 3`` cannot raise
-#: OverflowError where the vector path would return inf — the paths are
-#: compared on the domain where the scalar reference is defined.
+#: Eight constants over two hole positions give 64 lanes, the completion
+#: cap the scoring throughput benchmark runs at.
+WIDE_POOL = (0.25, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 4.0)
+
 _signal_value = st.one_of(
-    st.floats(min_value=-1e30, max_value=1e30, allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([float("inf"), float("-inf"), float("nan")]),
 )
 
@@ -85,16 +91,26 @@ def signal_tables(draw):
 
 def _assert_batch_matches_scalar(sketch: Sketch, table: SignalTable) -> None:
     vector = compile_sketch_vector(sketch.expr)
-    assignments = list(
-        concretization_assignments(sketch, POOL, cap=16, seed=0)
-    )
     hole_ids = [hole.hole_id for hole in ast.holes(sketch.expr)]
-    matrix = replay_batch(vector, assignments, table)
-    assert matrix.shape == (len(assignments), len(table))
-    for lane, values in enumerate(assignments):
-        handler = ast.fill_holes(sketch.expr, dict(zip(hole_ids, values)))
-        scalar = replay_handler(handler, table)
-        np.testing.assert_array_equal(matrix[lane], scalar)
+    lane_sets = [
+        list(concretization_assignments(sketch, POOL, cap=16, seed=0))
+    ]
+    if len(hole_ids) == 2:
+        wide = list(
+            concretization_assignments(sketch, WIDE_POOL, cap=64, seed=0)
+        )
+        assert len(wide) == 64
+        lane_sets.append(wide)
+    for assignments in lane_sets:
+        matrix = replay_batch(vector, assignments, table)
+        assert matrix.shape == (len(assignments), len(table))
+        for lane, values in enumerate(assignments):
+            handler = ast.fill_holes(
+                sketch.expr, dict(zip(hole_ids, values))
+            )
+            scalar = replay_handler(handler, table)
+            np.testing.assert_array_equal(matrix[lane], scalar)
+    assert replay_batch(vector, [], table).shape == (0, len(table))
 
 
 @pytest.mark.parametrize("text", SKETCH_TEXTS)
