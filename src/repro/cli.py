@@ -199,28 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         "path instead of the batched fast path (identical results, slower)",
     )
     synthesize.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="broadcast segment working sets to scoring workers as "
-        "pickled payloads instead of the zero-copy shared-memory "
-        "plane (identical results, slower; serial runs never use "
-        "the plane)",
-    )
-    synthesize.add_argument(
-        "--no-batch-dtw",
-        action="store_true",
-        help="run each surviving DTW candidate through the scalar "
-        "kernel instead of the batched anti-diagonal sweep "
-        "(identical results, slower)",
-    )
-    synthesize.add_argument(
-        "--no-fused",
-        action="store_true",
-        help="score each bucket as its own executor wave instead of "
-        "fusing all live buckets into one pipelined dispatch per "
-        "iteration (identical results, slower)",
-    )
-    synthesize.add_argument(
         "--checkpoint",
         metavar="PATH",
         help="write atomic JSONL refinement checkpoints to PATH at "
@@ -430,13 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 2)",
     )
     serve.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="broadcast segment working sets to scoring workers as "
-        "pickled payloads instead of the zero-copy shared-memory "
-        "plane (identical results, slower)",
-    )
-    serve.add_argument(
         "--drain-on-sigterm",
         action="store_true",
         help="on SIGTERM finish the slice in flight, requeue unfinished "
@@ -539,9 +510,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         time_budget_seconds=args.time_budget,
         cache_scores=not args.no_cache,
         batch_scoring=not args.no_batch,
-        fused_scheduling=not args.no_fused,
-        shm_plane=not args.no_shm,
-        batch_dtw=not args.no_batch_dtw,
         checkpoint_path=args.checkpoint,
         resume_path=args.resume,
         max_pool_rebuilds=args.max_pool_rebuilds,
@@ -640,7 +608,6 @@ def _json_report(report, collector: CollectorSink, context: RunContext) -> dict:
                 "batched_dtw_sweeps": scoring.batched_dtw_sweeps,
                 "envelope_precompute_ms": scoring.envelope_precompute_ms,
                 "shm_bytes": scoring.shm_bytes,
-                "broadcast_bytes_saved": scoring.broadcast_bytes_saved,
             }
             if scoring is not None
             else None
@@ -763,7 +730,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             claim_interval_seconds=args.claim_interval,
             max_job_retries=args.max_job_retries,
             retry_backoff_seconds=args.retry_backoff,
-            use_shm=not args.no_shm,
             context=context,
             fault_plan=fault_plan,
         )

@@ -454,9 +454,7 @@ def format_run_summary(events: Iterable[Event]) -> str:
         if final_scoring.shm_bytes:
             lines.append(
                 f"plane:  {_format_bytes(final_scoring.shm_bytes)} "
-                f"shared-memory segment plane, "
-                f"{_format_bytes(final_scoring.broadcast_bytes_saved)} "
-                f"of pickled broadcast avoided"
+                f"shared-memory segment plane"
             )
     finals = [e for e in events if isinstance(e, RunFinished)]
     if finals and finals[-1].phase_seconds:

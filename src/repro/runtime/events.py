@@ -172,7 +172,7 @@ class ScoringStats(Event):
     #: Candidates pruned by a cross-sketch bucket incumbent (the fused
     #: scheduler's warm start) rather than a bound the sketch computed.
     warm_start_pruned: int = 0
-    #: Fused cross-bucket waves dispatched (0 under per-bucket scheduling).
+    #: Fused cross-bucket waves dispatched.
     fused_waves: int = 0
     #: Flattened tasks those fused waves carried.
     fused_tasks: int = 0
@@ -188,9 +188,6 @@ class ScoringStats(Event):
     envelope_precompute_ms: float = 0.0
     #: Peak bytes of live shared-memory segment planes (0 = no plane).
     shm_bytes: int = 0
-    #: Estimated pickled-broadcast bytes the zero-copy plane avoided
-    #: (plane bytes × workers per segment broadcast).
-    broadcast_bytes_saved: int = 0
 
 
 @dataclass(frozen=True)

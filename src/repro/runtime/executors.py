@@ -4,30 +4,40 @@ The paper distributes candidate scoring with Ray across a cluster (§5);
 locally the same embarrassing parallelism maps onto a process pool.  The
 pre-runtime code forked a fresh ``ProcessPoolExecutor`` — and re-shipped
 the whole segment working set — *per bucket per iteration*; here the
-substrate is explicit:
+substrate is explicit, and every wave goes through one call,
+``score_grouped``:
 
 :class:`SerialExecutor`
     scores in the calling process (deterministic, zero overhead; the
-    default everywhere).
+    default everywhere).  It is also the base class: the scorer,
+    quarantine log, wave telemetry and stats assembly live here once.
 
 :class:`PooledExecutor`
     creates the process pool **once per synthesis run**, primes workers
     with the scorer configuration at spawn, and re-primes the segment
     working set only when it actually changes.  Re-priming is a
-    broadcast: one barrier-synchronized task per worker, so every worker
-    installs the new segments exactly once (the barrier keeps the pool
-    from handing all the priming tasks to a single worker).  The barrier
-    rides into workers through fork inheritance; on platforms without
-    ``fork`` the executor degrades to rebuilding the pool per working
-    set — still at most one pool per *working set* rather than per wave.
+    broadcast of a shared-memory plane handle (:mod:`repro.runtime.shm`):
+    one barrier-synchronized task per worker, so every worker installs
+    the new segments exactly once (the barrier keeps the pool from
+    handing all the priming tasks to a single worker).  The barrier
+    rides into workers through fork inheritance.  Without ``fork``, or
+    when no plane can be built, the executor respawns the pool with the
+    segments in its initializer instead — still at most one pool per
+    *working set* rather than per wave.
+
+Both run the same task routine, :func:`_score_tasks`: a pool worker runs
+it over one chunk of a wave, and every in-process wave (the serial
+executor, a pooled executor's sub-:data:`MIN_PARALLEL_SKETCHES` waves,
+and a degraded pool) runs it over the whole wave.  ``workers=1`` is the
+code a pool worker runs, only in-process.
 
 Both enforce a wall-clock ``deadline`` *inside* a scoring wave: the
-serial path checks it between sketches, the pooled path bounds how long
-it waits on each future and cancels the rest, so a single large bucket
-can no longer overshoot ``time_budget_seconds`` unboundedly.
-``min_results`` sketches are always scored even past the deadline (the
-refinement loop needs every live bucket to receive at least one score to
-produce a ranking).
+in-process loop checks it between sketches, the pooled path bounds how
+long it waits on each future and cancels the rest, so a single large
+bucket can no longer overshoot ``time_budget_seconds`` unboundedly.
+``min_results`` sketches per group are always scored even past the
+deadline (the refinement loop needs every live bucket to receive at
+least one score to produce a ranking).
 
 Fault tolerance (``docs/RESILIENCE.md``) is layered on top:
 
@@ -38,7 +48,7 @@ Fault tolerance (``docs/RESILIENCE.md``) is layered on top:
   workers the watchdog is an in-process SIGALRM, so even the pool stays
   healthy through a hang; the parent keeps a generous backstop timeout
   for hangs the alarm cannot interrupt.
-* **Supervision** — ``PooledExecutor.score`` survives
+* **Supervision** — ``PooledExecutor.score_grouped`` survives
   ``BrokenProcessPool``: it keeps the contiguous prefix of completed
   results, rebuilds the pool with exponential backoff, re-scores only
   the not-yet-completed suffix, blames (and, on a second strike,
@@ -59,7 +69,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.runtime.cache import ScoreCache
 from repro.runtime.context import RunContext
@@ -96,12 +106,10 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.trace.model import TraceSegment
 
 __all__ = [
-    "ScoringExecutor",
     "SerialExecutor",
     "PooledExecutor",
     "make_executor",
     "derive_chunksize",
-    "interleave_groups",
     "wave_order",
 ]
 
@@ -130,47 +138,22 @@ _CRASH_STRIKES = 2
 _PLANE_LRU_ENTRIES = 8
 
 
-def interleave_groups(sizes: Sequence[int]) -> list[tuple[int, int]]:
-    """Round-robin flat dispatch order over groups of the given sizes.
-
-    Returns ``(group, member)`` pairs: one full round takes the next
-    member of every group still holding one, so group 0's first task is
-    followed by group 1's first, not group 0's second.  Two properties
-    make this the fused scheduler's order:
-
-    * every flat *prefix* maps to a per-group prefix, so a deadline or
-      crash cut scatters back into positionally-aligned partial results;
-    * the first ``sum(min(size, m))`` tasks cover every group's first
-      ``m`` members, so a flat ``min_results`` bound implies the
-      per-group guarantee the refinement ranking needs;
-
-    and interleaving means every bucket's incumbent bound tightens early
-    in the wave instead of only while "its" bucket is being scored.
-    """
-    order: list[tuple[int, int]] = []
-    for rank in range(max(sizes, default=0)):
-        for group, size in enumerate(sizes):
-            if rank < size:
-                order.append((group, rank))
-    return order
-
-
 def wave_order(
     sizes: Sequence[int], min_results: int, run_length: int = 1
 ) -> list[tuple[int, int]]:
-    """Flat dispatch order for one fused wave.
+    """Flat dispatch order for one fused wave, as ``(group, member)``
+    pairs.
 
-    A generalization of :func:`interleave_groups`: the first
-    ``max(1, min_results)`` rounds are strict round-robin — every
-    group's leaders up front, covering the deadline-mandatory prefix
-    (the first ``sum(min(size, m))`` tasks hold every group's first
-    ``m`` members) and seeding each group's incumbent bound as early as
-    possible — then the remainder round-robins in *runs* of
+    The first ``max(1, min_results)`` rounds are strict round-robin —
+    every group's leaders up front, covering the deadline-mandatory
+    prefix (the first ``sum(min(size, m))`` tasks hold every group's
+    first ``m`` members) and seeding each group's incumbent bound as
+    early as possible — then the remainder round-robins in *runs* of
     ``run_length`` consecutive same-group members.  With
-    ``run_length=1`` this is exactly the round-robin order (the serial
-    scheduler's choice: incumbents refresh every task); pooled waves set
-    it to their submission chunk size, so each chunk is a same-group run
-    that tightens its bound internally at in-process freshness, while
+    ``run_length=1`` this is plain round-robin (the serial executor's
+    choice: incumbents refresh every task); pooled waves set it to their
+    submission chunk size, so each chunk is a same-group run that
+    tightens its bound internally at in-process freshness, while
     round-robin over runs keeps every group's pipeline shallow enough
     that the parent's cross-chunk updates stay warm too.  Any prefix of
     the flat order still maps to per-group prefixes, which is what
@@ -203,9 +186,9 @@ def _scatter(
 ) -> list[list["ScoredHandler"]]:
     """Route a flat (possibly cut-short) result prefix back per group.
 
-    Round-robin order preserves member order within each group, so
+    The wave order preserves member order within each group, so
     appending in flat order rebuilds positionally-aligned result
-    prefixes — the same contract ``score()`` gives per bucket.
+    prefixes, one per group.
     """
     grouped: list[list[ScoredHandler]] = [[] for _ in range(group_count)]
     for (group, _), scored in zip(order, flat):
@@ -235,7 +218,7 @@ class _WaveTelemetry:
 
 
 def derive_chunksize(tasks: int, workers: int) -> int:
-    """Chunk size for ``pool.map``: ~4 chunks per worker.
+    """Chunk size for a pooled wave: ~4 chunks per worker.
 
     A fixed chunk size (the old code hardcoded 8) serializes small waves
     onto one worker: 10 tasks in chunks of 8 is two chunks, so at most
@@ -273,170 +256,93 @@ def _zero_scorer_counters(scorer: "Scorer") -> None:
         scorer.cache.misses = 0
 
 
-class ScoringExecutor(Protocol):
-    """Scores sketch waves against a segment working set."""
+@dataclass(frozen=True)
+class _WorkerFailure:
+    """Picklable marker the task routine returns instead of raising.
 
-    #: Candidates removed from the run (worst-case scored) so far.
-    quarantined: list[Quarantined]
-
-    def score(
-        self,
-        sketches: Sequence[Sketch],
-        segments: Sequence[TraceSegment],
-        *,
-        deadline: float | None = None,
-        min_results: int = 0,
-    ) -> list[ScoredHandler]:
-        """Score *sketches*; results align positionally with a prefix of
-        *sketches* (the full wave unless *deadline* cut it short)."""
-        ...
-
-    def score_grouped(
-        self,
-        groups: Sequence[Sequence[Sketch]],
-        segments: Sequence[TraceSegment],
-        *,
-        deadline: float | None = None,
-        min_results: int = 0,
-    ) -> list[list[ScoredHandler]]:
-        """Score all *groups* as one fused wave; one result list per
-        group, each positionally aligned with a prefix of its group
-        (*min_results* members guaranteed **per group**, as far as each
-        group's size allows).  Group minima are exact; individual
-        distances may be ``inf`` when the group's incumbent bound proved
-        them non-minimal."""
-        ...
-
-    def cache_stats(self) -> CacheStats | None:
-        """Cumulative score-cache counters, if caching is enabled."""
-        ...
-
-    def scoring_stats(self) -> ScoringStats:
-        """Cumulative batched-scoring counters (prunes, abandons, waves)."""
-        ...
-
-    def stats(self) -> tuple[CacheStats | None, ScoringStats]:
-        """Both telemetry snapshots at once (one worker round-trip)."""
-        ...
-
-    def close(self, *, wait: bool = False) -> None: ...
-
-
-def _score_serially(
-    scorer: Scorer,
-    sketches: Sequence[Sketch],
-    segments: Sequence[TraceSegment],
-    deadline: float | None,
-    min_results: int,
-    *,
-    watchdog_seconds: float | None = None,
-    fault_plan: FaultPlan | None = None,
-    quarantine: Callable[[Sketch, str, str], "ScoredHandler"] | None = None,
-) -> list[ScoredHandler]:
-    """In-process scoring with per-sketch guarding.
-
-    Exceptions and watchdog timeouts route through *quarantine* (when
-    given) so a poisoned candidate costs one worst-case score, not the
-    run; with no recorder they propagate, preserving the bare behavior.
+    Keeping candidate failures *inside* the task result means one bad
+    sketch never disturbs the pool machinery — the executor converts the
+    marker into a quarantine record and a worst-case score.
     """
-    results: list[ScoredHandler] = []
-    for index, sketch in enumerate(sketches):
-        if (
-            deadline is not None
-            and index >= min_results
-            and time.perf_counter() >= deadline
-        ):
-            break
-        results.append(
-            _score_guarded(
-                scorer,
-                sketch,
-                segments,
-                None,
-                watchdog_seconds,
-                fault_plan,
-                quarantine,
-            )
-        )
-    return results
+
+    sketch: str
+    reason: str  # "timeout" | "exception"
+    detail: str
 
 
-def _score_guarded(
-    scorer: Scorer,
-    sketch: Sketch,
-    segments: Sequence[TraceSegment],
-    bound: float | None,
+def _score_tasks(
+    scorer: "Scorer",
+    tasks: "Sequence[tuple[int, Sketch]]",
+    segments: "Sequence[TraceSegment]",
+    incumbents: "list[float] | dict[int, float]",
+    *,
     watchdog_seconds: float | None,
     fault_plan: FaultPlan | None,
-    quarantine: Callable[[Sketch, str, str], "ScoredHandler"] | None,
-) -> ScoredHandler:
-    """One sketch through the watchdog/fault/quarantine guard."""
-    try:
-        with watchdog(watchdog_seconds):
-            apply_sketch_faults(fault_plan, str(sketch), in_worker=False)
-            return scorer.score_sketch(sketch, segments, bound=bound)
-    except SketchTimeout:
-        if quarantine is None:
-            raise
-        return quarantine(
-            sketch, "timeout", f"exceeded {watchdog_seconds:.3g}s watchdog"
-        )
-    except Exception as exc:
-        if quarantine is None:
-            raise
-        return quarantine(sketch, "exception", f"{type(exc).__name__}: {exc}")
+    in_worker: bool,
+    generation: int = 0,
+    deadline: float | None = None,
+    exempt: int = 0,
+) -> "tuple[list[ScoredHandler | _WorkerFailure], float]":
+    """Score a run of ``(group, sketch)`` tasks against one scorer.
 
-
-def _score_grouped_serially(
-    scorer: Scorer,
-    tasks: Sequence[tuple[int, "Sketch"]],
-    segments: Sequence[TraceSegment],
-    deadline: float | None,
-    mandatory: int,
-    incumbents: list[float],
-    *,
-    start_index: int = 0,
-    watchdog_seconds: float | None = None,
-    fault_plan: FaultPlan | None = None,
-    quarantine: Callable[[Sketch, str, str], "ScoredHandler"] | None = None,
-) -> list[ScoredHandler]:
-    """In-process scoring of a fused ``(group, sketch)`` task stream.
-
-    Each sketch is scored with its group's current incumbent bound so
-    the batched cascade starts warm; the incumbent only ever holds an
-    *exact* distance an earlier group member achieved, so group minima
-    stay exact.  *mandatory* counts the deadline-exempt flat prefix
-    (``sum(min(group size, min_results))`` — round-robin order puts
-    exactly those tasks first); *start_index* is this call's offset into
-    the full flat order, letting a degraded pooled wave continue the
-    same deadline accounting.
+    Each sketch is bounded by ``incumbents[group]``, the best exact
+    distance its group has so far, so the batched cascade starts warm;
+    the incumbent only ever holds a distance an earlier group member
+    achieved, so group minima stay exact.  Every task runs under the
+    watchdog and the fault guard, and a failure comes back as a
+    :class:`_WorkerFailure` marker.  Only in-process callers pass a
+    *deadline*; the first *exempt* tasks (the mandatory prefix) are
+    scored past it.  Returns the outcomes and the seconds spent.
     """
-    results: list[ScoredHandler] = []
-    for offset, (group, sketch) in enumerate(tasks):
+    started = time.perf_counter()
+    outcomes: list[ScoredHandler | _WorkerFailure] = []
+    for index, (group, sketch) in enumerate(tasks):
         if (
             deadline is not None
-            and start_index + offset >= mandatory
+            and index >= exempt
             and time.perf_counter() >= deadline
         ):
             break
         incumbent = incumbents[group]
-        scored = _score_guarded(
-            scorer,
-            sketch,
-            segments,
-            incumbent if math.isfinite(incumbent) else None,
-            watchdog_seconds,
-            fault_plan,
-            quarantine,
-        )
-        results.append(scored)
-        if scored.distance < incumbents[group]:
-            incumbents[group] = scored.distance
-    return results
+        text = str(sketch)
+        try:
+            with watchdog(watchdog_seconds):
+                apply_sketch_faults(
+                    fault_plan,
+                    text,
+                    in_worker=in_worker,
+                    generation=generation,
+                )
+                outcome = scorer.score_sketch(
+                    sketch,
+                    segments,
+                    bound=incumbent if math.isfinite(incumbent) else None,
+                )
+        except SketchTimeout:
+            outcome = _WorkerFailure(
+                text, "timeout", f"exceeded {watchdog_seconds:.3g}s watchdog"
+            )
+        except Exception as exc:
+            outcome = _WorkerFailure(
+                text, "exception", f"{type(exc).__name__}: {exc}"
+            )
+        else:
+            if outcome.distance < incumbent:
+                incumbents[group] = outcome.distance
+        outcomes.append(outcome)
+    return outcomes, time.perf_counter() - started
 
 
 class SerialExecutor:
-    """In-process scoring; the deterministic default."""
+    """In-process scoring; the deterministic default and the base class
+    every executor shares."""
+
+    #: Pools spawned beyond what the lifecycle planned (none in-process).
+    pool_rebuilds = 0
+    #: True once supervision has fallen back to serial scoring.
+    degraded = False
+    #: Peak bytes of live shared-memory planes (none in-process).
+    shm_bytes = 0
 
     def __init__(
         self,
@@ -457,8 +363,17 @@ class SerialExecutor:
         self._scorers: dict[int, Scorer] = {id(scorer): scorer}
         self._prepared_token: tuple[int, ...] | None = None
 
+    def _emit(self, event) -> None:
+        if self.context is not None:
+            self.context.emit(event)
+
     def adopt_scorer(self, scorer: Scorer) -> None:
-        """Point subsequent waves at *scorer* (scheduler job switches)."""
+        """Point subsequent waves at *scorer* (scheduler job switches).
+
+        A pool installs the swap in its workers at the next priming,
+        and only when the scorer's config actually differs from what
+        the pool is running.
+        """
         self._scorers.setdefault(id(scorer), scorer)
         self.scorer = scorer
 
@@ -485,33 +400,74 @@ class SerialExecutor:
 
         record = Quarantined(sketch=str(sketch), reason=reason, detail=detail)
         self.quarantined.append(record)
-        if self.context is not None:
-            self.context.emit(
-                SketchQuarantined(
-                    sketch=record.sketch, reason=reason, detail=detail
-                )
-            )
+        self._emit(
+            SketchQuarantined(sketch=record.sketch, reason=reason, detail=detail)
+        )
         return ScoredHandler(sketch.expr, WORST_DISTANCE)
 
-    def score(
+    def _resolve_outcome(self, sketch: Sketch, outcome) -> ScoredHandler:
+        if isinstance(outcome, _WorkerFailure):
+            return self._quarantine(sketch, outcome.reason, outcome.detail)
+        return outcome
+
+    # ------------------------------------------------------------------
+
+    def _open_wave(
         self,
-        sketches: Sequence[Sketch],
-        segments: Sequence[TraceSegment],
+        groups: Sequence[Sequence[Sketch]],
+        min_results: int,
         *,
-        deadline: float | None = None,
-        min_results: int = 0,
+        workers: int,
+        run_length: int = 1,
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, Sketch]], int]:
+        """Flatten *groups* into one wave's dispatch order, then count
+        and announce the wave.  Returns the order, its tasks, and the
+        deadline-exempt prefix length (``min_results`` per group)."""
+        groups = [list(group) for group in groups]
+        order = wave_order(
+            [len(group) for group in groups], min_results, run_length
+        )
+        tasks = [(group, groups[group][rank]) for group, rank in order]
+        if tasks:
+            self._waves.fused_waves += 1
+            self._waves.fused_tasks += len(tasks)
+            self._emit(
+                WaveDispatched(
+                    groups=len(groups), tasks=len(tasks), workers=workers
+                )
+            )
+        mandatory = sum(min(len(group), min_results) for group in groups)
+        return order, tasks, mandatory
+
+    def _note_inline_wave(self, occupancy: float) -> None:
+        self._waves.peak_in_flight = max(self._waves.peak_in_flight, 1)
+        self._waves.note_occupancy(occupancy)
+
+    def _score_inline(
+        self,
+        tasks: Sequence[tuple[int, Sketch]],
+        segments: Sequence[TraceSegment],
+        deadline: float | None,
+        exempt: int,
+        incumbents: list[float],
     ) -> list[ScoredHandler]:
+        """Run the task routine over *tasks* in this process."""
         self._prepare(segments)
-        return _score_serially(
+        outcomes, _ = _score_tasks(
             self.scorer,
-            sketches,
+            tasks,
             segments,
-            deadline,
-            min_results,
+            incumbents,
             watchdog_seconds=self.watchdog_seconds,
             fault_plan=self.fault_plan,
-            quarantine=self._quarantine,
+            in_worker=False,
+            deadline=deadline,
+            exempt=exempt,
         )
+        return [
+            self._resolve_outcome(sketch, outcome)
+            for (_, sketch), outcome in zip(tasks, outcomes)
+        ]
 
     def score_grouped(
         self,
@@ -521,39 +477,37 @@ class SerialExecutor:
         deadline: float | None = None,
         min_results: int = 0,
     ) -> list[list[ScoredHandler]]:
-        self._prepare(segments)
-        groups = [list(group) for group in groups]
-        order = wave_order(
-            [len(group) for group in groups], min_results
+        """Score all *groups* as one fused wave; one result list per
+        group, each positionally aligned with a prefix of its group
+        (*min_results* members guaranteed **per group**, as far as each
+        group's size allows).  Group minima are exact; individual
+        distances may be ``inf`` when the group's incumbent bound proved
+        them non-minimal."""
+        order, tasks, mandatory = self._open_wave(
+            groups, min_results, workers=1
         )
-        tasks = [(group, groups[group][rank]) for group, rank in order]
         if tasks:
-            self._waves.fused_waves += 1
-            self._waves.fused_tasks += len(tasks)
-            self._waves.peak_in_flight = max(self._waves.peak_in_flight, 1)
-            self._waves.note_occupancy(1.0)
-            if self.context is not None:
-                self.context.emit(
-                    WaveDispatched(
-                        groups=len(groups), tasks=len(tasks), workers=1
-                    )
-                )
-        mandatory = sum(min(len(group), min_results) for group in groups)
-        incumbents = [float("inf")] * len(groups)
-        flat = _score_grouped_serially(
-            self.scorer,
-            tasks,
-            segments,
-            deadline,
-            mandatory,
-            incumbents,
-            watchdog_seconds=self.watchdog_seconds,
-            fault_plan=self.fault_plan,
-            quarantine=self._quarantine,
+            self._note_inline_wave(1.0)
+        incumbents = [math.inf] * len(groups)
+        flat = self._score_inline(
+            tasks, segments, deadline, mandatory, incumbents
         )
         return _scatter(order, flat, len(groups))
 
-    def cache_stats(self) -> CacheStats | None:
+    # ------------------------------------------------------------------
+
+    def _refresh_worker_counters(self) -> None:
+        """Pull worker counters into the parent (no workers here)."""
+
+    def _counter_totals(self) -> list:
+        """``ScoringCounters.as_tuple()`` summed over every scorer."""
+        totals = list(_COUNTER_ZEROS)
+        for scorer in self._scorers.values():
+            for index, value in enumerate(scorer.counters.as_tuple()):
+                totals[index] += value
+        return totals
+
+    def _assemble_cache_stats(self) -> CacheStats | None:
         snapshots = [
             scorer.cache.stats()
             for scorer in self._scorers.values()
@@ -567,11 +521,8 @@ class SerialExecutor:
             entries=sum(snap.entries for snap in snapshots),
         )
 
-    def scoring_stats(self) -> ScoringStats:
-        totals = list(_COUNTER_ZEROS)
-        for scorer in self._scorers.values():
-            for index, value in enumerate(scorer.counters.as_tuple()):
-                totals[index] += value
+    def _assemble_scoring_stats(self) -> ScoringStats:
+        totals = self._counter_totals()
         waves = self._waves
         return ScoringStats(
             batched_waves=totals[0],
@@ -585,13 +536,40 @@ class SerialExecutor:
             mean_occupancy=round(waves.mean_occupancy, 4),
             batched_dtw_sweeps=totals[5],
             envelope_precompute_ms=round(totals[6], 3),
+            shm_bytes=self.shm_bytes,
         )
 
+    def cache_stats(self) -> CacheStats | None:
+        """Cumulative score-cache counters, if caching is enabled."""
+        if all(scorer.cache is None for scorer in self._scorers.values()):
+            return None
+        self._refresh_worker_counters()
+        return self._assemble_cache_stats()
+
+    def scoring_stats(self) -> ScoringStats:
+        """Cumulative batched-scoring counters (prunes, abandons, waves)."""
+        self._refresh_worker_counters()
+        return self._assemble_scoring_stats()
+
     def stats(self) -> tuple[CacheStats | None, ScoringStats]:
-        return (self.cache_stats(), self.scoring_stats())
+        """Both telemetry snapshots off ONE worker broadcast.
+
+        ``cache_stats()`` + ``scoring_stats()`` back-to-back each pay a
+        barrier-synchronized round-trip across a pool; callers that
+        want both (the refinement loop, every iteration) should use this
+        instead and pay for one.
+        """
+        self._refresh_worker_counters()
+        return (self._assemble_cache_stats(), self._assemble_scoring_stats())
 
     def close(self, *, wait: bool = False) -> None:
         pass
+
+    def __enter__(self) -> "SerialExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 # ----------------------------------------------------------------------
@@ -627,56 +605,28 @@ def _attach_plane_segments(handle: PlaneHandle) -> "list":
     return plane_segments(_worker_plane[1], handle)
 
 
-@dataclass(frozen=True)
-class _WorkerFailure:
-    """Picklable marker a worker returns instead of raising.
+def _build_worker_scorer(config: dict, cache_entries: int | None) -> Scorer:
+    """A worker's scorer: the parent scorer's config, its own cache."""
+    from repro.synth.scoring import Scorer
 
-    Keeping candidate failures *inside* the task result means one bad
-    sketch never disturbs the pool machinery — the parent converts the
-    marker into a quarantine record and a worst-case score.
-    """
-
-    sketch: str
-    reason: str  # "timeout" | "exception"
-    detail: str
+    return Scorer(
+        **config,
+        cache=ScoreCache(cache_entries) if cache_entries else None,
+    )
 
 
 def _init_worker(
     barrier,
-    scorer_config: tuple,
+    scorer_config: dict,
     cache_entries: int | None,
     segments: "Sequence[TraceSegment] | None",
     fault_plan: FaultPlan | None,
     generation: int,
     watchdog_seconds: float | None,
 ) -> None:
-    from repro.synth.scoring import Scorer
-
     global _worker_scorer, _worker_segments, _worker_barrier
     global _worker_faults, _worker_generation, _worker_watchdog
-    (
-        metric_name,
-        constant_pool,
-        completion_cap,
-        seed,
-        max_replay_rows,
-        series_budget,
-        batch,
-        batch_dtw,
-        table_cache_entries,
-    ) = scorer_config
-    _worker_scorer = Scorer(
-        metric_name=metric_name,
-        constant_pool=constant_pool,
-        completion_cap=completion_cap,
-        seed=seed,
-        max_replay_rows=max_replay_rows,
-        series_budget=series_budget,
-        cache=ScoreCache(cache_entries) if cache_entries else None,
-        batch=batch,
-        batch_dtw=batch_dtw,
-        table_cache_entries=table_cache_entries,
-    )
+    _worker_scorer = _build_worker_scorer(scorer_config, cache_entries)
     _worker_segments = segments
     _worker_barrier = barrier
     _worker_faults = fault_plan
@@ -698,25 +648,21 @@ def _worker_scoring_counts() -> tuple:
 
 
 def _broadcast_segments(
-    payload: "Sequence[TraceSegment] | PlaneHandle | None",
+    handle: PlaneHandle | None,
 ) -> tuple[int, tuple[int, int, int], tuple]:
     """Install a new working set (or just report stats when ``None``).
 
-    *payload* is either the pickled segment list (legacy path) or a
-    :class:`~repro.runtime.shm.PlaneHandle` naming a shared-memory
-    plane this worker attaches and rebuilds views over — the zero-copy
-    path.  Returns ``(pid, cache_counts, scoring_counts)`` so the
-    parent can aggregate run-wide cache and batched-scoring telemetry.
-    The barrier wait is what guarantees each worker executes exactly
-    one broadcast task: a worker that finished its task blocks until
-    every sibling has one, so the pool cannot route two broadcasts to
-    the same worker.
+    *handle* names a shared-memory plane this worker attaches and
+    rebuilds views over.  Returns ``(pid, cache_counts,
+    scoring_counts)`` so the parent can aggregate run-wide cache and
+    batched-scoring telemetry.  The barrier wait is what guarantees each
+    worker executes exactly one broadcast task: a worker that finished
+    its task blocks until every sibling has one, so the pool cannot
+    route two broadcasts to the same worker.
     """
     global _worker_segments
-    if isinstance(payload, PlaneHandle):
-        _worker_segments = _attach_plane_segments(payload)
-    elif payload is not None:
-        _worker_segments = payload
+    if handle is not None:
+        _worker_segments = _attach_plane_segments(handle)
     if _worker_barrier is not None:
         _worker_barrier.wait(timeout=_PRIME_TIMEOUT_SECONDS)
     return (os.getpid(), _worker_cache_counts(), _worker_scoring_counts())
@@ -733,35 +679,10 @@ def _install_worker_scorer(
     synchronized like :func:`_broadcast_segments` — every worker swaps
     exactly once.
     """
-    from repro.synth.scoring import Scorer
-
     global _worker_scorer
     old_cache = _worker_cache_counts()
     old_scoring = _worker_scoring_counts()
-    scorer_config, cache_entries = payload
-    (
-        metric_name,
-        constant_pool,
-        completion_cap,
-        seed,
-        max_replay_rows,
-        series_budget,
-        batch,
-        batch_dtw,
-        table_cache_entries,
-    ) = scorer_config
-    _worker_scorer = Scorer(
-        metric_name=metric_name,
-        constant_pool=constant_pool,
-        completion_cap=completion_cap,
-        seed=seed,
-        max_replay_rows=max_replay_rows,
-        series_budget=series_budget,
-        cache=ScoreCache(cache_entries) if cache_entries else None,
-        batch=batch,
-        batch_dtw=batch_dtw,
-        table_cache_entries=table_cache_entries,
-    )
+    _worker_scorer = _build_worker_scorer(*payload)
     if _worker_barrier is not None:
         _worker_barrier.wait(timeout=_PRIME_TIMEOUT_SECONDS)
     return (os.getpid(), old_cache, old_scoring)
@@ -776,93 +697,29 @@ def _reset_worker_stats() -> int:
     return os.getpid()
 
 
-def _score_one(sketch: Sketch) -> "ScoredHandler | _WorkerFailure":
-    assert _worker_scorer is not None and _worker_segments is not None
-    text = str(sketch)
-    try:
-        with watchdog(_worker_watchdog):
-            apply_sketch_faults(
-                _worker_faults,
-                text,
-                in_worker=True,
-                generation=_worker_generation,
-            )
-            return _worker_scorer.score_sketch(sketch, _worker_segments)
-    except SketchTimeout:
-        return _WorkerFailure(
-            text, "timeout", f"exceeded {_worker_watchdog:.3g}s watchdog"
-        )
-    except Exception as exc:
-        return _WorkerFailure(text, "exception", f"{type(exc).__name__}: {exc}")
+def _score_chunk(
+    tasks: "list[tuple[int, Sketch]]", incumbents: dict[int, float]
+) -> "tuple[list[ScoredHandler | _WorkerFailure], float]":
+    """A worker's share of a pooled wave: one chunk through
+    :func:`_score_tasks`.
 
-
-def _score_one_bounded(
-    task: "tuple[Sketch, float | None]",
-) -> "tuple[ScoredHandler | _WorkerFailure, float]":
-    """Score one fused-wave task: ``(sketch, incumbent bound)``.
-
-    The bound is the submitting parent's snapshot of the sketch's group
-    incumbent — possibly stale, which is always sound (a stale bound is
-    looser and only prunes less).  Returns ``(outcome, busy_seconds)``;
-    the parent sums busy seconds into per-wave occupancy telemetry.
+    *incumbents* is the parent's snapshot of the chunk's group bounds —
+    possibly stale, which is always sound (a stale bound is looser and
+    only prunes less).  Results earlier in the chunk tighten later
+    same-group members immediately, at in-process freshness, without
+    waiting for the parent round-trip.
     """
-    sketch, bound = task
     assert _worker_scorer is not None and _worker_segments is not None
-    text = str(sketch)
-    started = time.perf_counter()
-    try:
-        with watchdog(_worker_watchdog):
-            apply_sketch_faults(
-                _worker_faults,
-                text,
-                in_worker=True,
-                generation=_worker_generation,
-            )
-            outcome: ScoredHandler | _WorkerFailure = (
-                _worker_scorer.score_sketch(
-                    sketch, _worker_segments, bound=bound
-                )
-            )
-    except SketchTimeout:
-        outcome = _WorkerFailure(
-            text, "timeout", f"exceeded {_worker_watchdog:.3g}s watchdog"
-        )
-    except Exception as exc:
-        outcome = _WorkerFailure(
-            text, "exception", f"{type(exc).__name__}: {exc}"
-        )
-    return outcome, time.perf_counter() - started
-
-
-def _score_chunk_bounded(
-    chunk: "list[tuple[int, Sketch, float | None]]",
-) -> "list[tuple[ScoredHandler | _WorkerFailure, float]]":
-    """Score a run of fused-wave tasks ``(group, sketch, bound)`` in one
-    submission.
-
-    Chunking amortizes per-task IPC on large fused waves — the parent
-    sizes chunks with :func:`derive_chunksize`, so small waves keep
-    per-task dispatch and fault granularity.  Each task's submitted
-    bound is merged with a chunk-local incumbent: a result earlier in
-    the chunk tightens later same-group members immediately, at
-    in-process freshness, without waiting for the parent round-trip.
-    """
-    local: dict[int, float] = {}
-    results: "list[tuple[ScoredHandler | _WorkerFailure, float]]" = []
-    for group, sketch, bound in chunk:
-        warm = local.get(group, math.inf)
-        if bound is not None and bound < warm:
-            warm = bound
-        outcome, seconds = _score_one_bounded(
-            (sketch, warm if math.isfinite(warm) else None)
-        )
-        if (
-            not isinstance(outcome, _WorkerFailure)
-            and outcome.distance < local.get(group, math.inf)
-        ):
-            local[group] = outcome.distance
-        results.append((outcome, seconds))
-    return results
+    return _score_tasks(
+        _worker_scorer,
+        tasks,
+        _worker_segments,
+        incumbents,
+        watchdog_seconds=_worker_watchdog,
+        fault_plan=_worker_faults,
+        in_worker=True,
+        generation=_worker_generation,
+    )
 
 
 class _PoolBroken(Exception):
@@ -885,7 +742,7 @@ class _PoolBroken(Exception):
         self.blame_next = blame_next
 
 
-class PooledExecutor:
+class PooledExecutor(SerialExecutor):
     """Persistent process-pool scoring with re-priming and supervision."""
 
     def __init__(
@@ -894,50 +751,41 @@ class PooledExecutor:
         workers: int,
         *,
         context: RunContext | None = None,
-        min_parallel: int = MIN_PARALLEL_SKETCHES,
         policy: SupervisionPolicy | None = None,
         watchdog_seconds: float | None = None,
         fault_plan: FaultPlan | None = None,
-        use_shm: bool = True,
     ):
         if workers < 2:
             raise ValueError("PooledExecutor needs workers >= 2")
-        self.scorer = scorer
+        super().__init__(
+            scorer,
+            context,
+            watchdog_seconds=watchdog_seconds,
+            fault_plan=fault_plan,
+        )
         self.workers = workers
-        self.context = context
-        self.min_parallel = min_parallel
-        self.watchdog_seconds = watchdog_seconds
-        self.fault_plan = fault_plan
         self.supervisor = Supervisor(policy)
-        self.quarantined: list[Quarantined] = []
         self._pool: ProcessPoolExecutor | None = None
         self._barrier = None
         self._segments_token: tuple[int, ...] | None = None
-        self._segments: list[TraceSegment] | None = None
         self._epoch = -1
-        self._degraded = False
         self._crash_strikes: dict[str, int] = {}
         self._broadcast_faults_left = (
             fault_plan.broadcast_failures if fault_plan is not None else 0
         )
         self.pools_spawned = 0
         #: Spawns the lifecycle asked for (first spawn, respawn after an
-        #: explicit ``close()``, per-working-set respawns without fork).
-        #: Everything beyond these is a crash-driven rebuild.
+        #: explicit ``close()``, per-working-set respawns without a
+        #: plane).  Everything beyond these is a crash-driven rebuild.
         self._planned_spawns = 0
         self._expect_spawn = True
-        #: Every scorer this executor has run waves for (a scheduler
-        #: adopts one per job); stats aggregate over all of them.
-        self._scorers: dict[int, Scorer] = {id(scorer): scorer}
-        self._prepared_token: tuple[int, ...] | None = None
         #: Scorer config the pool's workers currently have installed.
-        self._installed_config: tuple | None = None
+        self._installed_config: dict | None = None
         #: Cache (hits, misses) and scoring counters of worker scorers
         #: that were replaced by an install broadcast — their work
         #: happened and stays in the run-wide sums.
         self._retired_cache = [0, 0]
         self._retired_scoring = list(_COUNTER_ZEROS)
-        self._waves = _WaveTelemetry()
         #: Latest cumulative cache counters per worker pid.
         self._worker_cache: dict[int, tuple[int, int, int]] = {}
         #: Latest cumulative batched-scoring counters per worker pid.
@@ -946,31 +794,12 @@ class PooledExecutor:
         self._mp_context = (
             multiprocessing.get_context("fork") if "fork" in methods else None
         )
-        #: Zero-copy segment plane (``--no-shm`` turns it off).  Without
-        #: fork the pool bakes segments into the initializer, so the
-        #: broadcast path the plane replaces never runs — fall back.
-        self.use_shm = use_shm and self._mp_context is not None
         #: Planes this executor owns, LRU by working-set/data-knob key.
         #: A scheduler multiplexing N jobs alternates working sets, so a
         #: small LRU (not a single slot) keeps each job's plane warm.
         self._planes: "OrderedDict[tuple, SegmentPlane]" = OrderedDict()
-        #: Peak bytes of concurrently live planes (telemetry).
-        self.shm_bytes = 0
-        #: Estimated pickled-broadcast bytes the plane path avoided:
-        #: plane bytes × workers per segment broadcast (each worker
-        #: would have received its own pickled copy of these arrays).
-        self.broadcast_bytes_saved = 0
 
     # ------------------------------------------------------------------
-
-    def _emit(self, event) -> None:
-        if self.context is not None:
-            self.context.emit(event)
-
-    @property
-    def degraded(self) -> bool:
-        """True once supervision has fallen back to serial scoring."""
-        return self._degraded
 
     @property
     def pool_rebuilds(self) -> int:
@@ -978,31 +807,17 @@ class PooledExecutor:
         crash-driven rebuild count)."""
         return max(0, self.pools_spawned - self._planned_spawns)
 
-    def adopt_scorer(self, scorer: Scorer) -> None:
-        """Point subsequent waves at *scorer* (scheduler job switches).
-
-        Worker-side installation is deferred to the next :meth:`_prime`,
-        which broadcasts the swap only when the scorer's config actually
-        differs from what the pool is running.
-        """
-        self._scorers.setdefault(id(scorer), scorer)
-        self.scorer = scorer
-
     def reset_stats(self) -> None:
         """Zero all cumulative counters (between jobs sharing the
         executor) without touching cache *contents* — worker caches stay
         warm, only the accounting restarts."""
-        self._waves = _WaveTelemetry()
-        self.quarantined = []
+        super().reset_stats()
         self._crash_strikes.clear()
         self._retired_cache = [0, 0]
         self._retired_scoring = list(_COUNTER_ZEROS)
         self.shm_bytes = sum(
             plane.nbytes for plane in self._planes.values()
         )
-        self.broadcast_bytes_saved = 0
-        for scorer in self._scorers.values():
-            _zero_scorer_counters(scorer)
         self._worker_cache.clear()
         self._worker_scoring.clear()
         if self._pool is not None and self._mp_context is not None:
@@ -1016,18 +831,17 @@ class PooledExecutor:
             except Exception:
                 pass  # a wedged pool surfaces on the next wave, not here
 
-    def _scorer_config(self) -> tuple:
+    def _scorer_config(self) -> dict:
         scorer = self.scorer
-        return (
-            scorer.metric_name,
-            tuple(scorer.constant_pool),
-            scorer.completion_cap,
-            scorer.seed,
-            scorer.max_replay_rows,
-            scorer.series_budget,
-            scorer.batch,
-            scorer.batch_dtw,
-            scorer.table_cache_entries,
+        return dict(
+            metric_name=scorer.metric_name,
+            constant_pool=tuple(scorer.constant_pool),
+            completion_cap=scorer.completion_cap,
+            seed=scorer.seed,
+            max_replay_rows=scorer.max_replay_rows,
+            series_budget=scorer.series_budget,
+            batch=scorer.batch,
+            table_cache_entries=scorer.table_cache_entries,
         )
 
     def _cache_entries(self) -> int | None:
@@ -1071,7 +885,7 @@ class PooledExecutor:
         """Give up on pooled scoring for the rest of the run."""
         self._shutdown_pool()
         self._release_planes()
-        self._degraded = True
+        self.degraded = True
         self._emit(DegradedToSerial(reason=reason))
 
     def _release_planes(self) -> None:
@@ -1083,13 +897,16 @@ class PooledExecutor:
         self, token: tuple[int, ...], segments: Sequence[TraceSegment]
     ) -> SegmentPlane | None:
         """The plane for this working set under the scorer's data knobs,
-        building (and LRU-evicting) as needed; ``None`` means the input
-        cannot be packed and the pickled path must carry the broadcast.
+        building (and LRU-evicting) as needed; ``None`` when there is no
+        plane — no ``fork``, or input :meth:`SegmentPlane.build` cannot
+        pack — and the segments must ride a pool respawn instead.
 
         Keyed on the data-shaping knobs too: two jobs sharing segments
         but differing in ``max_replay_rows``/``series_budget`` (or
         metric — envelopes only exist for DTW) need different arrays.
         """
+        if self._mp_context is None:
+            return None
         scorer = self.scorer
         key = (
             token,
@@ -1116,42 +933,16 @@ class PooledExecutor:
         )
         return plane
 
-    def _prepare(self, segments: Sequence[TraceSegment]) -> None:
-        """Once-per-working-set eager precompute for inline scoring."""
-        token = (id(self.scorer), *(id(segment) for segment in segments))
-        if token != self._prepared_token:
-            self.scorer.prepare_segments(segments)
-            self._prepared_token = token
-
-    def _quarantine(
-        self, sketch: Sketch, reason: str, detail: str
-    ) -> ScoredHandler:
-        from repro.synth.scoring import ScoredHandler
-
-        record = Quarantined(sketch=str(sketch), reason=reason, detail=detail)
-        self.quarantined.append(record)
-        self._emit(
-            SketchQuarantined(sketch=record.sketch, reason=reason, detail=detail)
-        )
-        return ScoredHandler(sketch.expr, WORST_DISTANCE)
-
-    def _resolve_outcome(self, sketch: Sketch, outcome) -> ScoredHandler:
-        if isinstance(outcome, _WorkerFailure):
-            return self._quarantine(sketch, outcome.reason, outcome.detail)
-        return outcome
-
     # ------------------------------------------------------------------
 
-    def _broadcast(
-        self, payload: "Sequence[TraceSegment] | PlaneHandle | None"
-    ) -> None:
+    def _broadcast(self, handle: PlaneHandle | None) -> None:
         """Run one barrier-synchronized task on every worker."""
         assert self._pool is not None
-        if payload is not None and self._broadcast_faults_left > 0:
+        if handle is not None and self._broadcast_faults_left > 0:
             self._broadcast_faults_left -= 1
             raise FaultInjected("injected broadcast failure")
         futures = [
-            self._pool.submit(_broadcast_segments, payload)
+            self._pool.submit(_broadcast_segments, handle)
             for _ in range(self.workers)
         ]
         for future in futures:
@@ -1161,7 +952,7 @@ class PooledExecutor:
             self._worker_cache[pid] = cache_counts
             self._worker_scoring[pid] = scoring_counts
 
-    def _install_scorer(self, config: tuple) -> None:
+    def _install_scorer(self, config: dict) -> None:
         """Broadcast a scorer swap to every worker.
 
         The returned outgoing counters are folded into the retired
@@ -1193,12 +984,17 @@ class PooledExecutor:
         """Install the current scorer and *segments* in the pool,
         surviving broadcast failures.
 
+        Segments reach workers only through a plane handle.  Without a
+        plane (no ``fork``, or nothing :meth:`SegmentPlane.build` can
+        pack) the pool is respawned with scorer and segments in its
+        initializer instead — a planned spawn, not a rebuild.
+
         A failed broadcast (wedged worker, broken barrier) gets exactly
         one pool rebuild; a second consecutive failure means the pool
         cannot be kept alive on this host, and the executor degrades to
         serial instead of propagating — the run continues either way.
         """
-        if self._degraded:
+        if self.degraded:
             return
         token = tuple(id(segment) for segment in segments)
         config = self._scorer_config()
@@ -1208,39 +1004,25 @@ class PooledExecutor:
         if same_segments and config == self._installed_config:
             return
         segments = list(segments)
-        segments_shipped = False
-        if self._mp_context is None:
-            # No fork: bake scorer + segments into the initializer.
-            self._shutdown_pool()
-            self._expect_spawn = True
+        segments_shipped = not same_segments
+        plane = None if same_segments else self._plane_for(token, segments)
+        if self._mp_context is None or (plane is None and not same_segments):
+            if self._pool is not None:
+                # Replacing a healthy pool is planned, not a rebuild.
+                self._shutdown_pool()
+                self._expect_spawn = True
             self._spawn_pool(segments)
             segments_shipped = True
         else:
             if self._pool is None:
                 self._spawn_pool(None)
-                same_segments = False
             rebuilt = False
             while True:
                 try:
                     if config != self._installed_config:
                         self._install_scorer(config)
-                    if not same_segments:
-                        plane = (
-                            self._plane_for(token, segments)
-                            if self.use_shm
-                            else None
-                        )
-                        payload: object = (
-                            plane.handle if plane is not None else segments
-                        )
-                        self._broadcast(payload)
-                        if plane is not None:
-                            # Each worker would otherwise have received
-                            # its own pickled copy of these arrays.
-                            self.broadcast_bytes_saved += (
-                                plane.nbytes * self.workers
-                            )
-                        segments_shipped = True
+                    if plane is not None:
+                        self._broadcast(plane.handle)
                     break
                 except Exception as exc:
                     # A wedged/dead worker broke the barrier.
@@ -1255,14 +1037,15 @@ class PooledExecutor:
                         self._degrade("segment broadcast failed twice")
                         return
                     rebuilt = True
-                    self._spawn_pool(None)
-                    same_segments = False
+                    # The fresh pool needs the working set again.
+                    plane = self._plane_for(token, segments)
+                    self._spawn_pool(segments if plane is None else None)
+                    segments_shipped = True
                     self._emit(
                         PoolRebuilt(
                             rebuilds=self.pool_rebuilds, backoff_seconds=0.0
                         )
                     )
-        self._segments = segments
         self._segments_token = token
         if segments_shipped:
             # A pure scorer swap leaves the working set (and its primed
@@ -1275,26 +1058,6 @@ class PooledExecutor:
             )
 
     # ------------------------------------------------------------------
-
-    def _score_degraded(
-        self,
-        sketches: Sequence[Sketch],
-        segments: Sequence[TraceSegment],
-        deadline: float | None,
-        min_results: int,
-    ) -> list[ScoredHandler]:
-        """Serial fallback (tiny waves and post-degradation scoring)."""
-        self._prepare(segments)
-        return _score_serially(
-            self.scorer,
-            sketches,
-            segments,
-            deadline,
-            min_results,
-            watchdog_seconds=self.watchdog_seconds,
-            fault_plan=self.fault_plan,
-            quarantine=self._quarantine,
-        )
 
     def _backstop_seconds(self) -> float | None:
         """Parent-side bound on one future when a watchdog is configured.
@@ -1312,15 +1075,15 @@ class PooledExecutor:
     def _wait_bound(
         self,
         index: int,
-        min_results: int,
+        exempt: int,
         deadline: float | None,
         backstop: float | None,
     ) -> tuple[float | None, str | None]:
         """``(timeout, binding)`` for one future; binding names which
         limit would fire ("deadline" cuts the wave, "backstop" means a
         wedged worker)."""
-        if index < min_results:
-            # min_results sketches must be scored even past the deadline,
+        if index < exempt:
+            # The mandatory prefix must be scored even past the deadline,
             # but a configured watchdog still bounds the wait — this is
             # the path that used to block forever on a hung worker.
             return (backstop, "backstop" if backstop is not None else None)
@@ -1331,187 +1094,25 @@ class PooledExecutor:
             return (backstop, "backstop")
         return (backstop, "backstop" if backstop is not None else None)
 
-    def _score_wave(
-        self,
-        sketches: Sequence[Sketch],
-        deadline: float | None,
-        min_results: int,
-    ) -> list[ScoredHandler]:
-        """Score one wave on the live pool; raise :class:`_PoolBroken`
-        (carrying the completed prefix) if the pool dies under it."""
-        assert self._pool is not None
-        completed: list[ScoredHandler] = []
-        backstop = self._backstop_seconds()
-        if deadline is None and backstop is None:
-            # Fast path: chunked map, results in submission order.  A
-            # worker can die while map() is still submitting, so the
-            # submission sits inside the broken-pool handler too.
-            chunk = derive_chunksize(len(sketches), self.workers)
-            try:
-                iterator = self._pool.map(
-                    _score_one, sketches, chunksize=chunk
-                )
-                for sketch in sketches:
-                    outcome = next(iterator)
-                    completed.append(self._resolve_outcome(sketch, outcome))
-            except StopIteration:  # pragma: no cover - map yields len(sketches)
-                pass
-            except BrokenProcessPool as exc:
-                raise _PoolBroken(
-                    completed, "worker-crash", str(exc) or "pool broken",
-                    blame_next=True,
-                ) from exc
-            return completed
-        try:
-            futures = [self._pool.submit(_score_one, s) for s in sketches]
-        except BrokenProcessPool as exc:
-            raise _PoolBroken(
-                completed, "worker-crash", str(exc) or "pool broken",
-                blame_next=True,
-            ) from exc
-        cut_short = False
-        for index, (sketch, future) in enumerate(zip(sketches, futures)):
-            if cut_short:
-                future.cancel()
-                continue
-            timeout, binding = self._wait_bound(
-                index, min_results, deadline, backstop
-            )
-            if timeout is not None and timeout <= 0 and binding == "deadline":
-                cut_short = True
-                future.cancel()
-                continue
-            try:
-                outcome = future.result(timeout=timeout)
-            except FutureTimeoutError:
-                if binding == "deadline":
-                    cut_short = True
-                    future.cancel()
-                    continue
-                # Backstop: the worker escaped its in-process watchdog —
-                # quarantine the sketch and declare the pool wedged.
-                completed.append(
-                    self._quarantine(
-                        sketch,
-                        "timeout",
-                        f"no result within {timeout:.3g}s backstop",
-                    )
-                )
-                for later in futures[index + 1 :]:
-                    later.cancel()
-                raise _PoolBroken(
-                    completed, "hang", f"worker hung on {sketch}",
-                    blame_next=False,
-                )
-            except BrokenProcessPool as exc:
-                for later in futures[index + 1 :]:
-                    later.cancel()
-                raise _PoolBroken(
-                    completed, "worker-crash", str(exc) or "pool broken",
-                    blame_next=True,
-                ) from exc
-            completed.append(self._resolve_outcome(sketch, outcome))
-        return completed
-
-    def score(
-        self,
-        sketches: Sequence[Sketch],
-        segments: Sequence[TraceSegment],
-        *,
-        deadline: float | None = None,
-        min_results: int = 0,
-    ) -> list[ScoredHandler]:
-        if self._degraded or len(sketches) < self.min_parallel:
-            # Tiny waves stay in-process (shares the parent-side cache).
-            return self._score_degraded(
-                sketches, segments, deadline, min_results
-            )
-        results: list[ScoredHandler] = []
-        offset = 0
-        while True:
-            remaining = sketches[offset:]
-            if len(remaining) == 0:
-                return results
-            self._prime(segments)
-            if self._degraded:
-                results.extend(
-                    self._score_degraded(
-                        remaining,
-                        segments,
-                        deadline,
-                        max(0, min_results - len(results)),
-                    )
-                )
-                return results
-            try:
-                results.extend(
-                    self._score_wave(
-                        remaining, deadline, max(0, min_results - len(results))
-                    )
-                )
-                self.supervisor.record_success()
-                return results
-            except _PoolBroken as broken:
-                # Keep the contiguous completed prefix; only the suffix
-                # is re-scored after recovery.
-                results.extend(broken.completed)
-                offset = len(results)
-                self._emit(
-                    WorkerCrashed(reason=broken.reason, detail=broken.detail)
-                )
-                if broken.blame_next and offset < len(sketches):
-                    culprit = sketches[offset]
-                    text = str(culprit)
-                    strikes = self._crash_strikes.get(text, 0) + 1
-                    self._crash_strikes[text] = strikes
-                    if strikes >= _CRASH_STRIKES:
-                        # The pool died twice with this sketch first in
-                        # line: treat it as poison and skip it.
-                        results.append(
-                            self._quarantine(
-                                culprit,
-                                "worker-crash",
-                                f"pool broke {strikes}x scoring this sketch",
-                            )
-                        )
-                        offset += 1
-                if self.supervisor.next_action() == "degrade":
-                    self._degrade(
-                        f"{self.supervisor.consecutive_failures} consecutive"
-                        " pool failures"
-                    )
-                    continue
-                backoff = self.supervisor.backoff()
-                self._shutdown_pool()
-                self._emit(
-                    PoolRebuilt(
-                        rebuilds=self.supervisor.rebuilds,
-                        backoff_seconds=backoff,
-                    )
-                )
-                # Loop: _prime respawns the pool and re-primes segments.
-
-    def _score_wave_grouped(
+    def _pool_wave(
         self,
         tasks: Sequence[tuple[int, Sketch]],
         deadline: float | None,
-        min_results: int,
+        exempt: int,
         incumbents: list[float],
     ) -> list[ScoredHandler]:
         """One fused wave on the live pool, pipelined through a bounded
         in-flight window.
 
-        Unlike :meth:`_score_wave`'s all-at-once submission, tasks enter
-        the pool in :func:`derive_chunksize`-sized chunks, at most
-        ``workers × WAVE_WINDOW_PER_WORKER`` chunks at a time: each
-        consumed chunk tightens its groups' incumbents *before* later
-        chunks are submitted, so the bounds piggybacked on submissions
-        stay warm (and workers tighten further within a chunk — see
-        :func:`_score_chunk_bounded`).  Results are consumed in
+        Tasks enter the pool in :func:`derive_chunksize`-sized chunks,
+        at most ``workers × WAVE_WINDOW_PER_WORKER`` chunks at a time:
+        each consumed chunk tightens its groups' incumbents *before*
+        later chunks are submitted, so the bounds piggybacked on
+        submissions stay warm (and workers tighten further within a
+        chunk — see :func:`_score_chunk`).  Results are consumed in
         submission order (the positional contract), and
-        :class:`_PoolBroken` carries the flat completed prefix exactly
-        as the per-bucket path does; a broken chunk is simply re-scored
-        from its first task.
+        :class:`_PoolBroken` carries the flat completed prefix; a broken
+        chunk is simply re-scored from its first task.
 
         The wave opens with a *leader primer*: while any group still has
         an infinite incumbent, only the chunks holding the first
@@ -1567,18 +1168,9 @@ class PooledExecutor:
                 and (len(completed) >= primer or next_chunk < primer_chunks)
             ):
                 chunk = chunks[next_chunk]
-                payload = [
-                    (
-                        group,
-                        sketch,
-                        incumbents[group]
-                        if math.isfinite(incumbents[group])
-                        else None,
-                    )
-                    for group, sketch in chunk
-                ]
+                bounds = {group: incumbents[group] for group, _ in chunk}
                 try:
-                    future = self._pool.submit(_score_chunk_bounded, payload)
+                    future = self._pool.submit(_score_chunk, chunk, bounds)
                 except BrokenProcessPool as exc:
                     # A worker died after an earlier submission.
                     drain_pending()
@@ -1613,7 +1205,7 @@ class PooledExecutor:
                 future.cancel()
                 continue
             timeout, binding = self._wait_bound(
-                len(completed), min_results, deadline, backstop
+                len(completed), exempt, deadline, backstop
             )
             if timeout is not None and binding == "backstop":
                 # One future now carries len(chunk) tasks of work.
@@ -1623,7 +1215,7 @@ class PooledExecutor:
                 future.cancel()
                 continue
             try:
-                outcomes = future.result(timeout=timeout)
+                outcomes, seconds = future.result(timeout=timeout)
             except FutureTimeoutError:
                 if binding == "deadline":
                     cut_short = True
@@ -1654,8 +1246,8 @@ class PooledExecutor:
                     completed, "worker-crash", str(exc) or "pool broken",
                     blame_next=True,
                 ) from exc
-            for (group, sketch), (outcome, seconds) in zip(chunk, outcomes):
-                busy_seconds += seconds
+            busy_seconds += seconds
+            for (group, sketch), outcome in zip(chunk, outcomes):
                 scored = self._resolve_outcome(sketch, outcome)
                 completed.append(scored)
                 if scored.distance < incumbents[group]:
@@ -1672,86 +1264,49 @@ class PooledExecutor:
         deadline: float | None = None,
         min_results: int = 0,
     ) -> list[list[ScoredHandler]]:
-        groups = [list(group) for group in groups]
-        sizes = [len(group) for group in groups]
-        order = wave_order(
-            sizes,
+        """Score all *groups* as one fused wave on the pool (same
+        contract as :meth:`SerialExecutor.score_grouped`)."""
+        order, tasks, mandatory = self._open_wave(
+            groups,
             min_results,
-            run_length=derive_chunksize(sum(sizes), self.workers),
+            workers=self.workers,
+            run_length=derive_chunksize(
+                sum(len(group) for group in groups), self.workers
+            ),
         )
-        tasks = [(group, groups[group][rank]) for group, rank in order]
-        mandatory = sum(min(len(group), min_results) for group in groups)
-        incumbents = [float("inf")] * len(groups)
-        if tasks:
-            self._waves.fused_waves += 1
-            self._waves.fused_tasks += len(tasks)
-            self._emit(
-                WaveDispatched(
-                    groups=len(groups),
-                    tasks=len(tasks),
-                    workers=self.workers,
-                )
-            )
-        if self._degraded or len(tasks) < self.min_parallel:
+        incumbents = [math.inf] * len(groups)
+        if self.degraded or len(tasks) < MIN_PARALLEL_SKETCHES:
             # The threshold judges the *flattened* wave: sub-threshold
-            # buckets that used to leave the pool idle one score() call
-            # at a time now ride the fused dispatch with everything else.
+            # buckets ride the fused dispatch with everything else.
             if tasks:
-                self._waves.peak_in_flight = max(
-                    self._waves.peak_in_flight, 1
-                )
-                self._waves.note_occupancy(1.0 / self.workers)
-            self._prepare(segments)
-            flat = _score_grouped_serially(
-                self.scorer,
-                tasks,
-                segments,
-                deadline,
-                mandatory,
-                incumbents,
-                watchdog_seconds=self.watchdog_seconds,
-                fault_plan=self.fault_plan,
-                quarantine=self._quarantine,
+                self._note_inline_wave(1.0 / self.workers)
+            flat = self._score_inline(
+                tasks, segments, deadline, mandatory, incumbents
             )
             return _scatter(order, flat, len(groups))
         flat: list[ScoredHandler] = []
-        while True:
-            remaining = tasks[len(flat):]
-            if not remaining:
-                break
+        while len(flat) < len(tasks):
             self._prime(segments)
-            if self._degraded:
+            remaining = tasks[len(flat):]
+            exempt = max(0, mandatory - len(flat))
+            if self.degraded:
                 flat.extend(
-                    _score_grouped_serially(
-                        self.scorer,
-                        remaining,
-                        segments,
-                        deadline,
-                        mandatory,
-                        incumbents,
-                        start_index=len(flat),
-                        watchdog_seconds=self.watchdog_seconds,
-                        fault_plan=self.fault_plan,
-                        quarantine=self._quarantine,
+                    self._score_inline(
+                        remaining, segments, deadline, exempt, incumbents
                     )
                 )
                 break
             try:
                 flat.extend(
-                    self._score_wave_grouped(
-                        remaining,
-                        deadline,
-                        max(0, mandatory - len(flat)),
-                        incumbents,
-                    )
+                    self._pool_wave(remaining, deadline, exempt, incumbents)
                 )
                 self.supervisor.record_success()
                 break
             except _PoolBroken as broken:
-                # Same recovery as score(): keep the flat completed
-                # prefix, blame/strike the head of the suffix, rebuild
-                # or degrade — incumbents survive, so the retried suffix
-                # starts as warm as the wave left it.
+                # Keep the flat completed prefix, blame/strike the head
+                # of the suffix, rebuild or degrade — incumbents survive,
+                # so the retried suffix starts as warm as the wave left
+                # it.
                 flat.extend(broken.completed)
                 offset = len(flat)
                 self._emit(
@@ -1763,6 +1318,8 @@ class PooledExecutor:
                     strikes = self._crash_strikes.get(text, 0) + 1
                     self._crash_strikes[text] = strikes
                     if strikes >= _CRASH_STRIKES:
+                        # The pool died twice with this sketch first in
+                        # line: treat it as poison and skip it.
                         flat.append(
                             self._quarantine(
                                 culprit,
@@ -1787,6 +1344,8 @@ class PooledExecutor:
                 # Loop: _prime respawns the pool and re-primes segments.
         return _scatter(order, flat, len(groups))
 
+    # ------------------------------------------------------------------
+
     def _refresh_worker_counters(self) -> None:
         """One broadcast refreshing cache *and* scoring counters at once
         (``stats()`` reads both snapshots off a single round-trip)."""
@@ -1796,81 +1355,28 @@ class PooledExecutor:
             except Exception:
                 pass  # stale counters are better than a crashed run
 
-    def _assemble_cache_stats(self) -> CacheStats | None:
-        parents = [
-            scorer.cache.stats()
-            for scorer in self._scorers.values()
-            if scorer.cache is not None
-        ]
-        if not parents:
-            return None
-        hits = sum(entry[0] for entry in self._worker_cache.values())
-        misses = sum(entry[1] for entry in self._worker_cache.values())
-        entries = sum(entry[2] for entry in self._worker_cache.values())
-        return CacheStats(
-            hits=hits + self._retired_cache[0]
-            + sum(snap.hits for snap in parents),
-            misses=misses + self._retired_cache[1]
-            + sum(snap.misses for snap in parents),
-            entries=entries + sum(snap.entries for snap in parents),
-        )
-
-    def _assemble_scoring_stats(self) -> ScoringStats:
-        totals = [
-            sum(entry[index] for entry in self._worker_scoring.values())
-            + self._retired_scoring[index]
-            for index in range(len(_COUNTER_ZEROS))
-        ]
-        for scorer in self._scorers.values():
-            for index, value in enumerate(scorer.counters.as_tuple()):
+    def _counter_totals(self) -> list:
+        """Parent scorers plus workers (as last reported) plus the
+        scorers workers retired; counters from workers lost to a rebuild
+        stay in the sum (they describe work that really happened)."""
+        totals = super()._counter_totals()
+        for entry in (*self._worker_scoring.values(), self._retired_scoring):
+            for index, value in enumerate(entry):
                 totals[index] += value
-        waves = self._waves
-        return ScoringStats(
-            batched_waves=totals[0],
-            lb_pruned=totals[1],
-            dp_abandoned=totals[2],
-            candidates_pruned=totals[3],
-            warm_start_pruned=totals[4],
-            fused_waves=waves.fused_waves,
-            fused_tasks=waves.fused_tasks,
-            peak_in_flight=waves.peak_in_flight,
-            mean_occupancy=round(waves.mean_occupancy, 4),
-            batched_dtw_sweeps=totals[5],
-            envelope_precompute_ms=round(totals[6], 3),
-            shm_bytes=self.shm_bytes,
-            broadcast_bytes_saved=self.broadcast_bytes_saved,
-        )
+        return totals
 
-    def cache_stats(self) -> CacheStats | None:
-        """Aggregate cache counters: workers (as last reported) + parent."""
-        if all(
-            scorer.cache is None for scorer in self._scorers.values()
-        ):
+    def _assemble_cache_stats(self) -> CacheStats | None:
+        parent = super()._assemble_cache_stats()
+        if parent is None:
             return None
-        self._refresh_worker_counters()
-        return self._assemble_cache_stats()
-
-    def scoring_stats(self) -> ScoringStats:
-        """Aggregate batched-scoring counters: workers + parent scorer.
-
-        Worker counters are refreshed by the same broadcast that reports
-        cache stats; counters from workers lost to a rebuild stay in the
-        sum (they describe work that really happened).  The parent
-        scorer's counters cover tiny and degraded waves scored inline.
-        """
-        self._refresh_worker_counters()
-        return self._assemble_scoring_stats()
-
-    def stats(self) -> tuple[CacheStats | None, ScoringStats]:
-        """Both telemetry snapshots off ONE worker broadcast.
-
-        ``cache_stats()`` + ``scoring_stats()`` back-to-back each pay a
-        barrier-synchronized round-trip across the pool; callers that
-        want both (the refinement loop, every iteration) should use this
-        instead and pay for one.
-        """
-        self._refresh_worker_counters()
-        return (self._assemble_cache_stats(), self._assemble_scoring_stats())
+        workers = self._worker_cache.values()
+        return CacheStats(
+            hits=parent.hits + self._retired_cache[0]
+            + sum(entry[0] for entry in workers),
+            misses=parent.misses + self._retired_cache[1]
+            + sum(entry[1] for entry in workers),
+            entries=parent.entries + sum(entry[2] for entry in workers),
+        )
 
     def close(self, *, wait: bool = False) -> None:
         """Shut the pool down; safe to call any number of times.
@@ -1893,12 +1399,6 @@ class PooledExecutor:
         self._release_planes()
         self._expect_spawn = True
 
-    def __enter__(self) -> "PooledExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def make_executor(
     scorer: Scorer,
@@ -1908,8 +1408,7 @@ def make_executor(
     policy: SupervisionPolicy | None = None,
     watchdog_seconds: float | None = None,
     fault_plan: FaultPlan | None = None,
-    use_shm: bool = True,
-) -> ScoringExecutor:
+) -> SerialExecutor:
     """The executor for a run: pooled when ``workers > 1``."""
     if workers > 1:
         return PooledExecutor(
@@ -1919,7 +1418,6 @@ def make_executor(
             policy=policy,
             watchdog_seconds=watchdog_seconds,
             fault_plan=fault_plan,
-            use_shm=use_shm,
         )
     return SerialExecutor(
         scorer,

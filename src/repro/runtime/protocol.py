@@ -67,36 +67,29 @@ class ScorerReady:
     watchdog_seconds: float | None
     fault_plan: "FaultPlan | None"
     context: "RunContext"
-    #: Broadcast segment working sets through the shared-memory plane
-    #: (``repro.runtime.shm``) instead of pickling them per worker.
-    #: Execution knob: results are bit-identical either way.
-    use_shm: bool = True
 
 
 @dataclass(frozen=True)
 class WaveRequest:
     """Score *groups* against *segments*; reply with a :class:`WaveReply`.
 
-    ``fused`` mirrors ``SynthesisConfig.fused_scheduling``: a fused
-    request maps onto one ``score_grouped`` call, an unfused one onto
-    ``score()`` per group.  A driver may split a fused request into
-    several ``score_grouped`` calls at group boundaries — warm-start
-    incumbents are per-group and group minima are exact, so any
-    group-aligned slicing returns bit-identical rankings, checkpoints,
-    and best handlers (``min_results`` is a per-group guarantee and
-    carries into every slice unchanged).
+    A request maps onto one executor ``score_grouped`` call.  A driver
+    may split it into several ``score_grouped`` calls at group
+    boundaries — warm-start incumbents are per-group and group minima
+    are exact, so any group-aligned slicing returns bit-identical
+    rankings, checkpoints, and best handlers (``min_results`` is a
+    per-group guarantee and carries into every slice unchanged).
     """
 
     groups: tuple  #: tuple of sketch sequences, one per bucket
     segments: Sequence  #: the working set (shared trace segments)
     deadline: float | None
     min_results: int
-    fused: bool
     phase: str  #: "refinement" | "exhaustive"
 
     @property
     def tasks(self) -> int:
-        """Flattened task count (what a fused dispatch would carry)."""
+        """Flattened task count (what one dispatch carries)."""
         return sum(len(group) for group in self.groups)
 
 

@@ -19,7 +19,7 @@ many cores and answers all of them against a single shared pool:
   whole waves.
 * **One pool** — the executor is created on the first wave and adopted
   scorer-by-scorer as jobs interleave
-  (:meth:`~repro.runtime.executors.PooledExecutor.adopt_scorer` defers
+  (:meth:`~repro.runtime.executors.SerialExecutor.adopt_scorer` defers
   the worker-side swap to the next prime, which broadcasts only when the
   scorer config actually differs).  Jobs whose flattened slice is below
   the executor's parallel threshold score inline in the scheduler
@@ -135,7 +135,6 @@ class Scheduler:
         steal_leases: bool = False,
         max_pool_rebuilds: int = 3,
         watchdog_seconds: float | None = None,
-        use_shm: bool = True,
         fault_plan: FaultPlan | None = None,
         service_fault_plan: ServiceFaultPlan | None = None,
     ) -> None:
@@ -149,7 +148,6 @@ class Scheduler:
         self.steal_leases = steal_leases
         self.max_pool_rebuilds = max_pool_rebuilds
         self.watchdog_seconds = watchdog_seconds
-        self.use_shm = use_shm
         self.fault_plan = fault_plan
         self.service_fault_plan = service_fault_plan
         self._queue = JobQueue()
@@ -233,7 +231,6 @@ class Scheduler:
                 ),
                 watchdog_seconds=self.watchdog_seconds,
                 fault_plan=self.fault_plan,
-                use_shm=self.use_shm,
             )
         elif self._executor.scorer is not active.scorer:
             self._executor.adopt_scorer(active.scorer)
@@ -266,29 +263,16 @@ class Scheduler:
         slice_groups = remaining[:take]
         pending.cursor += take
         quarantined_before = len(executor.quarantined)
-        rebuilds_before = getattr(executor, "pool_rebuilds", 0)
-        if request.fused:
-            grouped = executor.score_grouped(
-                slice_groups,
-                request.segments,
-                deadline=request.deadline,
-                min_results=request.min_results,
-            )
-        else:
-            grouped = [
-                executor.score(
-                    group,
-                    request.segments,
-                    deadline=request.deadline,
-                    min_results=request.min_results,
-                )
-                for group in slice_groups
-            ]
+        rebuilds_before = executor.pool_rebuilds
+        grouped = executor.score_grouped(
+            slice_groups,
+            request.segments,
+            deadline=request.deadline,
+            min_results=request.min_results,
+        )
         pending.grouped.extend(grouped)
         job.quarantined.extend(executor.quarantined[quarantined_before:])
-        job.pool_rebuilds += (
-            getattr(executor, "pool_rebuilds", 0) - rebuilds_before
-        )
+        job.pool_rebuilds += executor.pool_rebuilds - rebuilds_before
         job.slices_dispatched += 1
         self.slices_dispatched += 1
         if active.lease is not None:
@@ -328,9 +312,7 @@ class Scheduler:
                         scoring=None,
                         quarantined=tuple(job.quarantined),
                         pool_rebuilds=job.pool_rebuilds,
-                        degraded=bool(
-                            getattr(executor, "degraded", False)
-                        ),
+                        degraded=executor is not None and executor.degraded,
                     )
                 elif isinstance(request, ProgressReport):
                     job.iterations_done = request.iteration

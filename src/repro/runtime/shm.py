@@ -20,10 +20,13 @@ Workers attach read-only views and never unlink;
 (which fires on *attach* before 3.13) so a worker exit never unlinks a
 plane out from under the parent or its siblings.
 
-Fallback contract: :meth:`SegmentPlane.build` returns ``None`` for
-inputs it cannot pack (no segments, an empty series) and callers fall
-back to the pickled broadcast path — results are bit-identical either
-way, the plane only changes how bytes travel.
+Fallback contract: the plane is the only way segments reach live
+workers.  :meth:`SegmentPlane.build` returns ``None`` for inputs it
+cannot pack (no segments, an empty series) or when ``/dev/shm`` is
+unusable; the executor then respawns its pool with the segments in the
+pool initializer — the same path hosts without ``fork`` always take,
+and a planned spawn, not a crash rebuild.  Results are bit-identical
+either way: the plane only changes how bytes travel.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ class PlaneHandle:
 
     A handle is a name plus a layout — a few hundred bytes per segment
     regardless of how long the traces are — and is what
-    ``_broadcast_segments`` ships instead of the pickled working set.
+    ``_broadcast_segments`` ships to every worker.
     """
 
     name: str
@@ -169,8 +172,9 @@ class SegmentPlane:
         cls, entries: "Sequence[_SegmentEntry]"
     ) -> "SegmentPlane | None":
         """Pack *entries* into a fresh plane, or ``None`` when the input
-        cannot be packed (no segments, or an empty table/series) — the
-        caller then falls back to the pickled broadcast path."""
+        cannot be packed (no segments, or an empty table/series) or no
+        block can be created — the caller then respawns its pool with
+        the segments instead."""
         if not entries:
             return None
         staged: list[tuple[_ArraySpec, np.ndarray]] = []

@@ -41,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import threading
 import time
 from typing import Any, Callable
 
@@ -303,7 +304,7 @@ class JobRecord:
 class JobLedger:
     """Atomic per-job state records under the spool's ``state/`` dir.
 
-    Every write goes through a per-process temp file + ``os.replace``
+    Every write goes through a per-thread temp file + ``os.replace``
     (the same crash-consistency dance as checkpoints and leases), so a
     SIGKILL at any instant leaves either the old record or the new one.
     A missing or corrupt record reads as a fresh ``queued`` entry — the
@@ -347,7 +348,9 @@ class JobLedger:
     def write(self, record: JobRecord) -> JobRecord:
         record = dataclasses.replace(record, updated_at=self._clock())
         path = self.path(record.job_id)
-        tmp = f"{path}.tmp.{os.getpid()}"
+        # Servers may share a process (threads): the pid alone would let
+        # two writers replace each other's temp file.
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(dataclasses.asdict(record), handle, sort_keys=True)
             handle.flush()
@@ -408,7 +411,6 @@ class FleetServer:
         claim_interval_seconds: float = DEFAULT_CLAIM_INTERVAL,
         max_job_retries: int = DEFAULT_MAX_JOB_RETRIES,
         retry_backoff_seconds: float = DEFAULT_RETRY_BACKOFF,
-        use_shm: bool = True,
         context: RunContext | None = None,
         fault_plan: ServiceFaultPlan | None = None,
         drain: Any = None,
@@ -426,7 +428,6 @@ class FleetServer:
         self.claim_interval_seconds = claim_interval_seconds
         self.max_job_retries = max_job_retries
         self.retry_backoff_seconds = retry_backoff_seconds
-        self.use_shm = use_shm
         self.context = context
         self.fault_plan = fault_plan
         self.drain = drain  #: object with ``is_set()`` or zero-arg callable
@@ -779,7 +780,6 @@ class FleetServer:
             owner=self.server_id,
             lease_ttl_seconds=self.lease_ttl_seconds,
             steal_leases=self.steal_leases,
-            use_shm=self.use_shm,
             service_fault_plan=self.fault_plan,
         )
         self._scheduler = scheduler

@@ -24,7 +24,6 @@ from repro.synth.loss_handler import (
     extract_loss_samples,
     synthesize_loss_handler,
 )
-from repro.synth.parallel import score_sketches
 from repro.synth.pool import BucketPool
 from repro.synth.refinement import SynthesisConfig, synthesize
 from repro.synth.replay import (
@@ -47,7 +46,6 @@ __all__ = [
     "count_sketches",
     "enumerate_sketches",
     "leaf_pool",
-    "score_sketches",
     "BucketPool",
     "LossSample",
     "LossSynthesisResult",

@@ -88,7 +88,10 @@ class SynthesisConfig:
 
     Defaults follow the paper's schedule (N=16, k=5, N×8, k/2, +2
     segments per iteration) with laptop-scale caps on completions and
-    the final exhaustive pass.
+    the final exhaustive pass.  Every iteration scores all live buckets
+    as one fused wave; the execution knobs (``workers``, the cache, the
+    watchdog, ``batch_scoring``) change wall clock, never results, and
+    stay out of :func:`_run_fingerprint`.
     """
 
     metric: str = "dtw"
@@ -134,29 +137,6 @@ class SynthesisConfig:
     #: MUST stay excluded from :func:`_run_fingerprint` (a run started
     #: batched can be resumed scalar, and vice versa).
     batch_scoring: bool = True
-    #: Score all live buckets as ONE fused wave per iteration (round-robin
-    #: interleaved, per-bucket incumbent warm starts) instead of one
-    #: executor barrier per bucket.  Bucket minima stay exact, so
-    #: rankings, prunes, and checkpoints are bit-identical either way —
-    #: an execution knob, excluded from :func:`_run_fingerprint` like
-    #: ``batch_scoring`` (a run started fused can be resumed per-bucket,
-    #: and vice versa).
-    fused_scheduling: bool = True
-    #: Broadcast each pooled working set through ONE shared-memory
-    #: segment plane (:mod:`repro.runtime.shm`) instead of pickling the
-    #: segments into every worker.  Transport only — scores, rankings,
-    #: and checkpoints are byte-identical either way — so this is an
-    #: execution knob, excluded from :func:`_run_fingerprint` (a run
-    #: started with the plane can be resumed with ``--no-shm``, and
-    #: vice versa).  Ignored when ``workers == 1``.
-    shm_plane: bool = True
-    #: Sweep each candidate wave's surviving DTW lanes through the
-    #: batched anti-diagonal kernel
-    #: (:func:`repro.distance.dtw.dtw_distance_batch`) with per-lane
-    #: early abandonment, instead of one scalar DP per candidate.
-    #: Bit-identical distances; an execution knob, excluded from
-    #: :func:`_run_fingerprint` like ``batch_scoring``.
-    batch_dtw: bool = True
     #: Deterministic fault injection (tests only; ``None`` in production).
     fault_plan: FaultPlan | None = None
 
@@ -249,7 +229,6 @@ def synthesize_core(
             else None
         ),
         batch=config.batch_scoring,
-        batch_dtw=config.batch_dtw,
     )
     pool = BucketPool(dsl, context=ctx)
     initial_bucket_count = len(pool.buckets)
@@ -320,7 +299,6 @@ def synthesize_core(
         watchdog_seconds=config.watchdog_seconds,
         fault_plan=config.fault_plan,
         context=ctx,
-        use_shm=config.shm_plane,
     )
     # Cumulative quarantine log for this run, as of the latest wave reply
     # (quarantines only ever happen inside waves, so at a checkpoint
@@ -437,35 +415,19 @@ def synthesize_core(
                     )
                 )
 
-            if config.fused_scheduling:
-                # One pipelined dispatch for the whole iteration: all
-                # buckets' samples interleaved round-robin, scattered
-                # back positionally (docs/PERFORMANCE.md).
-                reply = yield WaveRequest(
-                    groups=tuple(
-                        tuple(bucket.drawn) for bucket in buckets
-                    ),
-                    segments=working,
-                    deadline=deadline,
-                    min_results=1,
-                    fused=True,
-                    phase="refinement",
-                )
-                wave_quarantined = reply.quarantined
-                for bucket, results in zip(buckets, reply.grouped):
-                    note_bucket(bucket, results)
-            else:
-                for bucket in buckets:
-                    reply = yield WaveRequest(
-                        groups=(tuple(bucket.drawn),),
-                        segments=working,
-                        deadline=deadline,
-                        min_results=1,
-                        fused=False,
-                        phase="refinement",
-                    )
-                    wave_quarantined = reply.quarantined
-                    note_bucket(bucket, reply.grouped[0])
+            # One pipelined dispatch for the whole iteration: all
+            # buckets' samples interleaved round-robin, scattered back
+            # positionally (docs/PERFORMANCE.md).
+            reply = yield WaveRequest(
+                groups=tuple(tuple(bucket.drawn) for bucket in buckets),
+                segments=working,
+                deadline=deadline,
+                min_results=1,
+                phase="refinement",
+            )
+            wave_quarantined = reply.quarantined
+            for bucket, results in zip(buckets, reply.grouped):
+                note_bucket(bucket, results)
             ranking = sorted(buckets, key=lambda bucket: bucket.score)
             cutoff_index = min(keep, len(ranking)) - 1
             cutoff = ranking[cutoff_index].score
@@ -559,41 +521,20 @@ def synthesize_core(
                 bucket.drawn[already.get(bucket.key, 0) :]
                 for bucket in live
             ]
-            if config.fused_scheduling:
-                if any(fresh_groups):
-                    reply = yield WaveRequest(
-                        groups=tuple(
-                            tuple(fresh) for fresh in fresh_groups
-                        ),
-                        segments=working,
-                        deadline=deadline,
-                        min_results=0,
-                        fused=True,
-                        phase="exhaustive",
-                    )
-                    wave_quarantined = reply.quarantined
-                    for results in reply.grouped:
-                        for result in results:
-                            state.observe(result, 1)
-                    if out_of_time():
-                        note_budget("exhaustive")
-            else:
-                for fresh in fresh_groups:
-                    if fresh:
-                        reply = yield WaveRequest(
-                            groups=(tuple(fresh),),
-                            segments=working,
-                            deadline=deadline,
-                            min_results=0,
-                            fused=False,
-                            phase="exhaustive",
-                        )
-                        wave_quarantined = reply.quarantined
-                        for result in reply.grouped[0]:
-                            state.observe(result, 1)
-                    if out_of_time():
-                        note_budget("exhaustive")
-                        break
+            if any(fresh_groups):
+                reply = yield WaveRequest(
+                    groups=tuple(tuple(fresh) for fresh in fresh_groups),
+                    segments=working,
+                    deadline=deadline,
+                    min_results=0,
+                    phase="exhaustive",
+                )
+                wave_quarantined = reply.quarantined
+                for results in reply.grouped:
+                    for result in results:
+                        state.observe(result, 1)
+                if out_of_time():
+                    note_budget("exhaustive")
 
     # One last telemetry snapshot while the executor is still bound (the
     # driver closes it when this generator returns or raises).
@@ -635,11 +576,10 @@ def drive(core) -> Any:
 
     The blocking half of the wave protocol: answers ``ScorerReady`` by
     building the executor the config asked for, services every
-    ``WaveRequest`` with the matching executor call (one
-    ``score_grouped`` when fused, ``score`` per group otherwise), and
-    snapshots executor telemetry for ``StatsRequest``.  The executor is
-    closed on every exit path, so an exception mid-run can never leak
-    worker processes.  ``drive(synthesize_core(...))`` is bit-identical
+    ``WaveRequest`` with one ``score_grouped`` call, and snapshots
+    executor telemetry for ``StatsRequest``.  The executor is closed on
+    every exit path, so an exception mid-run can never leak worker
+    processes.  ``drive(synthesize_core(...))`` is bit-identical
     — results, events, checkpoints — to the pre-protocol inline loop.
     """
     executor = None
@@ -661,26 +601,14 @@ def drive(core) -> Any:
                     ),
                     watchdog_seconds=request.watchdog_seconds,
                     fault_plan=request.fault_plan,
-                    use_shm=request.use_shm,
                 )
             elif isinstance(request, WaveRequest):
-                if request.fused:
-                    grouped = executor.score_grouped(
-                        request.groups,
-                        request.segments,
-                        deadline=request.deadline,
-                        min_results=request.min_results,
-                    )
-                else:
-                    grouped = [
-                        executor.score(
-                            group,
-                            request.segments,
-                            deadline=request.deadline,
-                            min_results=request.min_results,
-                        )
-                        for group in request.groups
-                    ]
+                grouped = executor.score_grouped(
+                    request.groups,
+                    request.segments,
+                    deadline=request.deadline,
+                    min_results=request.min_results,
+                )
                 reply = WaveReply(
                     grouped=tuple(grouped),
                     quarantined=tuple(executor.quarantined),
@@ -691,8 +619,8 @@ def drive(core) -> Any:
                     cache=cache,
                     scoring=scoring,
                     quarantined=tuple(executor.quarantined),
-                    pool_rebuilds=getattr(executor, "pool_rebuilds", 0),
-                    degraded=bool(getattr(executor, "degraded", False)),
+                    pool_rebuilds=executor.pool_rebuilds,
+                    degraded=executor.degraded,
                 )
             # ProgressReport (and any future beacon) needs no reply.
     finally:

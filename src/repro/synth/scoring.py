@@ -287,11 +287,6 @@ class Scorer:
     #: Score sketches through the vectorized batch path (identical
     #: rankings; ``--no-batch`` forces the scalar reference path).
     batch: bool = True
-    #: Inside the batch path, score every surviving lane's DTW for a
-    #: segment in one :func:`dtw_distance_batch` sweep instead of K
-    #: scalar DPs (identical results; ``--no-batch-dtw`` reverts to the
-    #: per-lane reference path).
-    batch_dtw: bool = True
     #: LRU cap on the per-segment table cache below.
     table_cache_entries: int = DEFAULT_TABLE_CACHE_ENTRIES
     #: Prune telemetry, aggregated across the scorer's lifetime.
@@ -683,76 +678,32 @@ class Scorer:
         # strictly worse than a *computed* candidate distance, and the
         # final minimum is at most the probe's — so this does not
         # disturb the stream-order tie semantics below; it just starts
-        # the loop with a tight threshold instead of an empty one.
-        probe = -1
-        probe_scored: ScoredHandler | None = None
+        # the sweep with a tight threshold instead of an empty one.
+        # With no finite lower bound at all the probe is lane 0.
         finite_lb = np.isfinite(lb_totals)
-        if finite_lb.any():
-            probe = int(
-                np.argmin(np.where(finite_lb, lb_totals, np.inf))
-            )
-            handler = handler_for(probe)
-            probe_scored = ScoredHandler(
+        probe = int(np.argmin(np.where(finite_lb, lb_totals, np.inf)))
+        handler = handler_for(probe)
+        probe_scored = ScoredHandler(
+            handler,
+            self.score_handler(
                 handler,
-                self.score_handler(
-                    handler,
-                    segments,
-                    bound=(warm if math.isfinite(warm) else None),
-                    _synth=synthesized_for(probe),
-                    _lb_suffix=suffix_for(probe),
-                    _lb_row=lb_matrix[probe],
-                ),
-            )
-
-        if self.batch_dtw and probe_scored is not None:
-            return self._batched_dtw_minimum(
-                entries,
-                queries_by_segment,
-                lb_matrix,
-                lb_totals,
-                warm,
-                probe,
-                probe_scored,
-                handler_for,
-            )
-
-        best: ScoredHandler | None = None
-        for lane in range(len(assignments)):
-            if probe_scored is not None and lane == probe:
-                scored = probe_scored
-            else:
-                internal = min(
-                    float("inf") if best is None else best.distance,
-                    float("inf")
-                    if probe_scored is None
-                    else probe_scored.distance,
-                )
-                incumbent = min(internal, warm)
-                if math.isfinite(incumbent) and lb_totals[
-                    lane
-                ] > inflate_bound(incumbent * count):
-                    self.counters.lb_pruned += count
-                    self.counters.candidates_pruned += 1
-                    if warm < internal:
-                        self.counters.warm_start_pruned += 1
-                    continue
-                handler = handler_for(lane)
-                scored = ScoredHandler(
-                    handler,
-                    self.score_handler(
-                        handler,
-                        segments,
-                        bound=(
-                            incumbent if math.isfinite(incumbent) else None
-                        ),
-                        _synth=synthesized_for(lane),
-                        _lb_suffix=suffix_for(lane),
-                        _lb_row=lb_matrix[lane],
-                    ),
-                )
-            if best is None or scored.distance < best.distance:
-                best = scored
-        return best
+                segments,
+                bound=(warm if math.isfinite(warm) else None),
+                _synth=synthesized_for(probe),
+                _lb_suffix=suffix_for(probe),
+                _lb_row=lb_matrix[probe],
+            ),
+        )
+        return self._batched_dtw_minimum(
+            entries,
+            queries_by_segment,
+            lb_matrix,
+            lb_totals,
+            warm,
+            probe,
+            probe_scored,
+            handler_for,
+        )
 
     def _batched_dtw_minimum(
         self,
@@ -769,9 +720,10 @@ class Scorer:
         :func:`dtw_distance_batch` sweep per segment instead of K scalar
         DPs.
 
-        Returns the same :class:`ScoredHandler` as the per-lane loop it
-        replaces.  The pruning threshold here is the *fixed* incumbent
-        ``t0 = min(warm, probe)`` rather than the per-lane loop's
+        Returns the same :class:`ScoredHandler` as scoring the lanes one
+        by one in lane order, each bounded by the best distance so far
+        (the reference).  The pruning threshold here is the *fixed*
+        incumbent ``t0 = min(warm, probe)`` rather than the reference's
         evolving one — a looser (never tighter) threshold, so this path
         prunes a subset of what the reference prunes.  That cannot
         change the result: every prune discards only lanes provably

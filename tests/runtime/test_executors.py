@@ -37,6 +37,15 @@ def _scorer(cache=None, batch=True):
     )
 
 
+def _each(executor, sketches, segments, **kwargs):
+    """Score every sketch as its own group, so no incumbent bound prunes
+    and every distance is the sketch's exact score."""
+    grouped = executor.score_grouped(
+        [[sketch] for sketch in sketches], segments, **kwargs
+    )
+    return [result for results in grouped for result in results]
+
+
 # ----------------------------------------------------------------- chunking
 
 
@@ -55,7 +64,7 @@ def test_serial_matches_direct_scoring(sketches, reno_segments):
     scorer = _scorer()
     executor = SerialExecutor(scorer)
     working = reno_segments[:2]
-    results = executor.score(sketches, working)
+    results = _each(executor, sketches, working)
     assert len(results) == len(sketches)
     fresh = _scorer()
     for sketch, result in zip(sketches, results):
@@ -68,18 +77,18 @@ def test_serial_matches_direct_scoring(sketches, reno_segments):
 def test_serial_deadline_cuts_wave_short(sketches, reno_segments):
     executor = SerialExecutor(_scorer())
     expired = time.perf_counter() - 1.0
-    assert (
-        executor.score(sketches, reno_segments[:1], deadline=expired) == []
-    )
-    partial = executor.score(
-        sketches, reno_segments[:1], deadline=expired, min_results=2
+    assert executor.score_grouped(
+        [sketches], reno_segments[:1], deadline=expired
+    ) == [[]]
+    (partial,) = executor.score_grouped(
+        [sketches], reno_segments[:1], deadline=expired, min_results=2
     )
     assert len(partial) == 2
 
 
 def test_serial_cache_stats_reported(sketches, reno_segments):
     executor = SerialExecutor(_scorer(cache=ScoreCache()))
-    executor.score(sketches, reno_segments[:1])
+    _each(executor, sketches, reno_segments[:1])
     stats = executor.cache_stats()
     assert stats is not None
     assert stats.lookups > 0
@@ -90,9 +99,9 @@ def test_serial_cache_stats_reported(sketches, reno_segments):
 
 def test_pooled_matches_serial(sketches, reno_segments):
     working = reno_segments[:2]
-    serial = SerialExecutor(_scorer()).score(sketches, working)
+    serial = _each(SerialExecutor(_scorer()), sketches, working)
     with PooledExecutor(_scorer(), 2) as pooled:
-        parallel = pooled.score(sketches, working)
+        parallel = _each(pooled, sketches, working)
     assert [r.distance for r in parallel] == pytest.approx(
         [r.distance for r in serial]
     )
@@ -107,10 +116,10 @@ def test_pooled_spawns_one_pool_and_reprimes_on_change(
     with PooledExecutor(_scorer(), 2, context=ctx) as pooled:
         first = reno_segments[:2]
         second = reno_segments[:3]
-        pooled.score(sketches, first)
-        pooled.score(sketches, first)  # unchanged set: no re-prime
-        pooled.score(sketches, second)
-        pooled.score(sketches, second)
+        _each(pooled, sketches, first)
+        _each(pooled, sketches, first)  # unchanged set: no re-prime
+        _each(pooled, sketches, second)
+        _each(pooled, sketches, second)
     assert len(collector.of_kind("pool_spawned")) == 1
     primes = collector.of_kind("segments_primed")
     assert [p.segment_count for p in primes] == [2, 3]
@@ -121,7 +130,7 @@ def test_pooled_tiny_wave_stays_in_process(sketches, reno_segments):
     collector = CollectorSink()
     ctx = RunContext([collector])
     with PooledExecutor(_scorer(), 2, context=ctx) as pooled:
-        results = pooled.score(sketches[:2], reno_segments[:1])
+        results = _each(pooled, sketches[:2], reno_segments[:1])
     assert len(results) == 2
     assert collector.of_kind("pool_spawned") == []  # never forked
 
@@ -129,15 +138,15 @@ def test_pooled_tiny_wave_stays_in_process(sketches, reno_segments):
 def test_pooled_deadline_respects_min_results(sketches, reno_segments):
     with PooledExecutor(_scorer(), 2) as pooled:
         expired = time.perf_counter() - 1.0
-        results = pooled.score(
-            sketches, reno_segments[:1], deadline=expired, min_results=1
+        (results,) = pooled.score_grouped(
+            [sketches], reno_segments[:1], deadline=expired, min_results=1
         )
     assert len(results) == 1
 
 
 def test_pooled_aggregates_worker_cache_stats(sketches, reno_segments):
     with PooledExecutor(_scorer(cache=ScoreCache()), 2) as pooled:
-        pooled.score(sketches, reno_segments[:2])
+        _each(pooled, sketches, reno_segments[:2])
         stats = pooled.cache_stats()
     assert stats is not None
     assert stats.lookups > 0
@@ -160,7 +169,7 @@ def test_make_executor_picks_by_workers():
 
 def test_serial_reports_scoring_stats(sketches, reno_segments):
     executor = SerialExecutor(_scorer())
-    executor.score(sketches, reno_segments[:2])
+    _each(executor, sketches, reno_segments[:2])
     stats = executor.scoring_stats()
     assert stats.kind == "scoring_stats"
     assert stats.batched_waves > 0
@@ -169,8 +178,9 @@ def test_serial_reports_scoring_stats(sketches, reno_segments):
 def test_pooled_scoring_stats_match_serial(sketches, reno_segments):
     """Counter totals are per-sketch work, so the worker split (and the
     per-worker scorers it implies) cannot change the aggregate.  The
-    wall-clock and transport fields (precompute ms, shm bytes) describe
-    *how* the work ran, not how much — normalized out before comparing."""
+    wall-clock, transport and pipeline-shape fields (precompute ms, shm
+    bytes, in-flight peak, occupancy) describe *how* the work ran, not
+    how much — normalized out before comparing."""
     import dataclasses
 
     def deterministic(stats):
@@ -178,25 +188,25 @@ def test_pooled_scoring_stats_match_serial(sketches, reno_segments):
             stats,
             envelope_precompute_ms=0.0,
             shm_bytes=0,
-            broadcast_bytes_saved=0,
+            peak_in_flight=0,
+            mean_occupancy=0.0,
         )
 
     working = reno_segments[:2]
     serial = SerialExecutor(_scorer())
-    serial.score(sketches, working)
+    _each(serial, sketches, working)
     expected = serial.scoring_stats()
     with PooledExecutor(_scorer(), 2) as pooled:
-        pooled.score(sketches, working)
+        _each(pooled, sketches, working)
         stats = pooled.scoring_stats()
         assert stats.shm_bytes > 0  # the plane carried the broadcast
-        assert stats.broadcast_bytes_saved >= stats.shm_bytes
     assert deterministic(stats) == deterministic(expected)
     assert stats.batched_waves == len(sketches)
 
 
 def test_pooled_batch_flag_reaches_workers(sketches, reno_segments):
     with PooledExecutor(_scorer(batch=False), 2) as pooled:
-        pooled.score(sketches, reno_segments[:2])
+        _each(pooled, sketches, reno_segments[:2])
         stats = pooled.scoring_stats()
     assert stats.batched_waves == 0
 
@@ -204,21 +214,11 @@ def test_pooled_batch_flag_reaches_workers(sketches, reno_segments):
 # ------------------------------------------------------------- fused waves
 
 
-def test_interleave_groups_round_robin():
-    from repro.runtime.executors import interleave_groups
-
-    assert interleave_groups([2, 3, 1]) == [
-        (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2),
-    ]
-    assert interleave_groups([]) == []
-    assert interleave_groups([0, 2]) == [(1, 0), (1, 1)]
-
-
 def test_wave_order_leaders_then_runs():
     from repro.runtime.executors import wave_order
 
-    # min_results=1, run_length=1: leaders round, then round-robin —
-    # identical to interleave_groups.
+    # min_results=1, run_length=1: leaders round, then plain
+    # round-robin.
     assert wave_order([2, 3, 1], 1) == [
         (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2),
     ]
@@ -256,15 +256,15 @@ def test_wave_order_prefix_covers_min_results():
 
 def test_serial_grouped_minima_match_per_group(sketches, reno_segments):
     """The fused wave may return inf for warm-pruned sketches, but every
-    group's *minimum* is the exact per-group score() minimum — the only
-    number the refinement ranking consumes."""
+    group's *minimum* is the exact minimum of its sketches' unbounded
+    scores — the only number the refinement ranking consumes."""
     working = reno_segments[:2]
     groups = [sketches[:3], sketches[3:]]
     executor = SerialExecutor(_scorer())
     grouped = executor.score_grouped(groups, working)
     assert [len(results) for results in grouped] == [3, 2]
     for group, results in zip(groups, grouped):
-        plain = SerialExecutor(_scorer()).score(group, working)
+        plain = _each(SerialExecutor(_scorer()), group, working)
         assert min(r.distance for r in results) == min(
             r.distance for r in plain
         )
@@ -320,13 +320,14 @@ def test_pooled_grouped_deadline_keeps_min_results_per_group(
 
 def test_grouped_fuses_small_groups_onto_pool(sketches, reno_segments):
     """Regression for the small-bucket serial leak: three sub-threshold
-    buckets used to score inline one score() call at a time with the
-    pool idle; flattened they clear MIN_PARALLEL_SKETCHES and fork."""
+    buckets, each scored as its own wave, stay inline with the pool
+    idle; flattened into one wave they clear MIN_PARALLEL_SKETCHES and
+    fork."""
     collector = CollectorSink()
     ctx = RunContext([collector])
     with PooledExecutor(_scorer(), 2, context=ctx) as pooled:
-        pooled.score(sketches[:2], reno_segments[:1])
-        assert collector.of_kind("pool_spawned") == []  # old path: inline
+        pooled.score_grouped([sketches[:2]], reno_segments[:1])
+        assert collector.of_kind("pool_spawned") == []  # one bucket: inline
         grouped = pooled.score_grouped(
             [sketches[:2], sketches[2:4], sketches[4:]], reno_segments[:1]
         )
@@ -370,7 +371,7 @@ def test_pooled_stats_single_broadcast(sketches, reno_segments, monkeypatch):
     from repro.runtime.cache import ScoreCache as _Cache
 
     with PooledExecutor(_scorer(cache=_Cache()), 2) as pooled:
-        pooled.score(sketches, reno_segments[:2])
+        _each(pooled, sketches, reno_segments[:2])
         calls = []
         original = pooled._broadcast
 
@@ -389,16 +390,16 @@ def test_pooled_stats_single_broadcast(sketches, reno_segments, monkeypatch):
 
 
 def test_pooled_close_then_reuse_across_runs(sketches, reno_segments):
-    """close() is a clean seam between sequential runs: the next score
+    """close() is a clean seam between sequential runs: the next wave
     respawns a pool without counting it as a crash rebuild."""
     collector = CollectorSink()
     ctx = RunContext([collector])
     pooled = PooledExecutor(_scorer(), 2, context=ctx)
     working = reno_segments[:2]
-    first = pooled.score(sketches, working)
+    first = _each(pooled, sketches, working)
     pooled.close()
     pooled.close()  # idempotent
-    second = pooled.score(sketches, working)
+    second = _each(pooled, sketches, working)
     pooled.close()
     assert [r.distance for r in second] == pytest.approx(
         [r.distance for r in first]
@@ -413,7 +414,7 @@ def test_pooled_reset_stats_isolates_sequential_runs(sketches, reno_segments):
 
     with PooledExecutor(_scorer(cache=_Cache()), 2) as pooled:
         working = reno_segments[:2]
-        pooled.score(sketches, working)
+        _each(pooled, sketches, working)
         cache, scoring = pooled.stats()
         assert cache.lookups > 0
         assert scoring.batched_waves > 0
@@ -425,7 +426,7 @@ def test_pooled_reset_stats_isolates_sequential_runs(sketches, reno_segments):
         # zero): the entries gauge is still populated after rescoring.
         # (Hit counts are not asserted here — task->worker placement is
         # nondeterministic, so a task may miss a peer worker's cache.)
-        pooled.score(sketches, working)
+        _each(pooled, sketches, working)
         cache, _ = pooled.stats()
         assert cache.entries > 0
         assert cache.lookups > 0
@@ -435,14 +436,14 @@ def test_serial_reset_stats_zeroes_counters(sketches, reno_segments):
     from repro.runtime.cache import ScoreCache as _Cache
 
     executor = SerialExecutor(_scorer(cache=_Cache()))
-    executor.score(sketches, reno_segments[:1])
+    _each(executor, sketches, reno_segments[:1])
     assert executor.cache_stats().lookups > 0
     executor.reset_stats()
     assert executor.cache_stats().lookups == 0
     assert executor.scoring_stats().batched_waves == 0
     # Contents survive the counter reset: rescoring the same wave in
     # one process hits every entry the first run populated.
-    executor.score(sketches, reno_segments[:1])
+    _each(executor, sketches, reno_segments[:1])
     assert executor.cache_stats().hits >= len(sketches)
     assert executor.cache_stats().misses == 0
 
@@ -458,14 +459,18 @@ def test_pooled_adopt_scorer_switches_jobs(sketches, reno_segments):
         constant_pool=(0.25, 2.0), completion_cap=4, cache=None
     )
     with PooledExecutor(first_scorer, 2, context=ctx) as pooled:
-        baseline = pooled.score(sketches, working)
+        baseline = _each(pooled, sketches, working)
         pooled.adopt_scorer(second_scorer)
-        adopted = pooled.score(sketches, working)
+        adopted = _each(pooled, sketches, working)
         pooled.adopt_scorer(first_scorer)
-        back = pooled.score(sketches, working)
-    expected = SerialExecutor(
-        Scorer(constant_pool=(0.25, 2.0), completion_cap=4, cache=None)
-    ).score(sketches, working)
+        back = _each(pooled, sketches, working)
+    expected = _each(
+        SerialExecutor(
+            Scorer(constant_pool=(0.25, 2.0), completion_cap=4, cache=None)
+        ),
+        sketches,
+        working,
+    )
     assert [r.distance for r in adopted] == pytest.approx(
         [r.distance for r in expected]
     )
@@ -482,9 +487,9 @@ def test_pooled_adopt_same_config_skips_broadcast(sketches, reno_segments):
     ctx = RunContext([collector])
     with PooledExecutor(_scorer(), 2, context=ctx) as pooled:
         working = reno_segments[:2]
-        first = pooled.score(sketches, working)
+        first = _each(pooled, sketches, working)
         pooled.adopt_scorer(_scorer())  # identical config
-        second = pooled.score(sketches, working)
+        second = _each(pooled, sketches, working)
     assert [r.distance for r in second] == pytest.approx(
         [r.distance for r in first]
     )

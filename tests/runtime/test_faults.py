@@ -60,10 +60,18 @@ def _collected():
     return collector, RunContext([collector])
 
 
+def _each(executor, sketches, segments):
+    """Score every sketch as its own group, so no incumbent bound prunes
+    and every distance is the sketch's exact score."""
+    grouped = executor.score_grouped(
+        [[sketch] for sketch in sketches], segments
+    )
+    return [result for results in grouped for result in results]
+
+
 def _baseline(sketches, segments):
-    return [
-        r.distance for r in SerialExecutor(_scorer()).score(sketches, segments)
-    ]
+    serial = SerialExecutor(_scorer())
+    return [r.distance for r in _each(serial, sketches, segments)]
 
 
 def _assert_no_pool_children(deadline_seconds=10.0):
@@ -86,7 +94,7 @@ def test_serial_raise_quarantined(sketches, reno_segments):
     executor = SerialExecutor(
         _scorer(), fault_plan=FaultPlan.make(raise_on=[victim])
     )
-    results = executor.score(sketches, reno_segments[:1])
+    results = _each(executor, sketches, reno_segments[:1])
     assert len(results) == len(sketches)
     assert results[1].distance == WORST_DISTANCE
     assert [q.sketch for q in executor.quarantined] == [str(victim)]
@@ -104,7 +112,7 @@ def test_serial_hang_quarantined_within_watchdog(sketches, reno_segments):
         fault_plan=FaultPlan.make(hang_on=[victim], hang_seconds=60.0),
     )
     started = time.monotonic()
-    results = executor.score(sketches, reno_segments[:1])
+    results = _each(executor, sketches, reno_segments[:1])
     elapsed = time.monotonic() - started
     assert elapsed < 10.0  # quarantined by the watchdog, not the hang
     assert results[2].distance == WORST_DISTANCE
@@ -117,7 +125,7 @@ def test_serial_crash_fault_quarantined(sketches, reno_segments):
     executor = SerialExecutor(
         _scorer(), fault_plan=FaultPlan.make(crash_on=[sketches[0]])
     )
-    results = executor.score(sketches, reno_segments[:1])
+    results = _each(executor, sketches, reno_segments[:1])
     assert results[0].distance == WORST_DISTANCE
     assert executor.quarantined[0].reason == "exception"
 
@@ -127,7 +135,7 @@ def test_serial_quarantine_emits_event(sketches, reno_segments):
     executor = SerialExecutor(
         _scorer(), context=ctx, fault_plan=FaultPlan.make(raise_on=[sketches[0]])
     )
-    executor.score(sketches, reno_segments[:1])
+    _each(executor, sketches, reno_segments[:1])
     events = collector.of_kind("sketch_quarantined")
     assert [e.sketch for e in events] == [str(sketches[0])]
 
@@ -140,7 +148,7 @@ def test_pooled_raise_quarantined_without_rebuild(sketches, reno_segments):
     with PooledExecutor(
         _scorer(), POOL_WORKERS, fault_plan=FaultPlan.make(raise_on=[victim])
     ) as pooled:
-        results = pooled.score(sketches, reno_segments[:1])
+        results = _each(pooled, sketches, reno_segments[:1])
         assert pooled.pools_spawned == 1  # failure stayed inside the task
     assert results[1].distance == WORST_DISTANCE
     assert [q.sketch for q in pooled.quarantined] == [str(victim)]
@@ -159,7 +167,7 @@ def test_pooled_hang_quarantined_pool_survives(sketches, reno_segments):
         fault_plan=FaultPlan.make(hang_on=[victim], hang_seconds=60.0),
     ) as pooled:
         started = time.monotonic()
-        results = pooled.score(sketches, reno_segments[:1])
+        results = _each(pooled, sketches, reno_segments[:1])
         elapsed = time.monotonic() - started
         assert pooled.pools_spawned == 1
     assert elapsed < 30.0
@@ -172,74 +180,22 @@ def test_pooled_hang_quarantined_pool_survives(sketches, reno_segments):
 # ------------------------------------------------------ pooled: supervision
 
 
-def test_pooled_transient_crash_recovers_same_scores(sketches, reno_segments):
-    """A worker crash mid-wave: rebuild, re-score the suffix, and end up
-    with exactly the fault-free distances (crash limited to the first
-    pool generation, so the rebuilt pool scores the sketch cleanly)."""
-    working = reno_segments[:1]
-    baseline = _baseline(sketches, working)
-    collector, ctx = _collected()
-    plan = FaultPlan.make(crash_on=[sketches[2]], crash_generations=[1])
-    with PooledExecutor(
-        _scorer(), POOL_WORKERS, context=ctx, fault_plan=plan
-    ) as pooled:
-        results = pooled.score(sketches, working)
-        assert pooled.pool_rebuilds == 1
-        assert not pooled.degraded
-    assert [r.distance for r in results] == pytest.approx(baseline)
-    assert pooled.quarantined == []
-    assert len(collector.of_kind("worker_crashed")) == 1
-    assert len(collector.of_kind("pool_rebuilt")) == 1
-
-
-def test_pooled_persistent_crash_quarantines_culprit(sketches, reno_segments):
-    """A sketch that kills its worker every time: after two strikes the
-    head of the incomplete suffix is quarantined and the wave completes.
-
-    The victim leads the wave so crash attribution is deterministic: a
-    break mid-wave races against sibling results (the completed prefix
-    the parent kept may stop short of the true culprit), but an empty
-    prefix always blames — correctly — the first sketch.
-    """
-    working = reno_segments[:1]
-    victim = sketches[0]
-    collector, ctx = _collected()
-    with PooledExecutor(
-        _scorer(),
-        POOL_WORKERS,
-        context=ctx,
-        fault_plan=FaultPlan.make(crash_on=[victim]),
-    ) as pooled:
-        results = pooled.score(sketches, working)
-        assert not pooled.degraded
-    assert len(results) == len(sketches)
-    assert results[0].distance == WORST_DISTANCE
-    assert [q.sketch for q in pooled.quarantined] == [str(victim)]
-    assert pooled.quarantined[0].reason == "worker-crash"
-    assert len(collector.of_kind("worker_crashed")) == 2
-    assert collector.of_kind("sketch_quarantined")
-
-
-@pytest.mark.parametrize("grouped", [False, True])
 def test_pool_broken_during_submission_recovers(
-    sketches, reno_segments, monkeypatch, grouped
+    sketches, reno_segments, monkeypatch
 ):
     """A worker can die while a wave is still being submitted, and then
     ``submit`` itself raises BrokenProcessPool.  That is a worker crash
-    like any other: rebuild, re-score, fault-free distances."""
+    like any other: rebuild, re-score, fault-free group minima."""
     from concurrent.futures.process import BrokenProcessPool
 
     working = reno_segments[:1]
     groups = [sketches[:3], sketches[3:]]
-    serial = SerialExecutor(_scorer())
-    expected = (
-        _group_minima(serial.score_grouped(groups, working))
-        if grouped
-        else _baseline(sketches, working)
+    expected = _group_minima(
+        SerialExecutor(_scorer()).score_grouped(groups, working)
     )
     collector, ctx = _collected()
     with PooledExecutor(_scorer(), POOL_WORKERS, context=ctx) as pooled:
-        pooled.score(sketches, working)  # a live, primed pool
+        pooled.score_grouped(groups, working)  # a live, primed pool
         real_submit = pooled._pool.submit
         submitted = []
 
@@ -250,10 +206,7 @@ def test_pool_broken_during_submission_recovers(
             return real_submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(pooled._pool, "submit", submit)
-        if grouped:
-            actual = _group_minima(pooled.score_grouped(groups, working))
-        else:
-            actual = [r.distance for r in pooled.score(sketches, working)]
+        actual = _group_minima(pooled.score_grouped(groups, working))
         assert pooled.pool_rebuilds == 1
     assert actual == pytest.approx(expected)
     assert pooled.quarantined == []
@@ -275,7 +228,7 @@ def test_pooled_degrades_to_serial_after_rebuild_budget(
     with PooledExecutor(
         _scorer(), POOL_WORKERS, context=ctx, policy=policy, fault_plan=plan
     ) as pooled:
-        results = pooled.score(sketches, working)
+        results = _each(pooled, sketches, working)
         assert pooled.degraded
     assert len(results) == len(sketches)
     degraded = collector.of_kind("degraded_to_serial")
@@ -292,14 +245,14 @@ def test_pooled_failing_run_leaks_no_children(sketches, reno_segments):
         policy=SupervisionPolicy(backoff_base_seconds=0.0),
         fault_plan=FaultPlan.make(crash_on=[sketches[0]]),
     ) as pooled:
-        pooled.score(sketches, reno_segments[:1])
+        _each(pooled, sketches, reno_segments[:1])
     pooled.close()  # idempotent with __exit__'s close
     _assert_no_pool_children()
 
 
 def test_pooled_close_is_idempotent(sketches, reno_segments):
     pooled = PooledExecutor(_scorer(), POOL_WORKERS)
-    pooled.score(sketches, reno_segments[:1])
+    _each(pooled, sketches, reno_segments[:1])
     for _ in range(3):
         pooled.close()
     _assert_no_pool_children()
@@ -318,7 +271,7 @@ def test_broadcast_failure_rebuilds_once(sketches, reno_segments):
         context=ctx,
         fault_plan=FaultPlan(broadcast_failures=1),
     ) as pooled:
-        results = pooled.score(sketches, working)
+        results = _each(pooled, sketches, working)
         assert pooled.pool_rebuilds == 1
         assert not pooled.degraded
     assert [r.distance for r in results] == pytest.approx(baseline)
@@ -337,7 +290,7 @@ def test_second_broadcast_failure_degrades_to_serial(sketches, reno_segments):
         context=ctx,
         fault_plan=FaultPlan(broadcast_failures=2),
     ) as pooled:
-        results = pooled.score(sketches, working)
+        results = _each(pooled, sketches, working)
         assert pooled.degraded
     assert [r.distance for r in results] == pytest.approx(baseline)
     assert len(collector.of_kind("degraded_to_serial")) == 1

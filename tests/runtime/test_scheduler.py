@@ -352,7 +352,6 @@ def test_sub_parallel_waves_never_spawn_a_pool(reno_segments):
             segments=segments,
             deadline=None,
             min_results=0,
-            fused=True,
             phase="refinement",
         )
         return reply.grouped

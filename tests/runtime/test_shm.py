@@ -1,13 +1,15 @@
 """Shared-memory segment plane suite (``repro.runtime.shm``).
 
-The plane is pure transport: scores, rankings, and checkpoints must be
-bit-identical with it on or off, at one worker and at four, with the
-batched DTW kernel on or off.  Around that differential core sit the
-lifecycle guarantees — crash-mid-wave pool rebuilds re-attach the same
-plane, co-scheduled jobs get isolated planes, and no ``/dev/shm``
-segment survives an executor close or a fleet drain.
+The plane is pure transport: scores, rankings, and checkpoints at one
+worker and at four must be bit-identical to the scalar serial oracle
+(``Scorer(batch=False)``, ``workers=1``).  Around that differential core
+sit the lifecycle guarantees — crash-mid-wave pool rebuilds re-attach
+the same plane, co-scheduled jobs get isolated planes, a host without a
+plane respawns the pool instead, and no ``/dev/shm`` segment survives an
+executor close or a fleet drain.
 """
 
+import multiprocessing
 import os
 from dataclasses import replace
 from types import SimpleNamespace
@@ -18,7 +20,11 @@ import pytest
 from repro.dsl import RENO_DSL, with_budget
 from repro.dsl.parser import parse
 from repro.runtime.context import RunContext
-from repro.runtime.executors import PooledExecutor, make_executor
+from repro.runtime.executors import (
+    PooledExecutor,
+    SerialExecutor,
+    make_executor,
+)
 from repro.runtime.faults import FaultPlan
 from repro.runtime.shm import (
     PLANE_NAME_PREFIX,
@@ -61,6 +67,15 @@ def sketches():
 
 def _scorer(**kwargs):
     return Scorer(constant_pool=(0.5, 1.0), completion_cap=8, **kwargs)
+
+
+def _each(executor, sketches, segments):
+    """Score every sketch as its own group, so no incumbent bound prunes
+    and every distance is the sketch's exact score."""
+    grouped = executor.score_grouped(
+        [[sketch] for sketch in sketches], segments
+    )
+    return [result for results in grouped for result in results]
 
 
 def _live_planes():
@@ -126,22 +141,16 @@ def test_plane_build_rejects_unpackable_inputs(reno_segments):
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-@pytest.mark.parametrize("use_shm", [True, False])
-@pytest.mark.parametrize("batch_dtw", [True, False])
 def test_wave_bit_identity_across_transport_and_kernel(
-    sketches, reno_segments, workers, use_shm, batch_dtw
+    sketches, reno_segments, workers
 ):
-    """Every (transport, kernel, workers) combination returns the exact
-    floats of the scalar pickled serial reference — not approximately."""
+    """The batched kernel, in-process or through the plane, returns the
+    exact floats of the scalar serial oracle — not approximately."""
     working = reno_segments[:2]
-    reference = make_executor(
-        _scorer(batch_dtw=False), 1, use_shm=False
-    ).score(sketches, working)
-    executor = make_executor(
-        _scorer(batch_dtw=batch_dtw), workers, use_shm=use_shm
-    )
+    reference = _each(SerialExecutor(_scorer(batch=False)), sketches, working)
+    executor = make_executor(_scorer(), workers)
     try:
-        results = executor.score(sketches, working)
+        results = _each(executor, sketches, working)
     finally:
         executor.close()
     assert [r.distance for r in results] == [
@@ -151,16 +160,13 @@ def test_wave_bit_identity_across_transport_and_kernel(
     assert _live_planes() == []
 
 
-@pytest.mark.parametrize(
-    "workers,shm_plane,batch_dtw",
-    [(4, True, True), (4, False, True), (1, True, False)],
-)
+@pytest.mark.parametrize("workers", [1, 4])
 def test_synthesis_checkpoints_byte_identical(
-    reno_segments, tmp_path, workers, shm_plane, batch_dtw
+    reno_segments, tmp_path, workers
 ):
-    """Full refinement runs checkpoint byte-identically whatever the
-    transport/kernel/worker knobs — the resume contract behind
-    excluding them from the run fingerprint."""
+    """Full batched refinement runs checkpoint byte-identically to the
+    scalar oracle at ``workers=1`` — the resume contract behind keeping
+    workers and ``batch_scoring`` out of the run fingerprint."""
     segments = reno_segments[:4]
     baseline_path = tmp_path / "baseline.jsonl"
     variant_path = tmp_path / "variant.jsonl"
@@ -170,21 +176,14 @@ def test_synthesis_checkpoints_byte_identical(
         replace(
             FAST,
             workers=1,
-            shm_plane=False,
-            batch_dtw=False,
+            batch_scoring=False,
             checkpoint_path=str(baseline_path),
         ),
     )
     variant = synthesize(
         segments,
         TINY,
-        replace(
-            FAST,
-            workers=workers,
-            shm_plane=shm_plane,
-            batch_dtw=batch_dtw,
-            checkpoint_path=str(variant_path),
-        ),
+        replace(FAST, workers=workers, checkpoint_path=str(variant_path)),
     )
     assert variant.best.handler == baseline.best.handler
     assert variant.best.distance == baseline.best.distance
@@ -203,18 +202,16 @@ def test_crash_mid_wave_rebuild_reattaches_plane(sketches, reno_segments):
     fault-free distances."""
     working = reno_segments[:2]
     with PooledExecutor(_scorer(), 2) as clean:
-        expected = clean.score(sketches, working)
+        expected = _each(clean, sketches, working)
     collector = CollectorSink()
     plan = FaultPlan.make(crash_on=[sketches[2]], crash_generations=[1])
     with PooledExecutor(
         _scorer(), 2, context=RunContext([collector]), fault_plan=plan
     ) as pooled:
-        results = pooled.score(sketches, working)
+        results = _each(pooled, sketches, working)
         assert len(pooled._planes) == 1, "rebuild reuses the cached plane"
         (plane,) = pooled._planes.values()
-        # Both the original broadcast and the rebuild's re-broadcast
-        # travelled through the plane handle, never the pickled path.
-        assert pooled.broadcast_bytes_saved >= 2 * plane.nbytes
+        assert pooled.shm_bytes == plane.nbytes
     assert len(collector.of_kind("worker_crashed")) == 1
     assert len(collector.of_kind("pool_rebuilt")) == 1
     assert [r.distance for r in results] == [
@@ -235,8 +232,8 @@ def test_coscheduled_working_sets_get_isolated_planes(
     job_a = reno_segments[:2]
     job_b = reno_segments[2:4]
     with PooledExecutor(_scorer(), 2) as pooled:
-        first = pooled.score(sketches, job_a)
-        second = pooled.score(sketches, job_b)
+        first = _each(pooled, sketches, job_a)
+        second = _each(pooled, sketches, job_b)
         assert len(first) == len(second) == len(sketches)
         assert len(pooled._planes) == 2
         names = [plane.name for plane in pooled._planes.values()]
@@ -244,6 +241,46 @@ def test_coscheduled_working_sets_get_isolated_planes(
         live = _live_planes()
         for name in names:
             assert name in live
+    assert _live_planes() == []
+
+
+# ---------------------------------------------------------- no-plane hosts
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="hosts without fork never build a plane",
+)
+def test_no_plane_respawns_pool_with_segments(
+    sketches, reno_segments, monkeypatch
+):
+    """When no plane can be built the segments ride a pool respawn, a
+    planned spawn: the scalar oracle's floats, no rebuild counted, no
+    block in ``/dev/shm``, and each new working set respawns again."""
+    monkeypatch.setattr(SegmentPlane, "build", lambda entries: None)
+    collector = CollectorSink()
+    first = reno_segments[:2]
+    second = reno_segments[2:4]
+    with PooledExecutor(
+        _scorer(), 2, context=RunContext([collector])
+    ) as pooled:
+        results = _each(pooled, sketches, first)
+        assert _live_planes() == []
+        assert pooled.pools_spawned == 1
+        _each(pooled, sketches, first)  # same working set: no respawn
+        assert pooled.pools_spawned == 1
+        again = _each(pooled, sketches, second)
+        assert pooled.pools_spawned == 2
+        assert pooled.pool_rebuilds == 0
+        assert pooled.shm_bytes == 0
+    for working, scored in ((first, results), (second, again)):
+        oracle = _each(SerialExecutor(_scorer(batch=False)), sketches, working)
+        assert [r.distance for r in scored] == [r.distance for r in oracle]
+        assert [r.handler for r in scored] == [r.handler for r in oracle]
+    assert len(collector.of_kind("pool_spawned")) == 2
+    assert collector.of_kind("pool_rebuilt") == []
+    primes = collector.of_kind("segments_primed")
+    assert [p.segment_count for p in primes] == [2, 2]
     assert _live_planes() == []
 
 

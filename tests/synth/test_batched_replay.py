@@ -10,6 +10,8 @@ scalar loop — plus the satellite behaviors (table-cache LRU bound,
 telemetry counters, non-DTW fallback).
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,39 @@ def test_score_sketch_batch_matches_scalar(text, working):
     batched = _scorer(batch=True).score_sketch(sketch, working)
     scalar = _scorer(batch=False).score_sketch(sketch, working)
     assert batched.distance == scalar.distance  # bit-identical, not approx
+    assert to_text(batched.handler) == to_text(scalar.handler)
+
+
+@pytest.fixture(scope="module")
+def unbounded_working(working):
+    """*working* plus a segment whose observed series holds an ``inf``:
+    LB_Keogh against it is infinite, so no lane of any sketch has a
+    finite lower bound and the batched path probes lane 0."""
+    from repro.distance.preprocess import downsample
+    from repro.runtime.shm import PlaneSegment
+
+    entry = _scorer().prepare_segments(working[-1:])[0]
+    observed = entry.observed.copy()
+    observed[observed.size // 2] = np.inf
+    poisoned = PlaneSegment(
+        0, entry.table, observed, downsample(observed, 128), None
+    )
+    return [*working[:-1], poisoned]
+
+
+@pytest.mark.parametrize("text", SKETCH_TEXTS)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_score_sketch_without_finite_lower_bound_matches_scalar(
+    text, unbounded_working
+):
+    sketch = Sketch.from_expr(parse(text))
+    scorer = _scorer(batch=True)
+    batched = scorer.score_sketch(sketch, unbounded_working)
+    scalar = _scorer(batch=False).score_sketch(sketch, unbounded_working)
+    assert scorer.counters.batched_waves == 1  # the batched path ran
+    assert struct.pack("<d", batched.distance) == struct.pack(
+        "<d", scalar.distance
+    )
     assert to_text(batched.handler) == to_text(scalar.handler)
 
 

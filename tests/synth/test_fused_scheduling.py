@@ -1,27 +1,17 @@
-"""Fused wave scheduling is an execution knob, not a search knob.
+"""Fused wave scheduling: one pipelined dispatch per iteration.
 
-``fused_scheduling=True`` collapses the per-bucket scoring barriers into
-one pipelined executor dispatch per iteration and threads warm-start
-incumbent bounds through the wave.  Everything here pins the contract
-that makes that safe to ship on by default: rankings, kept sets, the
-best expression, and on-disk checkpoints are bit-identical with the
-knob on or off, at one worker and at four, and a run checkpointed in
-one mode resumes cleanly in the other.
+Every refinement iteration scores all live buckets as one executor wave
+and threads warm-start incumbent bounds through it.  These tests pin
+that the wave is the same search at one worker and at four, that runs
+announce their waves, and that the shared bounds actually prune.
 """
 
-import json
 from dataclasses import replace
 
-import pytest
-
-from repro.dsl import RENO_DSL, family, with_budget
+from repro.dsl import RENO_DSL, with_budget
 from repro.runtime import CollectorSink, RunContext, WaveDispatched
 from repro.runtime.events import ScoringStats
-from repro.synth.refinement import (
-    SynthesisConfig,
-    _run_fingerprint,
-    synthesize,
-)
+from repro.synth.refinement import SynthesisConfig, synthesize
 
 TINY = with_budget(RENO_DSL, max_depth=3, max_nodes=4)
 
@@ -57,18 +47,6 @@ def _run(segments, config, collector=None):
         return synthesize(segments[:6], TINY, config, context=ctx)
 
 
-def test_fused_off_matches_fused_on_serial(reno_segments):
-    fused = _run(reno_segments, _config(workers=1, fused_scheduling=True))
-    plain = _run(reno_segments, _config(workers=1, fused_scheduling=False))
-    assert _essentials(fused) == _essentials(plain)
-
-
-def test_fused_off_matches_fused_on_parallel(reno_segments):
-    fused = _run(reno_segments, _config(workers=4, fused_scheduling=True))
-    plain = _run(reno_segments, _config(workers=4, fused_scheduling=False))
-    assert _essentials(fused) == _essentials(plain)
-
-
 def test_fused_parallel_matches_fused_serial(reno_segments):
     serial = _run(reno_segments, _config(workers=1))
     pooled = _run(reno_segments, _config(workers=4))
@@ -86,15 +64,6 @@ def test_fused_run_emits_wave_dispatched(reno_segments):
     assert stats[-1].fused_tasks == sum(wave.tasks for wave in waves)
 
 
-def test_unfused_run_stays_silent_about_waves(reno_segments):
-    collector = CollectorSink()
-    _run(reno_segments, _config(workers=1, fused_scheduling=False), collector)
-    waves = [e for e in collector.events if isinstance(e, WaveDispatched)]
-    assert waves == []
-    stats = [e for e in collector.events if isinstance(e, ScoringStats)]
-    assert stats[-1].fused_waves == 0
-
-
 def test_fused_run_warm_starts_the_cascade(reno_segments):
     """Multi-bucket iterations must actually exercise the shared
     incumbent bounds (the whole point of fusing), not just match
@@ -103,78 +72,3 @@ def test_fused_run_warm_starts_the_cascade(reno_segments):
     _run(reno_segments, _config(workers=1, cache_scores=False), collector)
     stats = [e for e in collector.events if isinstance(e, ScoringStats)]
     assert stats[-1].warm_start_pruned > 0
-
-
-def test_fused_excluded_from_run_fingerprint(reno_segments):
-    on = _run_fingerprint(TINY, _config(fused_scheduling=True), 6)
-    off = _run_fingerprint(TINY, _config(fused_scheduling=False), 6)
-    assert on == off
-    assert not any("fused" in key for key in on)
-
-
-def test_checkpoints_byte_identical_across_modes(reno_segments, tmp_path):
-    paths = {}
-    for mode in (True, False):
-        path = tmp_path / f"fused_{mode}.jsonl"
-        _run(
-            reno_segments,
-            _config(fused_scheduling=mode, checkpoint_path=str(path)),
-        )
-        paths[mode] = path.read_text(encoding="utf-8")
-    assert paths[True] == paths[False]
-    assert paths[True].strip(), "checkpointed run must write boundaries"
-
-
-# The resume tests need a DSL whose buckets survive iteration 1, so the
-# second iteration genuinely replays from a mid-run boundary (same
-# rationale as tests/synth/test_resume.py).
-RESUME_DSL = with_budget(family("reno"), max_depth=4, max_nodes=7)
-
-RESUME_CONFIG = SynthesisConfig(
-    initial_samples=4,
-    initial_keep=4,
-    completion_cap=4,
-    max_iterations=2,
-    exhaustive_cap=30,
-    series_budget=48,
-    max_replay_rows=192,
-)
-
-
-def test_resume_crosses_scheduling_modes(reno_segments, tmp_path):
-    """A run checkpointed fused resumes per-bucket (and converges to the
-    same answer), because the knob is outside the fingerprint."""
-    segments = reno_segments[:6]
-    path = tmp_path / "fused.jsonl"
-    full = synthesize(
-        segments,
-        RESUME_DSL,
-        replace(RESUME_CONFIG, checkpoint_path=str(path)),
-    )
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 2
-    partial = tmp_path / "killed.jsonl"
-    partial.write_text(lines[0] + "\n")
-    resumed = synthesize(
-        segments,
-        RESUME_DSL,
-        replace(
-            RESUME_CONFIG,
-            resume_path=str(partial),
-            fused_scheduling=False,
-        ),
-    )
-    assert resumed.expression == full.expression
-    assert resumed.distance == pytest.approx(full.distance)
-    assert resumed.total_handlers_scored == full.total_handlers_scored
-    assert [r.ranking for r in resumed.iterations] == [
-        r.ranking for r in full.iterations
-    ]
-
-
-def test_checkpoint_fingerprint_carries_no_mode(reno_segments, tmp_path):
-    path = tmp_path / "ckpt.jsonl"
-    _run(reno_segments, _config(checkpoint_path=str(path)))
-    line = path.read_text(encoding="utf-8").splitlines()[0]
-    fingerprint = json.loads(line)["fingerprint"]
-    assert not any("fused" in key for key in fingerprint)

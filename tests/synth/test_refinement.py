@@ -154,10 +154,12 @@ def test_custom_seed_changes_nothing_structural(reno_segments):
         assert result.initial_bucket_count == 64
 
 
-def test_batch_scoring_off_is_bit_identical(reno_segments):
-    """The batched fast path is an execution detail: rankings, survivors
-    and the final handler match the scalar path exactly, while the
-    telemetry shows the batched run actually pruned work."""
+@pytest.mark.parametrize("workers", [1, 4])
+def test_batch_scoring_off_is_bit_identical(reno_segments, workers):
+    """The batched fast path is an execution detail: at any worker count
+    its rankings, survivors and final handler match the scalar oracle at
+    ``workers=1`` exactly, while the telemetry shows the batched run
+    actually pruned work."""
     from repro.runtime import CollectorSink, RunContext, ScoringStats
 
     config = dict(
@@ -168,21 +170,23 @@ def test_batch_scoring_off_is_bit_identical(reno_segments):
         exhaustive_cap=120,
     )
 
-    def run(batch: bool):
+    def run(batch: bool, workers: int):
         collector = CollectorSink()
         with RunContext([collector]) as context:
             result = synthesize(
                 reno_segments[:6],
                 TINY,
-                SynthesisConfig(batch_scoring=batch, **config),
+                SynthesisConfig(
+                    batch_scoring=batch, workers=workers, **config
+                ),
                 context=context,
             )
         return result, [
             e for e in collector.events if isinstance(e, ScoringStats)
         ]
 
-    batched, batched_stats = run(True)
-    scalar, scalar_stats = run(False)
+    batched, batched_stats = run(True, workers)
+    scalar, scalar_stats = run(False, 1)
     assert batched.expression == scalar.expression
     assert batched.best.distance == scalar.best.distance
     assert batched.iterations == scalar.iterations  # full ranking identity

@@ -123,7 +123,6 @@ def test_scoring_stats_event_payload_roundtrips():
             batched_dtw_sweeps=9,
             envelope_precompute_ms=1.25,
             shm_bytes=4096,
-            broadcast_bytes_saved=16384,
         )
     )
     assert payload == {
@@ -140,7 +139,6 @@ def test_scoring_stats_event_payload_roundtrips():
         "batched_dtw_sweeps": 9,
         "envelope_precompute_ms": 1.25,
         "shm_bytes": 4096,
-        "broadcast_bytes_saved": 16384,
     }
 
 
@@ -152,7 +150,7 @@ def test_run_summary_wave_line():
         [ScoringStats(batched_waves=1, lb_pruned=0, dp_abandoned=0,
                       candidates_pruned=0)]
     )
-    assert "waves:" not in quiet  # per-bucket runs keep the old summary
+    assert "waves:" not in quiet  # no fused waves, no waves: line
     text = format_run_summary(
         [
             ScoringStats(

@@ -65,6 +65,12 @@ def test_submit_rejects_unknown_config_key(tmp_path):
         )
     with pytest.raises(SynthesisError, match="nope"):
         submit_job(str(tmp_path), "job", cca="reno", config={"nope": 1})
+    # Execution knobs that no longer exist are unknown like any other.
+    for removed in ("fused_scheduling", "shm_plane", "batch_dtw"):
+        with pytest.raises(SynthesisError, match=removed):
+            submit_job(
+                str(tmp_path), "job", cca="reno", config={removed: False}
+            )
 
 
 def test_submit_rejects_unknown_dsl(tmp_path):
