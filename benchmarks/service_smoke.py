@@ -7,7 +7,8 @@ CI's fast answer to "did a change break synthesis-as-a-service?":
    collected from the simulator, no fixture files);
 2. a first ``repro serve`` is killed mid-fleet via the test-only
    ``--exit-after-slices`` switch (the process dies with ``os._exit(70)``
-   exactly like a SIGKILL: leases and partial checkpoints stay on disk);
+   exactly like a SIGKILL: its job records still name it as owner, and
+   partial checkpoints stay on disk);
 3. a successor ``repro serve --steal-leases`` must recover the whole
    fleet from the spool and report every job completed;
 4. the differential: each job's served answer must match a direct
@@ -38,10 +39,12 @@ from repro.cli import main as cli_main  # noqa: E402
 from repro.dsl import family, with_budget  # noqa: E402
 from repro.netsim.environments import Environment  # noqa: E402
 from repro.pipeline import reverse_engineer  # noqa: E402
+from repro.service import JobLedger  # noqa: E402
 from repro.synth.refinement import SynthesisConfig  # noqa: E402
 from repro.trace.collect import CollectionConfig, collect_traces  # noqa: E402
 
 JOB_IDS = ("smoke-one", "smoke-two")
+KILLED_SERVER = "smoke-killed"
 DURATION = 8.0
 BANDWIDTH = 10.0
 RTT = 50.0
@@ -80,6 +83,7 @@ def crash_first_serve(spool: str) -> list[str]:
         [
             sys.executable, "-m", "repro", "serve",
             "--spool", spool, "--quantum", "3",
+            "--server-id", KILLED_SERVER,
             "--exit-after-slices", "4",
         ],
         cwd=REPO_ROOT,
@@ -94,13 +98,12 @@ def crash_first_serve(spool: str) -> list[str]:
             f"killed serve: exit {killed.returncode}, expected 70 "
             f"(stderr: {killed.stderr.strip()[:200]})"
         )
-    leases = [
-        name
-        for name in os.listdir(os.path.join(spool, "checkpoints"))
-        if name.endswith(".lease")
-    ]
-    if not leases:
-        failures.append("killed serve left no leases behind")
+    ledger = JobLedger(os.path.join(spool, "state"))
+    owners = [ledger.read(job_id).owner for job_id in JOB_IDS]
+    if KILLED_SERVER not in owners:
+        failures.append(
+            f"no job record still names the killed serve (owners {owners})"
+        )
     return failures
 
 
@@ -186,7 +189,7 @@ def main() -> int:
         return 1
     print(
         "SERVICE SMOKE OK: fleet submitted, killed mid-run (exit 70, "
-        "leases on disk), recovered with --steal-leases; every job's "
+        "records still owned), recovered with --steal-leases; every job's "
         "answer bit-identical to the direct run"
     )
     return 0

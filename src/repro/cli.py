@@ -349,15 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--steal-leases",
         action="store_true",
-        help="take over jobs whose checkpoint lease is still fresh "
-        "(use after killing a previous serve on the same spool)",
+        help="take over jobs whose lease is still fresh but whose owner "
+        "has not renewed it since this server started (use after killing "
+        "a previous serve on the same spool)",
     )
     serve.add_argument(
         "--lease-ttl",
         type=float,
         default=30.0,
         metavar="SECONDS",
-        help="checkpoint-lease TTL; an expired lease may be taken "
+        help="job-lease TTL; an expired lease may be taken "
         "without --steal-leases (default: 30)",
     )
     serve.add_argument(
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--server-id",
         default=None,
         metavar="NAME",
-        help="stable identity for leases and the job ledger "
+        help="stable identity recorded as the owner of claimed jobs "
         "(default: serve-<pid>)",
     )
     serve.add_argument(

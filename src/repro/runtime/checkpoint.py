@@ -21,6 +21,12 @@ checkpoint instead of an error.  A ``fingerprint`` of the run
 configuration is stored and verified on resume — resuming with a
 different DSL, seed, or schedule is refused rather than silently
 diverging.
+
+The module also holds the spool's :class:`JobRecord`: one atomically
+replaced file per job carrying its state, owner, heartbeat and retry
+accounting.  The :class:`CheckpointLease` that keeps two servers off
+one checkpoint lives in that record, and every change to it is one
+locked read-modify-write through :class:`JobLedger`.
 """
 
 from __future__ import annotations
@@ -28,9 +34,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.runtime.supervise import Quarantined
 
@@ -41,13 +49,13 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "DEFAULT_LEASE_TTL",
     "DEFAULT_TAKEOVER_JITTER_FRACTION",
+    "TERMINAL_STATES",
     "RefinementCheckpoint",
     "CheckpointWriter",
     "CheckpointLease",
-    "LeaseState",
-    "lease_path",
+    "JobLedger",
+    "JobRecord",
     "load_checkpoint",
-    "read_lease",
     "takeover_delay",
 ]
 
@@ -56,7 +64,8 @@ CHECKPOINT_VERSION = 1
 #: Default seconds a lease stays exclusive without a renewal.  Renewals
 #: happen at every dispatched wave slice (the scheduler's heartbeat), so
 #: 30s distinguishes "scheduler mid-slice" from "scheduler gone" with a
-#: wide margin.
+#: wide margin.  A job running alone takes whole waves, so the TTL must
+#: also exceed the longest wave of such a job.
 DEFAULT_LEASE_TTL = 30.0
 
 #: Largest fraction of the TTL a server's jittered takeover backoff may
@@ -64,11 +73,19 @@ DEFAULT_LEASE_TTL = 30.0
 #: within ``(1 + fraction) * ttl`` of the dead peer's last heartbeat.
 DEFAULT_TAKEOVER_JITTER_FRACTION = 0.25
 
-#: Seconds after which an abandoned ``.lease.lock`` (its holder crashed
-#: between creating and removing it) is unilaterally cleaned up.  Claim
-#: critical sections are a read + one small write — microseconds — so
+#: Record states no server will ever claim again.
+TERMINAL_STATES = frozenset({"done", "failed", "quarantined"})
+
+#: Seconds after which an abandoned record lock (its holder died between
+#: creating and removing it) is unilaterally cleaned up.  A critical
+#: section reads the record and writes it once; a claim also reads the
+#: job's results file (one short line per iteration boundary) and checks
+#: its spec, but parses no checkpoint.  That is milliseconds, so
 #: anything older is wreckage, not contention.
 _STALE_LOCK_SECONDS = 5.0
+
+#: Seconds between attempts while another holder has a record's lock.
+_LOCK_POLL_SECONDS = 0.002
 
 
 def takeover_delay(
@@ -260,175 +277,210 @@ def load_checkpoint(path: str) -> RefinementCheckpoint | None:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint leases: exclusive, expiring ownership of a checkpoint file.
+# The job record: a spool job's one mutable coordination file.
 #
-# A scheduler multiplexing many jobs holds one lease per in-flight job
-# and renews it at every iteration boundary (the same cadence the
-# checkpoint itself is written).  A scheduler that dies stops renewing;
-# once the TTL lapses any successor may acquire the lease and resume the
-# job from its last checkpoint — that is the whole restart story, no
-# registry or coordinator involved.  A *fresh* foreign lease refuses
-# acquisition unless explicitly stolen, which is what keeps two live
-# schedulers from scoring the same job concurrently.
-
-
-def lease_path(checkpoint_path: str) -> str:
-    """The sidecar lease file guarding *checkpoint_path*."""
-    return f"{checkpoint_path}.lease"
+# State, owner, heartbeat and retry accounting live together in
+# ``state/<job_id>.json`` and change only through a locked
+# read-modify-write.  The owner renews the heartbeat at every dispatched
+# wave slice; once a dead owner's TTL lapses any successor may claim the
+# job and resume it from its checkpoint — that is the whole restart
+# story, no registry or coordinator involved.
 
 
 @dataclass(frozen=True)
-class LeaseState:
-    """One parsed lease file."""
+class JobRecord:
+    """One job's record (``state/<job_id>.json``).
 
-    owner: str
-    acquired_at: float
-    renewed_at: float
-    ttl_seconds: float
+    ``attempts`` counts lifetime starts; ``crashes`` counts the subset
+    of restarts forced by a dead owner (takeover after heartbeat loss or
+    an operator steal) — only crashes spend the retry budget, so a
+    graceful drain/requeue never pushes a healthy job toward quarantine.
+    ``owner``, ``renewed_at`` and ``ttl_seconds`` are the job's lease,
+    live while an owner is named and its heartbeat is younger than its
+    TTL: a record without heartbeat fields holds no live lease.
+    """
+
+    job_id: str
+    state: str = "queued"
+    attempts: int = 0
+    crashes: int = 0
+    owner: str | None = None
+    renewed_at: float = 0.0
+    ttl_seconds: float = 0.0
+    updated_at: float = 0.0
+    last_failure: dict[str, Any] | None = None
 
     def expired(self, now: float) -> bool:
+        """Has the owner's heartbeat lapsed?"""
         return now - self.renewed_at >= self.ttl_seconds
 
 
-def read_lease(path: str) -> LeaseState | None:
-    """The lease at *path*, or ``None`` when absent or unparseable
-    (a corrupt lease is treated as no lease: the writer crashed)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        return LeaseState(
-            owner=str(payload["owner"]),
-            acquired_at=float(payload["acquired_at"]),
-            renewed_at=float(payload["renewed_at"]),
-            ttl_seconds=float(payload["ttl_seconds"]),
+class JobLedger:
+    """Atomic per-job records under a spool's ``state/`` dir.
+
+    :meth:`write` is the only function that writes a record: a
+    per-pid-and-thread temp file, ``fsync``, then ``os.replace``, so a
+    SIGKILL at any instant leaves either the old record or the new one,
+    and readers need no lock to see a whole record.  Every change is one
+    :meth:`update`, which holds the job's ``<job_id>.lock`` sentinel
+    (``O_CREAT | O_EXCL``) across one read and one write.  A missing or
+    corrupt record reads as a fresh ``queued`` entry — the ledger
+    degrades toward re-running work, never toward losing it.
+    """
+
+    def __init__(
+        self, root: str, *, clock: Callable[[], float] = time.time
+    ) -> None:
+        self.root = root
+        self._clock = clock
+        os.makedirs(root, exist_ok=True)
+
+    def path(self, job_id: str) -> str:
+        return os.path.join(self.root, f"{job_id}.json")
+
+    def read(self, job_id: str) -> JobRecord:
+        try:
+            with open(self.path(job_id), "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+            failure = payload.get("last_failure")
+            return JobRecord(
+                job_id=job_id,
+                state=str(payload.get("state", "queued")),
+                attempts=int(payload.get("attempts", 0)),
+                crashes=int(payload.get("crashes", 0)),
+                owner=payload.get("owner"),
+                renewed_at=float(payload.get("renewed_at", 0.0)),
+                ttl_seconds=float(payload.get("ttl_seconds", 0.0)),
+                updated_at=float(payload.get("updated_at", 0.0)),
+                last_failure=failure if isinstance(failure, dict) else None,
+            )
+        except (OSError, ValueError, TypeError, AttributeError):
+            return JobRecord(job_id=job_id)
+
+    def write(self, record: JobRecord) -> JobRecord:
+        record = replace(record, updated_at=self._clock())
+        path = self.path(record.job_id)
+        # Servers may share a process (threads): the pid alone would let
+        # two writers replace each other's temp file.
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(asdict(record), handle, sort_keys=True)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+        return record
+
+    @contextmanager
+    def _locked(self, job_id: str) -> Iterator[None]:
+        """Hold the job's lock, waiting while another holder has it."""
+        lock = os.path.join(self.root, f"{job_id}.lock")
+        while True:
+            try:
+                os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                break
+            except FileExistsError:
+                with suppress(OSError):  # released while we looked
+                    age = time.time() - os.path.getmtime(lock)
+                    if age > _STALE_LOCK_SECONDS:  # its holder died
+                        os.remove(lock)
+                time.sleep(_LOCK_POLL_SECONDS)
+        try:
+            yield
+        finally:
+            with suppress(OSError):
+                os.remove(lock)
+
+    def update(
+        self, job_id: str, change: Callable[[JobRecord], JobRecord | None]
+    ) -> JobRecord | None:
+        """Under the job's lock, read its record and write
+        ``change(record)`` unless that is ``None``; returns what was
+        written."""
+        with self._locked(job_id):
+            changed = change(self.read(job_id))
+            return None if changed is None else self.write(changed)
+
+    def transition(self, job_id: str, state: str, **changes: Any) -> JobRecord:
+        """Move the record into *state* (plus *changes*)."""
+        return self.update(
+            job_id, lambda record: replace(record, state=state, **changes)
         )
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
 
 
 class CheckpointLease:
-    """Expiring exclusive ownership of one checkpoint file.
+    """Expiring exclusive ownership of one job, held in its record.
 
-    ``acquire()`` succeeds when the lease file is absent, corrupt,
-    already ours, or expired; a *fresh* foreign lease requires
-    ``steal=True`` (operator override after a known-dead scheduler).
-    ``displaced`` records the previous owner whenever an acquisition
-    took the lease from someone else — callers surface it as a
-    ``lease_stolen`` event.  Writes go through the same temp-file +
-    ``os.replace`` dance as checkpoints, so a torn lease is impossible.
-
-    The read-check-write inside ``acquire`` is serialized through a
-    short-lived ``<lease>.lock`` sentinel (``O_CREAT | O_EXCL``): two
-    servers racing for the same expired lease cannot both conclude they
-    won — the loser observes the winner's fresh lease and backs off.
-    A lock left behind by a crash mid-claim is reaped once it is older
-    than a few seconds (the critical section is one read plus one tiny
-    write), so a dead claimant never wedges the job.
+    :meth:`acquire` is a claim's one critical section, :meth:`renew` the
+    heartbeat and :meth:`release` the hand-back, each one
+    :meth:`JobLedger.update`.  A holder whose record names another owner
+    has lost the job: ``renew`` returns ``False`` and writes nothing, so
+    a stolen lease stays stolen, and ``release`` leaves the new owner be.
     """
 
     def __init__(
         self,
-        checkpoint_path: str,
+        ledger: JobLedger,
+        job_id: str,
         owner: str,
         ttl_seconds: float = DEFAULT_LEASE_TTL,
         *,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        self.path = lease_path(checkpoint_path)
+        self.ledger = ledger
+        self.job_id = job_id
         self.owner = owner
         self.ttl_seconds = ttl_seconds
         self._clock = clock
         self.held = False
-        self._acquired_at: float | None = None
-        #: Owner of the foreign lease this acquisition displaced, if any.
-        self.displaced: str | None = None
-
-    def _write(self) -> None:
-        payload = {
-            "owner": self.owner,
-            "acquired_at": self._acquired_at,
-            "renewed_at": self._clock(),
-            "ttl_seconds": self.ttl_seconds,
-        }
-        tmp = f"{self.path}.tmp.{self.owner}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
 
     @property
-    def _lock_path(self) -> str:
-        return f"{self.path}.lock"
+    def path(self) -> str:
+        """The record the lease lives in."""
+        return self.ledger.path(self.job_id)
 
-    def _try_lock(self) -> bool:
-        """One attempt at the claim lock; reaps a stale leftover."""
-        try:
-            fd = os.open(
-                self._lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-            )
-        except FileExistsError:
-            try:
-                age = time.time() - os.path.getmtime(self._lock_path)
-            except OSError:
-                return False  # lock vanished mid-check: holder finished
-            if age > _STALE_LOCK_SECONDS:
-                try:  # crashed claimant: reap and retry next pass
-                    os.remove(self._lock_path)
-                except OSError:
-                    pass
-            return False
-        except OSError:
-            return False
-        os.close(fd)
-        return True
+    def stamp(self, record: JobRecord) -> JobRecord:
+        """*record* owned by this lease, its heartbeat taken now."""
+        return replace(
+            record,
+            owner=self.owner,
+            renewed_at=self._clock(),
+            ttl_seconds=self.ttl_seconds,
+        )
 
-    def _unlock(self) -> None:
-        try:
-            os.remove(self._lock_path)
-        except OSError:
-            pass
+    def acquire(self, decide: Callable[[JobRecord], JobRecord | None]) -> bool:
+        """Take the lease in one locked read-modify-write of the record;
+        returns whether the record now names this owner.
 
-    def acquire(self, *, steal: bool = False) -> bool:
-        """Take the lease; ``False`` when a live foreign lease blocks it
-        or a concurrent claimant holds the claim lock (retry later)."""
-        if not self._try_lock():
-            # A renewal of our own lease never contends: only acquire
-            # takes the lock, and we would not re-acquire while held.
-            return False
-        try:
-            current = read_lease(self.path)
-            self.displaced = None
-            if current is not None and current.owner != self.owner:
-                if not current.expired(self._clock()) and not steal:
-                    return False
-                self.displaced = current.owner
-            self._acquired_at = self._clock()
-            self._write()
-            self.held = True
-            return True
-        finally:
-            self._unlock()
-
-    def renew(self) -> None:
-        """Refresh the TTL window; a no-op unless the lease is held."""
-        if self.held:
-            self._write()
-
-    def release(self) -> None:
-        """Drop the lease (missing file is fine: release is idempotent).
-
-        Only removes the file while it still names us as owner — if a
-        peer already stole the lease, deleting it would silently release
-        *their* claim.
+        *decide* maps the record as read to the record to write, or to
+        ``None`` to leave it alone: the caller's claim policy (a fleet
+        server's, see :mod:`repro.service`).
         """
-        if not self.held:
-            return
-        self.held = False
-        current = read_lease(self.path)
-        if current is not None and current.owner != self.owner:
-            return
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass
+        written = self.ledger.update(self.job_id, decide)
+        self.held = written is not None and written.owner == self.owner
+        return self.held
+
+    def renew(self) -> bool:
+        """Refresh the heartbeat.  ``False``, with nothing written, once
+        the record names another owner or is terminal."""
+
+        def beat(record: JobRecord) -> JobRecord | None:
+            if record.owner != self.owner or record.state in TERMINAL_STATES:
+                return None
+            return self.stamp(record)
+
+        if self.held:
+            self.held = self.ledger.update(self.job_id, beat) is not None
+        return self.held
+
+    def release(self, state: str | None = None) -> None:
+        """Clear the owner, and move the record to *state* if given,
+        while the record still names this owner (idempotent)."""
+
+        def hand_back(record: JobRecord) -> JobRecord | None:
+            if record.owner != self.owner:
+                return None  # a peer took it: its claim is not ours to free
+            return replace(record, owner=None, state=state or record.state)
+
+        if self.held:
+            self.held = False
+            self.ledger.update(self.job_id, hand_back)

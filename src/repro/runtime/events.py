@@ -378,8 +378,8 @@ class JobFailed(Event):
 
 @dataclass(frozen=True)
 class LeaseStolen(Event):
-    """Acquiring a job's checkpoint lease displaced a previous owner
-    (expired TTL, or an explicit steal)."""
+    """A claim displaced the previous owner named in the job's record
+    (expired TTL, or an explicit steal); ``path`` names the record."""
 
     kind: ClassVar[str] = "lease_stolen"
     job_id: str

@@ -3,8 +3,9 @@ multiplexes.
 
 A :class:`Job` wraps a *source* — a zero-argument callable returning a
 re-entrant core generator (typically
-``lambda: reverse_engineer_core(traces, ...)``) — plus queueing metadata
-and the live progress the scheduler fills in as waves complete.  The
+``lambda: reverse_engineer_core(traces, ...)``) — plus queueing metadata,
+the lease a fleet server won on the job's record (if any), and the live
+progress the scheduler fills in as waves complete.  The
 :class:`JobQueue` orders admission by priority (higher first), FIFO
 within a priority.  The :class:`ResultStore` persists each job's anytime
 answer as an append-only JSONL stream: the last line is always the
@@ -46,15 +47,12 @@ class Job:
     #: callable per job keeps traces/config lazy until admission.
     source: Callable[[], Generator]
     priority: int = 0
-    #: Checkpoint file guarded by this job's lease (``None`` = no lease,
-    #: the job is lost on a scheduler crash).
-    checkpoint_path: str | None = None
     #: True when the source resumes from an existing checkpoint.
     resumed: bool = False
-    #: A pre-acquired :class:`~repro.runtime.checkpoint.CheckpointLease`
-    #: (claim-loop servers arbitrate ownership *before* submission); the
+    #: The held :class:`~repro.runtime.checkpoint.CheckpointLease` on the
+    #: job's record (a claim-loop server claims *before* submission); the
     #: scheduler renews it as the heartbeat and releases it at the end.
-    #: ``None`` means the scheduler acquires its own lease at start.
+    #: ``None`` means no lease: the job is lost on a scheduler crash.
     lease: Any = None
     metadata: dict[str, Any] = field(default_factory=dict)
 

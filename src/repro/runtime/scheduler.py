@@ -24,14 +24,16 @@ many cores and answers all of them against a single shared pool:
   scorer config actually differs).  Jobs whose flattened slice is below
   the executor's parallel threshold score inline in the scheduler
   process and never occupy pool slots.
-* **Leases** — every job with a checkpoint path holds a
-  :class:`~repro.runtime.checkpoint.CheckpointLease`, renewed as a
+* **Leases** — a job submitted with a held
+  :class:`~repro.runtime.checkpoint.CheckpointLease` (``Job.lease``, won
+  by a claim-loop server before submission) has it renewed as a
   **heartbeat on every dispatched wave slice** (and again at iteration
-  boundaries).  A scheduler that dies stops renewing; a successor
-  re-submitting the same spool resumes every in-flight job from its
-  checkpoint once the TTL lapses (or immediately with
-  ``steal_leases=True``).  A claim-loop server may arbitrate ownership
-  itself and hand the scheduler a pre-acquired lease via ``Job.lease``.
+  boundaries).  A scheduler that dies stops renewing, and a peer resumes
+  its jobs from their checkpoints once the TTL lapses.  A renewal that
+  finds the job's record naming another owner drops the job: no further
+  slice, no snapshot, no record write.  A finished job renews once more,
+  then appends its terminal snapshot *before* its lease is released, so
+  no peer ever finds it unowned and unfinished.
 * **Anytime answers** — each
   :class:`~repro.runtime.protocol.ProgressReport` updates the job's
   :class:`~repro.runtime.jobs.ResultStore` snapshot and emits a
@@ -52,12 +54,10 @@ layer.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Generator
 
-from repro.runtime.checkpoint import DEFAULT_LEASE_TTL, CheckpointLease
 from repro.runtime.context import RunContext
 from repro.runtime.events import (
     JobCompleted,
@@ -66,7 +66,6 @@ from repro.runtime.events import (
     JobProgress,
     JobStarted,
     JobSubmitted,
-    LeaseStolen,
 )
 from repro.runtime.executors import make_executor
 from repro.runtime.faults import (
@@ -114,7 +113,6 @@ class _ActiveJob:
     job: Job
     core: Generator
     scorer: Any = None
-    lease: CheckpointLease | None = None
     pending: _PendingWave | None = None
     reply: Any = None  #: queued reply for the core's next ``send``
 
@@ -130,9 +128,6 @@ class Scheduler:
         store: ResultStore | None = None,
         quantum_tasks: int = DEFAULT_QUANTUM_TASKS,
         max_active: int | None = None,
-        owner: str | None = None,
-        lease_ttl_seconds: float = DEFAULT_LEASE_TTL,
-        steal_leases: bool = False,
         max_pool_rebuilds: int = 3,
         watchdog_seconds: float | None = None,
         fault_plan: FaultPlan | None = None,
@@ -143,9 +138,6 @@ class Scheduler:
         self.store = store
         self.quantum_tasks = max(1, quantum_tasks)
         self.max_active = max_active
-        self.owner = owner if owner is not None else f"scheduler-{os.getpid()}"
-        self.lease_ttl_seconds = lease_ttl_seconds
-        self.steal_leases = steal_leases
         self.max_pool_rebuilds = max_pool_rebuilds
         self.watchdog_seconds = watchdog_seconds
         self.fault_plan = fault_plan
@@ -157,9 +149,6 @@ class Scheduler:
         self.jobs: dict[str, Job] = {}
         self.completed: dict[str, Job] = {}
         self.failed: dict[str, Job] = {}
-        #: Jobs whose lease is held by a live foreign scheduler; left
-        #: PENDING for the caller to retry or hand off.
-        self.deferred: list[Job] = []
         #: Wave slices dispatched fleet-wide (the counter service-level
         #: fault plans key their kill-after-K-slices trigger on).
         self.slices_dispatched = 0
@@ -190,29 +179,22 @@ class Scheduler:
             self._start(self._queue.pop())
 
     def _start(self, job: Job) -> None:
-        lease: CheckpointLease | None = job.lease
-        if lease is None and job.checkpoint_path is not None:
-            lease = CheckpointLease(
-                job.checkpoint_path,
-                self.owner,
-                self.lease_ttl_seconds,
-            )
-            if not lease.acquire(steal=self.steal_leases):
-                self.deferred.append(job)
-                return
-            if lease.displaced is not None:
-                self._emit(
-                    LeaseStolen(
-                        job_id=job.job_id,
-                        path=lease.path,
-                        previous_owner=lease.displaced,
-                    )
-                )
         job.state = JobState.RUNNING
         self._emit(JobStarted(job_id=job.job_id, resumed=job.resumed))
         if self.store is not None:
             self.store.update(job)
-        self._active.append(_ActiveJob(job=job, core=job.source(), lease=lease))
+        self._active.append(_ActiveJob(job=job, core=job.source()))
+
+    def _beat(self, active: _ActiveJob) -> bool:
+        """Renew the job's lease: the heartbeat.  A job whose record now
+        names another owner is dropped, and leaves :attr:`jobs` so a
+        later claim may take it back; returns whether it is still ours."""
+        lease = active.job.lease
+        if lease is None or lease.renew():
+            return True
+        self._active.remove(active)
+        del self.jobs[active.job.job_id]
+        return False
 
     # ------------------------------------------------------------------
 
@@ -236,15 +218,16 @@ class Scheduler:
             self._executor.adopt_scorer(active.scorer)
         return self._executor
 
-    def _dispatch_slice(self, active: _ActiveJob) -> None:
-        """Run one group-aligned quantum of the job's pending wave.
+    def _dispatch_slice(self, active: _ActiveJob) -> bool:
+        """Run one group-aligned quantum of the job's pending wave;
+        returns whether the job is still ours (:meth:`_beat`).
 
         Every dispatched slice renews the job's lease — the fleet's
         heartbeat: a server that stops slicing (killed, wedged) stops
         renewing, and peers detect the silence by TTL expiry.  The
         service-level fault plan is consulted *after* the slice and the
         renewal, so an injected kill dies exactly like a SIGKILL between
-        slices: heartbeat fresh, lease on disk, no cleanup.
+        slices: heartbeat fresh, owner still in the record, no cleanup.
         """
         job = active.job
         pending = active.pending
@@ -275,14 +258,14 @@ class Scheduler:
         job.pool_rebuilds += executor.pool_rebuilds - rebuilds_before
         job.slices_dispatched += 1
         self.slices_dispatched += 1
-        if active.lease is not None:
-            active.lease.renew()
+        ours = self._beat(active)
         apply_service_faults(
             self.service_fault_plan,
             job_id=job.job_id,
             job_slices=job.slices_dispatched,
             total_slices=self.slices_dispatched,
         )
+        return ours
 
     def _service(self, active: _ActiveJob) -> None:
         """Advance the head job: answer protocol requests until it either
@@ -319,8 +302,8 @@ class Scheduler:
                     job.best_expression = request.best_expression
                     job.best_distance = request.best_distance
                     job.handlers_scored = request.handlers_scored
-                    if active.lease is not None:
-                        active.lease.renew()
+                    if not self._beat(active):
+                        return
                     if self.store is not None:
                         self.store.update(job)
                     self._emit(
@@ -359,20 +342,28 @@ class Scheduler:
                         )
                     )
                 return
-            self._dispatch_slice(active)
+            if not self._dispatch_slice(active):
+                return
             budget -= 1
 
     # ------------------------------------------------------------------
 
-    def _retire(self, active: _ActiveJob) -> None:
-        try:
-            self._active.remove(active)
-        except ValueError:  # pragma: no cover - retire is idempotent
-            pass
-        if active.lease is not None:
-            active.lease.release()
+    def _retire(self, active: _ActiveJob, finished: dict[str, Job]) -> None:
+        """End a job in a fixed order: its terminal snapshot first, then
+        the release of its lease, so no peer finds it unowned and
+        unfinished.  The caller has just renewed the lease (:meth:`_beat`),
+        so the snapshot is this owner's to write."""
+        job = active.job
+        if self.store is not None:
+            self.store.update(job)
+        self._active.remove(active)
+        if job.lease is not None:
+            job.lease.release()
+        finished[job.job_id] = job
 
     def _complete(self, active: _ActiveJob, result: Any) -> None:
+        if not self._beat(active):
+            return
         job = active.job
         job.state = JobState.COMPLETED
         job.result = result
@@ -382,10 +373,7 @@ class Scheduler:
         distance = getattr(result, "distance", None)
         if distance is not None:
             job.best_distance = distance
-        self._retire(active)
-        self.completed[job.job_id] = job
-        if self.store is not None:
-            self.store.update(job)
+        self._retire(active, self.completed)
         self._emit(
             JobCompleted(
                 job_id=job.job_id,
@@ -398,13 +386,12 @@ class Scheduler:
         )
 
     def _fail(self, active: _ActiveJob, exc: BaseException) -> None:
+        if not self._beat(active):
+            return
         job = active.job
         job.state = JobState.FAILED
         job.error = f"{type(exc).__name__}: {exc}"
-        self._retire(active)
-        self.failed[job.job_id] = job
-        if self.store is not None:
-            self.store.update(job)
+        self._retire(active, self.failed)
         self._emit(JobFailed(job_id=job.job_id, error=job.error))
 
     # ------------------------------------------------------------------
@@ -437,22 +424,17 @@ class Scheduler:
 
     def run(self) -> dict[str, Job]:
         """Drive the fleet to completion; returns the completed jobs.
-
-        Jobs deferred on a live foreign lease stay on :attr:`deferred`
-        (they never block the loop); failed jobs land on :attr:`failed`.
-        """
+        Failed jobs land on :attr:`failed`."""
         while self.step():
             pass
         return self.completed
 
-    def close(self, *, release_leases: bool = True) -> None:
-        """Shut the shared executor down.  With ``release_leases=False``
-        the in-flight jobs' leases stay on disk (simulating a crashed
-        scheduler: a successor must wait out the TTL or steal)."""
-        if release_leases:
-            for active in self._active:
-                if active.lease is not None:
-                    active.lease.release()
+    def close(self) -> None:
+        """Release the in-flight jobs' leases and shut the shared
+        executor down."""
+        for active in self._active:
+            if active.job.lease is not None:
+                active.job.lease.release()
         if self._executor is not None:
             # Blocking teardown: by close time the pool holds at most
             # stragglers finishing their current sketch, and waiting for

@@ -13,18 +13,20 @@ daemon protocol.  A *spool* directory holds everything:
     :class:`~repro.runtime.jobs.ResultStore`): the last line is always
     the current best handler + distance, appended at every iteration
     boundary and at completion.
-``checkpoints/<job_id>.jsonl`` (+ ``.lease``)
-    the job's refinement checkpoint and its owner's heartbeat lease.
+``checkpoints/<job_id>.jsonl``
+    the job's refinement checkpoint.
 ``state/<job_id>.json``
-    the job's :class:`JobLedger` record — the spool state machine
-    (``queued -> claimed -> running -> done | failed | quarantined``)
-    plus retry accounting, written atomically so any crash leaves a
-    parseable record.
+    the job's :class:`~repro.runtime.checkpoint.JobRecord`, its one
+    mutable coordination file: the spool state machine (``queued ->
+    running -> done | failed | quarantined``), the owning server and its
+    heartbeat (the job's lease), and retry accounting.  Every change is
+    one locked read-modify-write, and every write an atomic replace, so
+    any crash leaves a parseable record.
 
 ``repro serve`` (:func:`serve`) is a **claim-loop fleet server**: any
 number of serve daemons may share one spool.  Each scans the queue,
-claims eligible jobs through the
-:class:`~repro.runtime.checkpoint.CheckpointLease` protocol (renewed as
+claims eligible jobs in one critical section on their records (the
+:class:`~repro.runtime.checkpoint.CheckpointLease` protocol, renewed as
 a heartbeat on every wave slice), and multiplexes its claims through
 one :class:`~repro.runtime.scheduler.Scheduler`.  A server that dies
 stops heartbeating; survivors detect the expiry, wait a deterministic
@@ -41,7 +43,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import threading
 import time
 from typing import Any, Callable
 
@@ -50,10 +51,11 @@ from repro.errors import SynthesisError
 from repro.pipeline import reverse_engineer_core
 from repro.runtime.checkpoint import (
     DEFAULT_LEASE_TTL,
+    TERMINAL_STATES,
     CheckpointLease,
-    lease_path,
+    JobLedger,
+    JobRecord,
     load_checkpoint,
-    read_lease,
     takeover_delay,
 )
 from repro.runtime.context import RunContext
@@ -99,8 +101,8 @@ DEFAULT_MAX_JOB_RETRIES = 3
 #: waits a further ``base * 2**(k-1)``.
 DEFAULT_RETRY_BACKOFF = 2.0
 
-#: Ledger states no server will ever claim again.
-TERMINAL_STATES = frozenset({"done", "failed", "quarantined"})
+#: Terminal result snapshots a claim reconciles into the job's record.
+_RECONCILED = {"completed": "done", "failed": "failed"}
 
 #: SynthesisConfig fields a spec may override.  Checkpoint/resume paths
 #: are owned by the spool (every job checkpoints under ``checkpoints/``)
@@ -216,6 +218,30 @@ def _load_spec_traces(spec: dict[str, Any]):
     return collect_traces(spec["cca"], CollectionConfig(**kwargs))
 
 
+def _job_inputs(spec: dict[str, Any]) -> tuple[SynthesisConfig, Any]:
+    """A spec's synthesis config and DSL (``None``: the classifier picks
+    one).  Reads no file, so a claim can check a spec under the record's
+    lock; raises :class:`SynthesisError` on a bad spec."""
+    overrides = dict(spec.get("config") or {})
+    unknown = sorted(set(overrides) - _CONFIG_FIELDS)
+    if unknown:
+        raise SynthesisError(
+            f"job {str(spec['job_id'])!r}: unknown SynthesisConfig "
+            f"override(s): {', '.join(unknown)}"
+        )
+    dsl_name = spec.get("dsl")
+    dsl = (
+        with_budget(
+            family(dsl_name),
+            max_depth=spec.get("max_depth"),
+            max_nodes=spec.get("max_nodes"),
+        )
+        if dsl_name is not None
+        else None
+    )
+    return SynthesisConfig(**overrides), dsl
+
+
 def build_job(
     spool: str, spec: dict[str, Any], context: RunContext | None = None
 ) -> Job:
@@ -227,29 +253,15 @@ def build_job(
     the dead one left off).
     """
     job_id = str(spec["job_id"])
-    checkpoint_path = _checkpoint_path(spool, job_id)
-    overrides = dict(spec.get("config") or {})
-    unknown = sorted(set(overrides) - _CONFIG_FIELDS)
-    if unknown:
-        raise SynthesisError(
-            f"job {job_id!r}: unknown SynthesisConfig override(s): "
-            f"{', '.join(unknown)}"
-        )
+    config, dsl = _job_inputs(spec)
+    checkpoint_path = os.path.join(
+        _spool_dir(spool, "checkpoints"), f"{job_id}.jsonl"
+    )
     resumed = load_checkpoint(checkpoint_path) is not None
     config = dataclasses.replace(
-        SynthesisConfig(**overrides),
+        config,
         checkpoint_path=checkpoint_path,
         resume_path=checkpoint_path if resumed else None,
-    )
-    dsl_name = spec.get("dsl")
-    dsl = (
-        with_budget(
-            family(dsl_name),
-            max_depth=spec.get("max_depth"),
-            max_nodes=spec.get("max_nodes"),
-        )
-        if dsl_name is not None
-        else None
     )
 
     def source():
@@ -258,8 +270,8 @@ def build_job(
             classifier=spec.get("classifier", "gordon"),
             dsl=dsl,
             config=config,
-            max_depth=None if dsl_name else spec.get("max_depth"),
-            max_nodes=None if dsl_name else spec.get("max_nodes"),
+            max_depth=None if dsl is not None else spec.get("max_depth"),
+            max_nodes=None if dsl is not None else spec.get("max_nodes"),
             context=context,
             trace_policy=spec.get("trace_policy"),
         )
@@ -268,102 +280,9 @@ def build_job(
         job_id=job_id,
         source=source,
         priority=int(spec.get("priority", 0)),
-        checkpoint_path=checkpoint_path,
         resumed=resumed,
         metadata={"spec": spec},
     )
-
-
-def _checkpoint_path(spool: str, job_id: str) -> str:
-    return os.path.join(_spool_dir(spool, "checkpoints"), f"{job_id}.jsonl")
-
-
-# ----------------------------------------------------------------------
-# The spool state machine: one crash-consistent record per job.
-
-
-@dataclasses.dataclass(frozen=True)
-class JobRecord:
-    """One job's ledger entry (``state/<job_id>.json``).
-
-    ``attempts`` counts lifetime starts; ``crashes`` counts the subset
-    of restarts forced by a dead owner (takeover after heartbeat loss or
-    an operator steal) — only crashes spend the retry budget, so a
-    graceful drain/requeue never pushes a healthy job toward quarantine.
-    """
-
-    job_id: str
-    state: str = "queued"
-    attempts: int = 0
-    crashes: int = 0
-    owner: str | None = None
-    updated_at: float = 0.0
-    last_failure: dict[str, Any] | None = None
-
-
-class JobLedger:
-    """Atomic per-job state records under the spool's ``state/`` dir.
-
-    Every write goes through a per-thread temp file + ``os.replace``
-    (the same crash-consistency dance as checkpoints and leases), so a
-    SIGKILL at any instant leaves either the old record or the new one.
-    A missing or corrupt record reads as a fresh ``queued`` entry — the
-    ledger degrades toward re-running work, never toward losing it.
-    """
-
-    def __init__(
-        self, root: str, *, clock: Callable[[], float] = time.time
-    ) -> None:
-        self.root = root
-        self._clock = clock
-        os.makedirs(root, exist_ok=True)
-
-    def path(self, job_id: str) -> str:
-        return os.path.join(self.root, f"{job_id}.json")
-
-    def read(self, job_id: str) -> JobRecord:
-        try:
-            with open(self.path(job_id), "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return JobRecord(job_id=job_id)
-        if not isinstance(payload, dict):
-            return JobRecord(job_id=job_id)
-        last_failure = payload.get("last_failure")
-        try:
-            return JobRecord(
-                job_id=job_id,
-                state=str(payload.get("state", "queued")),
-                attempts=int(payload.get("attempts", 0)),
-                crashes=int(payload.get("crashes", 0)),
-                owner=payload.get("owner"),
-                updated_at=float(payload.get("updated_at", 0.0)),
-                last_failure=(
-                    last_failure if isinstance(last_failure, dict) else None
-                ),
-            )
-        except (TypeError, ValueError):
-            return JobRecord(job_id=job_id)
-
-    def write(self, record: JobRecord) -> JobRecord:
-        record = dataclasses.replace(record, updated_at=self._clock())
-        path = self.path(record.job_id)
-        # Servers may share a process (threads): the pid alone would let
-        # two writers replace each other's temp file.
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(dataclasses.asdict(record), handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        return record
-
-    def transition(self, job_id: str, state: str, **changes: Any) -> JobRecord:
-        """Read-modify-write the record into *state* (plus *changes*)."""
-        record = self.read(job_id)
-        return self.write(
-            dataclasses.replace(record, state=state, **changes)
-        )
 
 
 # ----------------------------------------------------------------------
@@ -376,23 +295,19 @@ class FleetServer:
     The server alternates claim scans with scheduler turns:
 
     * **Claim** — walk the queue in ``(-priority, job_id)`` order and try
-      to claim every non-terminal job: absent/expired leases are taken
-      through :meth:`CheckpointLease.acquire` (whose lock serializes
-      racing claimants), live foreign leases are respected unless
-      ``steal_leases``.  An expired lease is a missed heartbeat; takeover
-      waits a deterministic per-(server, job) jitter plus the job's
-      crash backoff before acquiring, and a job whose crash count would
-      exceed ``max_job_retries`` is quarantined instead of restarted.
-      After winning a claim the server re-checks the result store and
-      ledger *again* — a peer may have finished the job between the
-      pre-claim read and the acquire — before charging an attempt.
+      to claim every non-terminal job, each in one critical section on
+      its record (:meth:`_claim_one`).  Live foreign owners are respected
+      unless ``steal_leases``.  An expired owner is a missed heartbeat;
+      takeover waits a deterministic per-(server, job) jitter plus the
+      job's crash backoff, and a job whose crash count would exceed
+      ``max_job_retries`` is quarantined instead of restarted.
     * **Serve** — claimed jobs run under one
       :class:`~repro.runtime.scheduler.Scheduler`, which renews each
       job's lease on every dispatched wave slice (the heartbeat).
     * **Drain** — :meth:`request_drain` (safe from a signal handler)
       lets the slice in flight finish, appends a ``pending`` snapshot
-      for every in-flight job, hands them back to the queue, releases
-      their leases, and exits cleanly.
+      for every in-flight job it still owns, hands them back to the
+      queue, and exits cleanly.
 
     The run loop ends when every spec in the spool is terminal —
     ``done``, ``failed``, or ``quarantined`` — so N servers over one
@@ -437,10 +352,10 @@ class FleetServer:
         self.ledger = ledger or JobLedger(
             _spool_dir(spool, "state"), clock=clock
         )
-        # Claim/retry telemetry (also surfaced as events).
+        #: A steal displaces only owners silent since this moment.
+        self.started_at = clock()
+        # Claim telemetry (takeovers and retries surface as events).
         self.jobs_claimed = 0
-        self.takeovers = 0
-        self.retries = 0
         self.quarantined: list[str] = []
         self._missed_heartbeats: set[tuple[str, float]] = set()
         self._finalized: set[str] = set()
@@ -452,9 +367,6 @@ class FleetServer:
     def _emit(self, event: Any) -> None:
         if self.context is not None:
             self.context.emit(event)
-
-    def _checkpoint(self, job_id: str) -> str:
-        return _checkpoint_path(self.spool, job_id)
 
     def request_drain(self) -> None:
         """Begin a graceful drain (signal-handler safe: sets flags only)."""
@@ -487,221 +399,198 @@ class FleetServer:
 
     # -- the claim scan ------------------------------------------------
 
-    def _mark_done_if_completed(
-        self, job_id: str, record: JobRecord
-    ) -> bool:
-        """Sync a store-side ``completed`` verdict into the ledger."""
-        snapshot = self.store.latest(job_id)
-        if snapshot is None or snapshot.get("state") != "completed":
-            return False
-        if record.state not in TERMINAL_STATES:
-            self.ledger.transition(job_id, "done", owner=None)
-        return True
-
     def _may_take_over(
-        self, job_id: str, record: JobRecord, current: Any
+        self, job_id: str, record: JobRecord, emit: Callable[[Any], None]
     ) -> bool:
-        """Is this server allowed to displace *current* (a foreign
-        lease) right now?"""
+        """May this server displace the record's foreign owner now?
+
+        A live owner yields only to an operator steal, and only if it
+        has not renewed since this server started: steals are for
+        servers known dead, so two stealing servers never trade a job.
+        An expired owner is a missed heartbeat, reported once per expiry
+        to *emit*; takeover then waits a deterministic per-(server, job)
+        jitter plus the crash backoff.
+        """
         now = self.clock()
-        if not current.expired(now):
-            return self.steal_leases  # live peer; only an operator steals
-        age = now - current.renewed_at
-        key = (job_id, current.renewed_at)
+        if not record.expired(now):
+            return self.steal_leases and record.renewed_at <= self.started_at
+        key = (job_id, record.renewed_at)
         if key not in self._missed_heartbeats:
             self._missed_heartbeats.add(key)
-            self._emit(
+            emit(
                 HeartbeatMissed(
                     job_id=job_id,
-                    owner=current.owner,
-                    age_seconds=age,
-                    ttl_seconds=current.ttl_seconds,
+                    owner=record.owner,
+                    age_seconds=now - record.renewed_at,
+                    ttl_seconds=record.ttl_seconds,
                 )
             )
         if self.steal_leases:
             return True
         eligible_at = (
-            current.renewed_at
-            + current.ttl_seconds
-            + takeover_delay(self.server_id, job_id, current.ttl_seconds)
+            record.renewed_at
+            + record.ttl_seconds
+            + takeover_delay(self.server_id, job_id, record.ttl_seconds)
             + self._backoff(record.crashes)
         )
         return now >= eligible_at
 
-    def _quarantine(self, job_id: str, record: JobRecord, lease: Any) -> None:
-        """Park a poison job: it has now killed its server more times
-        than the retry budget allows."""
-        crashes = record.crashes + 1
-        previous = lease.displaced
-        detail = (
-            f"job killed its server {crashes} time(s); retry budget of "
-            f"{self.max_job_retries} exhausted (last owner {previous!r})"
-        )
-        failure = {
-            "reason": "retry-budget-exhausted",
-            "detail": detail,
-            "previous_owner": previous,
-            "at": self.clock(),
-        }
-        self.ledger.transition(
-            job_id,
-            "quarantined",
-            owner=None,
-            crashes=crashes,
-            last_failure=failure,
-        )
-        snapshot = self.store.latest(job_id) or {}
-        self.store.record(
-            {
-                "job_id": job_id,
-                "state": "quarantined",
-                "best_expression": snapshot.get("best_expression"),
-                "best_distance": snapshot.get("best_distance"),
-                "iterations_done": snapshot.get("iterations_done", 0),
-                "attempts": record.attempts,
-                "crashes": crashes,
-                "error": detail,
-            }
-        )
-        self._emit(
-            JobQuarantined(
-                job_id=job_id,
-                server=self.server_id,
-                attempts=record.attempts,
-                crashes=crashes,
-                reason="retry-budget-exhausted",
-                detail=detail,
-            )
-        )
-        self.quarantined.append(job_id)
-        lease.release()
+    def _failure(self, reason: str, detail: str, **extra: Any) -> dict:
+        """A structured ``last_failure`` for a job's record."""
+        return dict(reason=reason, detail=detail, at=self.clock(), **extra)
 
     def _claim_one(self, spec: dict[str, Any], scheduler: Scheduler) -> bool:
+        """Claim one job in a single critical section on its record.
+
+        Under the record's lock the claim reads the record once and
+        decides, in order: a terminal record is left alone; a terminal
+        snapshot in the results file is reconciled into the record; a
+        live foreign owner is left alone unless this server steals and
+        the owner has been silent since it started; an expired one is
+        waited out (:meth:`_may_take_over`); a takeover
+        whose retry budget is spent is quarantined; otherwise the spec is
+        checked and the record becomes ``running`` under this server, or
+        ``failed`` on a bad spec.  The record is written once; events,
+        verdict snapshots, the job's build (which parses its checkpoint)
+        and the submission follow the lock's release.
+        """
         job_id = str(spec["job_id"])
         if job_id in scheduler.jobs:
             return False  # already ours (queued, active, or finished here)
-        record = self.ledger.read(job_id)
-        if record.state in TERMINAL_STATES:
-            return False
-        if self._mark_done_if_completed(job_id, record):
-            return False
-        checkpoint = self._checkpoint(job_id)
-        current = read_lease(lease_path(checkpoint))
-        if current is not None and current.owner != self.server_id:
-            if not self._may_take_over(job_id, record, current):
-                return False
         lease = CheckpointLease(
-            checkpoint,
+            self.ledger,
+            job_id,
             self.server_id,
             self.lease_ttl_seconds,
             clock=self.clock,
         )
-        if not lease.acquire(steal=self.steal_leases):
-            return False  # lost the claim race; a peer owns it now
-        # Re-check *after* winning the claim: a peer may have finished
-        # (or quarantined) this job between the pre-claim read and the
-        # acquire.  Skipping only on the stale pre-claim read is the
-        # race this close exists to close.
-        record = self.ledger.read(job_id)
-        if record.state in TERMINAL_STATES or self._mark_done_if_completed(
-            job_id, record
-        ):
-            lease.release()
-            return False
-        takeover = lease.displaced is not None and record.state in (
-            "claimed",
-            "running",
-        )
-        if lease.displaced is not None:
-            self._emit(
-                LeaseStolen(
-                    job_id=job_id,
-                    path=lease.path,
-                    previous_owner=lease.displaced,
+        events: list[Any] = []
+        verdicts: list[dict[str, Any]] = []
+
+        def decide(record: JobRecord) -> JobRecord | None:
+            if record.state in TERMINAL_STATES:
+                return None
+            latest = self.store.latest(job_id) or {}
+            if latest.get("state") in _RECONCILED:
+                state = _RECONCILED[latest["state"]]
+                return dataclasses.replace(record, state=state, owner=None)
+            previous = record.owner
+            if previous == self.server_id:
+                previous = None  # our own stale claim: not a takeover
+            attempts, crashes = record.attempts + 1, record.crashes
+            failure = record.last_failure
+            if previous is not None:
+                if not self._may_take_over(job_id, record, events.append):
+                    return None
+                crashes += 1
+                events.append(
+                    LeaseStolen(
+                        job_id=job_id, path=lease.path, previous_owner=previous
+                    )
                 )
-            )
-        crashes = record.crashes + (1 if takeover else 0)
-        if takeover and crashes > self.max_job_retries:
-            self._quarantine(job_id, record, lease)
-            return False
-        attempts = record.attempts + 1
-        failure = record.last_failure
-        if takeover:
-            age = (
-                self.clock() - current.renewed_at
-                if current is not None
-                else None
-            )
-            failure = {
-                "reason": "server-died",
-                "detail": (
-                    f"owner {lease.displaced!r} stopped heartbeating; "
-                    f"taken over by {self.server_id!r}"
-                    + (f" {age:.1f}s after its last renewal" if age else "")
-                ),
-                "previous_owner": lease.displaced,
-                "crashes": crashes,
-                "at": self.clock(),
-            }
-        self.ledger.write(
-            dataclasses.replace(
-                record,
-                state="claimed",
-                owner=self.server_id,
-                attempts=attempts,
-                crashes=crashes,
-                last_failure=failure,
-            )
-        )
-        if takeover:
-            self.takeovers += 1
-            self._emit(
-                JobTakenOver(
-                    job_id=job_id,
-                    server=self.server_id,
-                    previous_owner=lease.displaced,
-                    attempts=attempts,
-                )
-            )
-            self.retries += 1
-            self._emit(
-                JobRetried(
-                    job_id=job_id,
-                    server=self.server_id,
-                    attempts=attempts,
+                if crashes > self.max_job_retries:
+                    detail = (
+                        f"job killed its server {crashes} time(s); retry "
+                        f"budget of {self.max_job_retries} exhausted (last "
+                        f"owner {previous!r})"
+                    )
+                    verdicts.append(
+                        {
+                            "job_id": job_id,
+                            "state": "quarantined",
+                            "best_expression": latest.get("best_expression"),
+                            "best_distance": latest.get("best_distance"),
+                            "iterations_done": latest.get(
+                                "iterations_done", 0
+                            ),
+                            "attempts": record.attempts,
+                            "crashes": crashes,
+                            "error": detail,
+                        }
+                    )
+                    events.append(
+                        JobQuarantined(
+                            job_id=job_id,
+                            server=self.server_id,
+                            attempts=record.attempts,
+                            crashes=crashes,
+                            reason="retry-budget-exhausted",
+                            detail=detail,
+                        )
+                    )
+                    self.quarantined.append(job_id)
+                    return dataclasses.replace(
+                        record,
+                        state="quarantined",
+                        owner=None,
+                        crashes=crashes,
+                        last_failure=self._failure(
+                            "retry-budget-exhausted",
+                            detail,
+                            previous_owner=previous,
+                        ),
+                    )
+                age = self.clock() - record.renewed_at
+                failure = self._failure(
+                    "server-died",
+                    f"owner {previous!r} stopped heartbeating; taken over by "
+                    f"{self.server_id!r} {age:.1f}s after its last renewal",
+                    previous_owner=previous,
                     crashes=crashes,
-                    backoff_seconds=self._backoff(record.crashes),
+                )
+                events.append(
+                    JobTakenOver(
+                        job_id=job_id,
+                        server=self.server_id,
+                        previous_owner=previous,
+                        attempts=attempts,
+                    )
+                )
+                events.append(
+                    JobRetried(
+                        job_id=job_id,
+                        server=self.server_id,
+                        attempts=attempts,
+                        crashes=crashes,
+                        backoff_seconds=self._backoff(record.crashes),
+                    )
+                )
+            record = dataclasses.replace(
+                record, attempts=attempts, crashes=crashes
+            )
+            try:
+                _job_inputs(spec)
+            except SynthesisError as exc:
+                verdicts.append(
+                    {"job_id": job_id, "state": "failed", "error": str(exc)}
+                )
+                events.append(JobFailed(job_id=job_id, error=str(exc)))
+                return dataclasses.replace(
+                    record,
+                    state="failed",
+                    owner=None,
+                    last_failure=self._failure("bad-spec", str(exc)),
+                )
+            return lease.stamp(
+                dataclasses.replace(
+                    record, state="running", last_failure=failure
                 )
             )
-        try:
-            job = build_job(self.spool, spec, self.context)
-        except SynthesisError as exc:
-            detail = str(exc)
-            self.ledger.transition(
-                job_id,
-                "failed",
-                owner=None,
-                last_failure={
-                    "reason": "bad-spec",
-                    "detail": detail,
-                    "at": self.clock(),
-                },
-            )
-            self.store.record(
-                {"job_id": job_id, "state": "failed", "error": detail}
-            )
-            self._emit(JobFailed(job_id=job_id, error=detail))
-            self._finalized.add(job_id)
-            lease.release()
+
+        lease.acquire(decide)
+        for snapshot in verdicts:
+            self.store.record(snapshot)
+        for event in events:
+            self._emit(event)
+        if not lease.held:
             return False
+        job = build_job(self.spool, spec, self.context)
         job.lease = lease
         scheduler.submit(job)
-        self.ledger.transition(job_id, "running", owner=self.server_id)
         self.jobs_claimed += 1
         return True
 
-    def _claim_pass(self, scheduler: Scheduler) -> int:
-        claimed = 0
+    def _claim_pass(self, scheduler: Scheduler) -> None:
         specs = sorted(
             load_specs(self.spool),
             key=lambda s: (-int(s.get("priority", 0) or 0), str(s["job_id"])),
@@ -709,9 +598,7 @@ class FleetServer:
         for spec in specs:
             if self._drain_requested():
                 break
-            if self._claim_one(spec, scheduler):
-                claimed += 1
-        return claimed
+            self._claim_one(spec, scheduler)
 
     # -- bookkeeping between scheduler turns ---------------------------
 
@@ -727,33 +614,26 @@ class FleetServer:
                     job_id,
                     "failed",
                     owner=None,
-                    last_failure={
-                        "reason": "job-error",
-                        "detail": job.error or "",
-                        "at": self.clock(),
-                    },
+                    last_failure=self._failure("job-error", job.error or ""),
                 )
 
     def _spool_settled(self) -> bool:
         """True once every spec in the spool is terminal fleet-wide."""
-        for spec in load_specs(self.spool):
-            job_id = str(spec["job_id"])
-            record = self.ledger.read(job_id)
-            if record.state in TERMINAL_STATES:
-                continue
-            if self._mark_done_if_completed(job_id, record):
-                continue
-            return False
-        return True
+        return all(
+            self.ledger.read(str(spec["job_id"])).state in TERMINAL_STATES
+            for spec in load_specs(self.spool)
+        )
 
     def _drain_now(self, scheduler: Scheduler) -> None:
-        released = list(scheduler.active_jobs)
-        for job in released:
+        released = []
+        for job in scheduler.active_jobs:
+            if not job.lease.renew():
+                continue  # a peer took it: its snapshots are not ours
             snapshot = job.snapshot()
             snapshot["state"] = "pending"  # requeued, not lost
             self.store.record(snapshot)
-            self.ledger.transition(job.job_id, "queued", owner=None)
-        scheduler.close(release_leases=True)
+            job.lease.release("queued")
+            released.append(job)
         self._emit(
             ServerDrained(
                 server=self.server_id,
@@ -777,19 +657,14 @@ class FleetServer:
             context=self.context,
             store=self.store,
             quantum_tasks=self.quantum_tasks,
-            owner=self.server_id,
-            lease_ttl_seconds=self.lease_ttl_seconds,
-            steal_leases=self.steal_leases,
             service_fault_plan=self.fault_plan,
         )
         self._scheduler = scheduler
-        drained = False
         try:
             next_scan = float("-inf")
             while True:
                 if self._drain_requested():
                     self._drain_now(scheduler)
-                    drained = True
                     break
                 if self.clock() >= next_scan:
                     self._claim_pass(scheduler)
@@ -798,7 +673,6 @@ class FleetServer:
                 self._sync_finished(scheduler)
                 if self._drain_requested():
                     self._drain_now(scheduler)
-                    drained = True
                     break
                 if progressed:
                     continue
@@ -812,8 +686,7 @@ class FleetServer:
                 next_scan = float("-inf")
         finally:
             self._scheduler = None
-            if not drained:
-                scheduler.close()
+            scheduler.close()
         return self.store.all_latest()
 
 
@@ -871,8 +744,8 @@ def fleet_status(
 ) -> dict[str, Any]:
     """Read-only view of a spool's state machine (``repro fleet-status``).
 
-    Inspects specs, ledger records, leases, and result snapshots without
-    claiming anything, so it is safe to run next to a live fleet.
+    Reads specs, job records and result snapshots without taking a lock
+    or claiming anything, so it is safe to run next to a live fleet.
     """
     store = ResultStore(_spool_dir(spool, "results"))
     ledger = JobLedger(_spool_dir(spool, "state"), clock=clock)
@@ -884,29 +757,23 @@ def fleet_status(
         job_id = str(spec["job_id"])
         record = ledger.read(job_id)
         snapshot = store.latest(job_id) or {}
-        state = record.state
-        if state not in TERMINAL_STATES and snapshot.get("state") == (
-            "completed"
-        ):
-            state = "done"
-        lease = read_lease(lease_path(_checkpoint_path(spool, job_id)))
         lease_info = None
-        if lease is not None:
-            expired = lease.expired(now)
+        if record.owner is not None:
+            expired = record.expired(now)
             lease_info = {
-                "owner": lease.owner,
-                "age_seconds": max(0.0, now - lease.renewed_at),
-                "ttl_seconds": lease.ttl_seconds,
+                "owner": record.owner,
+                "age_seconds": max(0.0, now - record.renewed_at),
+                "ttl_seconds": record.ttl_seconds,
                 "expired": expired,
             }
             server = servers.setdefault(
-                lease.owner, {"jobs": [], "live": False}
+                record.owner, {"jobs": [], "live": False}
             )
             server["jobs"].append(job_id)
             server["live"] = server["live"] or not expired
-        states[state] = states.get(state, 0) + 1
+        states[record.state] = states.get(record.state, 0) + 1
         jobs[job_id] = {
-            "state": state,
+            "state": record.state,
             "owner": record.owner,
             "attempts": record.attempts,
             "crashes": record.crashes,

@@ -7,7 +7,7 @@ byte-identical checkpoints and identical rankings/best handlers to
 running each job alone through the blocking
 :func:`~repro.synth.refinement.synthesize` — at one worker and at four,
 and even when the scheduler is killed mid-fleet and a successor resumes
-every job from its checkpoint lease.
+every job from its checkpoint.
 """
 
 from dataclasses import replace
@@ -16,12 +16,11 @@ import pytest
 
 from repro.dsl import RENO_DSL, family, with_budget
 from repro.runtime import CollectorSink, RunContext
-from repro.runtime.checkpoint import CheckpointLease
+from repro.runtime.checkpoint import CheckpointLease, JobLedger
 from repro.runtime.events import (
     JobCompleted,
     JobPreempted,
     JobStarted,
-    LeaseStolen,
     PoolSpawned,
 )
 from repro.runtime.jobs import Job, JobState, ResultStore
@@ -88,14 +87,7 @@ def test_fleet_matches_sequential(reno_segments, tmp_path, workers):
         config = replace(
             FAST, checkpoint_path=str(tmp_path / f"fleet_{job_id}.jsonl")
         )
-        scheduler.submit(
-            _core_job(
-                job_id,
-                segments,
-                config,
-                checkpoint_path=config.checkpoint_path,
-            )
-        )
+        scheduler.submit(_core_job(job_id, segments, config))
     with scheduler:
         completed = scheduler.run()
 
@@ -177,27 +169,6 @@ def test_job_failure_isolated_from_fleet(reno_segments):
     assert "RuntimeError: boom" in scheduler.failed["bad"].error
 
 
-def test_live_foreign_lease_defers_job(reno_segments, tmp_path):
-    checkpoint = str(tmp_path / "contested.jsonl")
-    foreign = CheckpointLease(checkpoint, "other-scheduler", 3600.0)
-    assert foreign.acquire()
-    scheduler = Scheduler(workers=1)
-    scheduler.submit(
-        _core_job(
-            "contested",
-            reno_segments[:4],
-            replace(FAST, checkpoint_path=checkpoint),
-            checkpoint_path=checkpoint,
-        )
-    )
-    scheduler.submit(_core_job("free", reno_segments[:4], FAST))
-    with scheduler:
-        completed = scheduler.run()
-    assert "free" in completed
-    assert [job.job_id for job in scheduler.deferred] == ["contested"]
-    assert scheduler.jobs["contested"].state is JobState.PENDING
-
-
 def test_anytime_answers_stream_to_store(reno_segments, tmp_path):
     store = ResultStore(str(tmp_path / "results"))
     scheduler = Scheduler(workers=1, store=store, quantum_tasks=5)
@@ -240,7 +211,6 @@ def _resume_job(job_id, segments, checkpoint, *, resume=False):
     return Job(
         job_id=job_id,
         source=lambda: synthesize_core(segments, RESUME_DSL, config),
-        checkpoint_path=checkpoint,
         resumed=resume,
     )
 
@@ -259,7 +229,7 @@ def test_killed_fleet_resumes_every_job(reno_segments, tmp_path, workers):
     paths = {
         job_id: str(tmp_path / f"fleet_{job_id}.jsonl") for job_id in slices
     }
-    first = Scheduler(workers=workers, quantum_tasks=4, owner="first")
+    first = Scheduler(workers=workers, quantum_tasks=4)
     for job_id, segments in slices.items():
         first.submit(_resume_job(job_id, segments, paths[job_id]))
     while first.step():
@@ -272,17 +242,11 @@ def test_killed_fleet_resumes_every_job(reno_segments, tmp_path, workers):
         if job.state is JobState.RUNNING
     ]
     assert in_flight, "kill point must leave work in flight"
-    first.close(release_leases=False)  # simulated crash: leases stay
+    first.close()  # simulated crash: the fleet stops mid-run
 
     collector = CollectorSink()
     with RunContext([collector]) as ctx:
-        second = Scheduler(
-            workers=workers,
-            quantum_tasks=4,
-            steal_leases=True,
-            context=ctx,
-            owner="second",
-        )
+        second = Scheduler(workers=workers, quantum_tasks=4, context=ctx)
         for job_id, segments in slices.items():
             second.submit(
                 _resume_job(job_id, segments, paths[job_id], resume=True)
@@ -291,8 +255,6 @@ def test_killed_fleet_resumes_every_job(reno_segments, tmp_path, workers):
             completed = second.run()
 
     assert sorted(completed) == sorted(slices)
-    stolen = [e for e in collector.events if isinstance(e, LeaseStolen)]
-    assert {e.job_id for e in stolen} == set(in_flight)
     resumed_flags = {
         e.job_id: e.resumed
         for e in collector.events
@@ -374,22 +336,27 @@ def test_sub_parallel_waves_never_spawn_a_pool(reno_segments):
 # ------------------------------------------------- fleet-server plumbing
 
 
+def _held_lease(tmp_path, job_id, owner):
+    lease = CheckpointLease(
+        JobLedger(str(tmp_path / "state")), job_id, owner, 3600.0
+    )
+    assert lease.acquire(lease.stamp)
+    return lease
+
+
+def _owner(tmp_path, job_id):
+    return JobLedger(str(tmp_path / "state")).read(job_id).owner
+
+
 def test_lease_renewed_on_every_dispatched_slice(reno_segments, tmp_path):
     """The heartbeat: every wave slice a job dispatches renews its
-    lease, so a peer watching the lease file sees liveness at slice
+    lease, so a peer watching the job's record sees liveness at slice
     granularity, not just iteration boundaries."""
-    checkpoint = str(tmp_path / "hb.jsonl")
-    lease = CheckpointLease(checkpoint, "svc", 30.0)
-    assert lease.acquire()
+    lease = _held_lease(tmp_path, "hb", "svc")
     renewals = []
     original_renew = lease.renew
     lease.renew = lambda: (renewals.append(1), original_renew())[1]
-    job = _core_job(
-        "hb",
-        reno_segments[:4],
-        replace(FAST, checkpoint_path=checkpoint),
-        checkpoint_path=checkpoint,
-    )
+    job = _core_job("hb", reno_segments[:4], FAST)
     job.lease = lease
     scheduler = Scheduler(workers=1, quantum_tasks=3)
     scheduler.submit(job)
@@ -401,53 +368,95 @@ def test_lease_renewed_on_every_dispatched_slice(reno_segments, tmp_path):
 
 def test_pre_acquired_lease_is_used_not_reacquired(reno_segments, tmp_path):
     """A claim-loop server arbitrates ownership before submission; the
-    scheduler must run under that lease (service identity) instead of
-    acquiring its own — and release it at retirement."""
-    from repro.runtime.checkpoint import lease_path, read_lease
-
-    checkpoint = str(tmp_path / "pre.jsonl")
-    lease = CheckpointLease(checkpoint, "fleet-server-1", 3600.0)
-    assert lease.acquire()
-    job = _core_job(
-        "pre",
-        reno_segments[:4],
-        replace(FAST, checkpoint_path=checkpoint),
-        checkpoint_path=checkpoint,
-    )
+    scheduler must run under that lease (service identity) — and
+    release it at retirement."""
+    lease = _held_lease(tmp_path, "pre", "fleet-server-1")
+    job = _core_job("pre", reno_segments[:4], FAST)
     job.lease = lease
-    scheduler = Scheduler(workers=1, owner="scheduler-identity")
+    scheduler = Scheduler(workers=1)
     scheduler.submit(job)
     assert scheduler.step()  # job admitted and running under the lease
-    state = read_lease(lease_path(checkpoint))
-    assert state is not None and state.owner == "fleet-server-1"
-    assert scheduler.deferred == []
+    assert _owner(tmp_path, "pre") == "fleet-server-1"
+    assert [job.job_id for job in scheduler.active_jobs] == ["pre"]
     with scheduler:
         completed = scheduler.run()
     assert "pre" in completed
-    assert read_lease(lease_path(checkpoint)) is None  # released
+    assert _owner(tmp_path, "pre") is None  # released
+
+
+def test_stolen_lease_drops_the_job(reno_segments, tmp_path):
+    """A stolen lease stays stolen: once another owner holds the job's
+    record, this scheduler dispatches no further slice, appends no
+    snapshot, writes no record, and never completes the job."""
+    ledger = JobLedger(str(tmp_path / "state"))
+    store = ResultStore(str(tmp_path / "results"))
+    victim = _core_job("victim", reno_segments[:6], FAST)
+    victim.lease = _held_lease(tmp_path, "victim", "first")
+    scheduler = Scheduler(workers=1, quantum_tasks=2, store=store)
+    scheduler.submit(victim)
+    # A second job so waves are sliced and the steal lands between two.
+    scheduler.submit(_core_job("other", reno_segments[:4], FAST))
+    while victim.slices_dispatched < 1:
+        assert scheduler.step()
+    thief = CheckpointLease(ledger, "victim", "second", 3600.0)
+    assert thief.acquire(thief.stamp)
+    stolen = ledger.read("victim")
+    slices_at_steal = victim.slices_dispatched
+    with open(store._path("victim"), "r", encoding="utf-8") as handle:
+        lines_at_steal = handle.read().splitlines()
+    with scheduler:
+        completed = scheduler.run()
+    assert "other" in completed
+    assert "victim" not in completed
+    assert "victim" not in scheduler.jobs
+    assert victim.state is not JobState.COMPLETED
+    assert victim.slices_dispatched <= slices_at_steal + 1
+    assert ledger.read("victim") == stolen
+    with open(store._path("victim"), "r", encoding="utf-8") as handle:
+        assert handle.read().splitlines() == lines_at_steal
+
+
+def test_lease_stolen_as_the_job_finishes_gets_no_terminal_snapshot(
+    reno_segments, tmp_path
+):
+    """A job renews once more before it ends: when a peer took the
+    record after the job's last slice, the finished job is dropped — no
+    ``completed`` snapshot, no release, no ``job_completed`` event."""
+    ledger = JobLedger(str(tmp_path / "state"))
+    store = ResultStore(str(tmp_path / "results"))
+    thief = CheckpointLease(ledger, "late", "second", 3600.0)
+    config = replace(FAST, max_iterations=1)
+
+    def stolen_at_the_end():
+        result = yield from synthesize_core(reno_segments[:4], TINY, config)
+        assert thief.acquire(thief.stamp)
+        return result
+
+    job = Job(job_id="late", source=stolen_at_the_end)
+    job.lease = _held_lease(tmp_path, "late", "first")
+    collector = CollectorSink()
+    with RunContext([collector]) as ctx:
+        scheduler = Scheduler(workers=1, store=store, context=ctx)
+        scheduler.submit(job)
+        with scheduler:
+            completed = scheduler.run()
+    assert completed == {}
+    assert "late" not in scheduler.jobs
+    assert ledger.read("late").owner == "second"
+    assert store.latest("late")["state"] == "running"
+    assert not [e for e in collector.events if isinstance(e, JobCompleted)]
 
 
 def test_drain_stops_dispatch_and_close_releases_leases(
     reno_segments, tmp_path
 ):
-    from repro.runtime.checkpoint import lease_path, read_lease
-
     # Two jobs so waves are sliced (a solo job takes whole waves and
     # could finish before the drain lands).
-    checkpoints = {
-        job_id: str(tmp_path / f"drain_{job_id}.jsonl")
-        for job_id in ("one", "two")
-    }
     scheduler = Scheduler(workers=1, quantum_tasks=2)
-    for job_id, checkpoint in checkpoints.items():
-        scheduler.submit(
-            _core_job(
-                job_id,
-                reno_segments[:6],
-                replace(FAST, checkpoint_path=checkpoint),
-                checkpoint_path=checkpoint,
-            )
-        )
+    for job_id in ("one", "two"):
+        job = _core_job(job_id, reno_segments[:6], FAST)
+        job.lease = _held_lease(tmp_path, job_id, "drainer")
+        scheduler.submit(job)
     while scheduler.slices_dispatched < 3:
         assert scheduler.step(), "jobs finished before the drain landed"
     slices_before = scheduler.slices_dispatched
@@ -458,10 +467,10 @@ def test_drain_stops_dispatch_and_close_releases_leases(
     active = [job.job_id for job in scheduler.active_jobs]
     assert active, "drain must leave the in-flight jobs claimable"
     for job_id in active:
-        assert read_lease(lease_path(checkpoints[job_id])) is not None
-    scheduler.close(release_leases=True)
+        assert _owner(tmp_path, job_id) == "drainer"
+    scheduler.close()
     for job_id in active:
-        assert read_lease(lease_path(checkpoints[job_id])) is None
+        assert _owner(tmp_path, job_id) is None
 
 
 def test_service_fault_plan_kills_between_slices(

@@ -17,13 +17,9 @@ import pytest
 from repro.cli import main
 from repro.dsl import family, with_budget
 from repro.pipeline import reverse_engineer
-from repro.runtime.checkpoint import (
-    CheckpointLease,
-    lease_path,
-    read_lease,
-    takeover_delay,
-)
+from repro.runtime.checkpoint import CheckpointLease, takeover_delay
 from repro.runtime.context import RunContext
+from repro.runtime.jobs import JobState, ResultStore
 from repro.runtime.sinks import CollectorSink
 from repro.service import (
     FleetServer,
@@ -153,12 +149,13 @@ def test_ledger_transition_preserves_untouched_fields(tmp_path):
 
 
 def _expired_peer_lease(spool, job_id, clock, ttl=8.0, owner="peer"):
-    """A lease written by *owner* who then stops heartbeating."""
-    peer = CheckpointLease(
-        _checkpoint(spool, job_id), owner, ttl, clock=clock
+    """The record of a job *owner* claims and then stops heartbeating."""
+    ledger = JobLedger(os.path.join(spool, "state"), clock=clock)
+    peer = CheckpointLease(ledger, job_id, owner, ttl, clock=clock)
+    assert peer.acquire(
+        lambda record: peer.stamp(dataclasses.replace(record, state="running"))
     )
-    assert peer.acquire()
-    return read_lease(lease_path(_checkpoint(spool, job_id)))
+    return ledger.read(job_id)
 
 
 def test_live_foreign_lease_blocks_unless_stealing(tmp_path, archive):
@@ -170,10 +167,9 @@ def test_live_foreign_lease_blocks_unless_stealing(tmp_path, archive):
     thief = FleetServer(
         spool, server_id="srv-b", steal_leases=True, clock=clock
     )
-    record = JobRecord(job_id="job", state="running", owner="peer")
     clock.advance(1.0)  # well inside the TTL
-    assert not polite._may_take_over("job", record, state)
-    assert thief._may_take_over("job", record, state)
+    assert not polite._may_take_over("job", state, polite._emit)
+    assert thief._may_take_over("job", state, thief._emit)
 
 
 def test_takeover_waits_for_jitter_then_crash_backoff(tmp_path, archive):
@@ -186,19 +182,18 @@ def test_takeover_waits_for_jitter_then_crash_backoff(tmp_path, archive):
         spool, server_id="srv-a", retry_backoff_seconds=4.0, clock=clock
     )
     jitter = takeover_delay("srv-a", "job", ttl)
-    fresh = JobRecord(job_id="job", state="running", owner="peer")
 
     clock.now = state.renewed_at + ttl + jitter - 1e-6
-    assert not server._may_take_over("job", fresh, state)
+    assert not server._may_take_over("job", state, server._emit)
     clock.now = state.renewed_at + ttl + jitter + 1e-6
-    assert server._may_take_over("job", fresh, state)
+    assert server._may_take_over("job", state, server._emit)
 
     # Two prior crashes: the wait stretches by base * 2**(2-1) = 8s.
-    crashed = dataclasses.replace(fresh, crashes=2)
+    crashed = dataclasses.replace(state, crashes=2)
     clock.now = state.renewed_at + ttl + jitter + 8.0 - 0.5
-    assert not server._may_take_over("job", crashed, state)
+    assert not server._may_take_over("job", crashed, server._emit)
     clock.now = state.renewed_at + ttl + jitter + 8.0 + 0.5
-    assert server._may_take_over("job", crashed, state)
+    assert server._may_take_over("job", crashed, server._emit)
 
 
 def test_heartbeat_missed_emitted_once_per_expiry(tmp_path, archive):
@@ -213,10 +208,9 @@ def test_heartbeat_missed_emitted_once_per_expiry(tmp_path, archive):
         clock=clock,
         context=RunContext([sink], clock=clock),
     )
-    record = JobRecord(job_id="job", state="running", owner="peer")
     clock.advance(5.0)
-    server._may_take_over("job", record, state)
-    server._may_take_over("job", record, state)
+    server._may_take_over("job", state, server._emit)
+    server._may_take_over("job", state, server._emit)
     missed = sink.of_kind("heartbeat_missed")
     assert len(missed) == 1
     assert missed[0].owner == "peer"
@@ -230,29 +224,74 @@ def test_heartbeat_missed_emitted_once_per_expiry(tmp_path, archive):
 def test_claim_recheck_after_acquire_catches_fresh_completion(
     tmp_path, archive
 ):
-    """Satellite regression: a peer finishes the job between the
-    pre-claim store read and the lease acquire.  The winner must notice
-    on its post-claim re-check, release, and submit nothing."""
+    """A peer finishes the job while this server waits for the record's
+    lock.  The claim reads the results file only inside its critical
+    section, so it sees the completion, reconciles the record to done,
+    and submits nothing."""
     spool = str(tmp_path / "spool")
     _submit(spool, "job", archive)
     server = FleetServer(spool, server_id="srv-a")
+    lock = os.path.join(spool, "state", "job.lock")
+    with open(lock, "w", encoding="utf-8"):
+        pass  # the peer is mid-change on the record
     calls = {"n": 0}
+    latest = server.store.latest
 
-    def flipping_latest(job_id):
+    def counting_latest(job_id):
         calls["n"] += 1
-        if calls["n"] == 1:
-            return None  # pre-claim read: nothing finished yet
-        return {"job_id": job_id, "state": "completed"}
+        return latest(job_id)
 
-    server.store.latest = flipping_latest
+    def peer_finishes():
+        time.sleep(0.2)
+        server.store.record({"job_id": "job", "state": "completed"})
+        os.remove(lock)
+
+    server.store.latest = counting_latest
+    peer = threading.Thread(target=peer_finishes)
+    peer.start()
     scheduler = StubScheduler()
     (spec,) = load_specs(spool)
     assert server._claim_one(spec, scheduler) is False
-    assert calls["n"] >= 2, "the post-acquire re-check must run"
+    peer.join(timeout=60)
+    assert not peer.is_alive()
+    assert calls["n"] == 1, "the one read must run under the lock"
     assert not scheduler.submitted
     assert server.jobs_claimed == 0
     assert server.ledger.read("job").state == "done"
-    assert read_lease(lease_path(_checkpoint(spool, "job"))) is None
+    assert server.ledger.read("job").owner is None
+
+
+def test_peer_claim_during_completion_snapshot_is_refused(
+    tmp_path, archive
+):
+    """A job ends snapshot first, release second: while its owner
+    appends the ``completed`` snapshot the record still names the
+    owner, so a peer claiming at that moment gets nothing."""
+    spool = str(tmp_path / "spool")
+    _submit(spool, "job", archive)
+    (spec,) = load_specs(spool)
+    peer = FleetServer(spool, server_id="srv-b")
+    peer_scheduler = StubScheduler()
+    claims = []
+
+    class ClaimOnCompletion(ResultStore):
+        def update(self, job):
+            if job.state is JobState.COMPLETED:
+                claims.append(peer._claim_one(spec, peer_scheduler))
+            super().update(job)
+
+    owner = FleetServer(
+        spool,
+        server_id="srv-a",
+        store=ClaimOnCompletion(os.path.join(spool, "results")),
+    )
+    owner.run()
+    assert claims == [False]
+    assert not peer_scheduler.submitted
+    record = owner.ledger.read("job")
+    assert record.state == "done"
+    assert record.attempts == 1
+    assert record.owner is None
 
 
 def test_racing_claimants_yield_exactly_one_winner(tmp_path, archive):
@@ -280,7 +319,7 @@ def test_racing_claimants_yield_exactly_one_winner(tmp_path, archive):
         thread.join()
     assert len(wins) == 1
     winner = servers[wins[0]]
-    state = read_lease(lease_path(_checkpoint(spool, "job")))
+    state = winner.ledger.read("job")
     assert state is not None and state.owner == winner.server_id
     assert winner.ledger.read("job").owner == winner.server_id
 
@@ -322,7 +361,7 @@ def test_retry_budget_exhaustion_quarantines(tmp_path, archive):
     snapshot = server.store.latest("job")
     assert snapshot["state"] == "quarantined"
     assert snapshot["crashes"] == 3
-    assert read_lease(lease_path(_checkpoint(spool, "job"))) is None
+    assert server.ledger.read("job").owner is None
     (event,) = sink.of_kind("job_quarantined")
     assert event.reason == "retry-budget-exhausted"
     assert event.crashes == 3
@@ -363,7 +402,7 @@ def test_drain_requeues_in_flight_jobs_then_peer_finishes(
     assert server.ledger.read("job").state == "queued"
     snapshot = server.store.latest("job")
     assert snapshot["state"] == "pending"
-    assert read_lease(lease_path(_checkpoint(spool, "job"))) is None, (
+    assert server.ledger.read("job").owner is None, (
         "drain must release the lease for peers"
     )
     # A successor picks the requeued job up and finishes it normally.
@@ -375,6 +414,39 @@ def test_drain_requeues_in_flight_jobs_then_peer_finishes(
     record = ledger.read("job")
     assert record.state == "done"
     assert record.crashes == 0, "a graceful drain never spends retries"
+
+
+def test_drain_leaves_a_job_a_peer_took_alone(tmp_path, archive):
+    """A draining server renews before it appends a ``pending``
+    snapshot: a job a peer took meanwhile gets no snapshot from it and
+    stays the peer's."""
+    spool = str(tmp_path / "spool")
+    _submit(spool, "job", archive)
+    sink = CollectorSink()
+    ledger = JobLedger(os.path.join(spool, "state"))
+    thief = CheckpointLease(ledger, "job", "srv-b", 3600.0)
+
+    def steal_then_drain():
+        scheduler = server._scheduler
+        if scheduler is None or scheduler.slices_dispatched < 1:
+            return False
+        if not thief.held:
+            assert thief.acquire(thief.stamp)
+        return True
+
+    server = FleetServer(
+        spool,
+        server_id="srv-a",
+        drain=steal_then_drain,
+        context=RunContext([sink]),
+    )
+    server.run()
+    (drained,) = sink.of_kind("server_drained")
+    assert drained.jobs_released == 0
+    record = ledger.read("job")
+    assert record.owner == "srv-b"
+    assert record.state == "running"
+    assert server.store.latest("job")["state"] == "running"
 
 
 def test_request_drain_is_signal_safe_noop_before_run(tmp_path):
@@ -469,6 +541,43 @@ def test_two_servers_one_spool_complete_everything_once(
                 if json.loads(line).get("state") == "completed"
             ]
         assert len(completed) == 1
+
+
+def test_two_stealing_servers_never_take_a_job_back_and_forth(
+    tmp_path, archive
+):
+    """``--steal-leases`` displaces only an owner silent since the
+    stealing server started.  Two live servers that both steal share one
+    job without taking it back and forth: it runs once, ends ``done``
+    with no crash charged, and is never quarantined."""
+    spool = str(tmp_path / "spool")
+    _submit(spool, "job", archive)
+    servers = [
+        FleetServer(
+            spool,
+            server_id=f"srv-{tag}",
+            steal_leases=True,
+            quantum_tasks=3,
+            claim_interval_seconds=0.01,
+        )
+        for tag in "ab"
+    ]
+    threads = [threading.Thread(target=server.run) for server in servers]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sum(server.jobs_claimed for server in servers) == 1
+    assert not any(server.quarantined for server in servers)
+    record = JobLedger(os.path.join(spool, "state")).read("job")
+    assert record.state == "done"
+    assert record.attempts == 1
+    assert record.crashes == 0
+    results_file = os.path.join(spool, "results", "job.jsonl")
+    with open(results_file, "r", encoding="utf-8") as handle:
+        states = [json.loads(line)["state"] for line in handle]
+    assert states.count("completed") == 1
 
 
 # -------------------------------------------------------- chaos (CLI)

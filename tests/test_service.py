@@ -12,7 +12,8 @@ from repro.cli import main
 from repro.dsl import family, with_budget
 from repro.errors import SynthesisError
 from repro.pipeline import reverse_engineer
-from repro.service import build_job, load_specs, serve, submit_job
+from repro.runtime.checkpoint import CheckpointWriter, RefinementCheckpoint
+from repro.service import JobLedger, build_job, load_specs, serve, submit_job
 from repro.synth.refinement import SynthesisConfig
 from repro.trace.io import save_traces
 
@@ -98,9 +99,23 @@ def test_build_job_fresh_checkpoint_not_resumed(tmp_path, archive):
     assert job.job_id == "fresh"
     assert job.priority == 3
     assert not job.resumed
-    assert job.checkpoint_path.endswith(
-        os.path.join("checkpoints", "fresh.jsonl")
+    # The job checkpoints under the spool: a boundary there resumes it.
+    CheckpointWriter(
+        os.path.join(spool, "checkpoints", "fresh.jsonl")
+    ).write(
+        RefinementCheckpoint(
+            fingerprint={},
+            records=(),
+            best_expression=None,
+            best_distance=float("inf"),
+            handlers_scored=0,
+            loop_done=False,
+            next_samples=4,
+            next_keep=3,
+            next_segment_count=1,
+        )
     )
+    assert build_job(spool, spec).resumed
 
 
 # ------------------------------------------------------------------- serve
@@ -123,6 +138,18 @@ def test_serve_completes_fleet_and_matches_direct_run(
         assert snap["state"] == "completed"
         assert snap["best_expression"] == direct.expression
         assert snap["best_distance"] == pytest.approx(direct.distance)
+    # Four files per job: spec, record, checkpoint, results — no lease
+    # sidecar, no lock left behind.
+    layout = {
+        name: sorted(os.listdir(os.path.join(spool, name)))
+        for name in sorted(os.listdir(spool))
+    }
+    assert layout == {
+        "checkpoints": ["one.jsonl", "two.jsonl"],
+        "queue": ["one.json", "two.json"],
+        "results": ["one.jsonl", "two.jsonl"],
+        "state": ["one.json", "two.json"],
+    }
 
 
 def test_serve_skips_already_completed_jobs(tmp_path, archive):
@@ -200,9 +227,10 @@ def test_cli_serve_text_summary(tmp_path, archive, capsys):
 
 
 def test_killed_serve_resumes_from_spool(tmp_path, archive, reno_trace):
-    """A serve killed mid-fleet (exit 70, leases left on disk) is fully
-    recovered by a successor with --steal-leases: every job completes
-    with the same answer an uninterrupted run produces."""
+    """A serve killed mid-fleet (exit 70, its job records still naming
+    it as owner) is fully recovered by a successor with --steal-leases:
+    every job completes with the same answer an uninterrupted run
+    produces."""
     spool = str(tmp_path / "spool")
     for job_id in ("one", "two"):
         _submit(spool, job_id, archive)
@@ -214,6 +242,7 @@ def test_killed_serve_resumes_from_spool(tmp_path, archive, reno_trace):
         [
             sys.executable, "-m", "repro", "serve",
             "--spool", spool, "--quantum", "3",
+            "--server-id", "killed",
             "--exit-after-slices", "4",
         ],
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -223,12 +252,9 @@ def test_killed_serve_resumes_from_spool(tmp_path, archive, reno_trace):
         timeout=300,
     )
     assert killed.returncode == 70, killed.stderr
-    leases = [
-        name
-        for name in os.listdir(os.path.join(spool, "checkpoints"))
-        if name.endswith(".lease")
-    ]
-    assert leases, "crashed serve must leave its leases behind"
+    ledger = JobLedger(os.path.join(spool, "state"))
+    owners = [ledger.read(job_id).owner for job_id in ("one", "two")]
+    assert "killed" in owners, "crashed serve must leave its claims behind"
     snapshots = serve(spool, workers=1, quantum_tasks=3, steal_leases=True)
     direct = reverse_engineer(
         [reno_trace],
