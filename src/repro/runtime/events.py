@@ -91,7 +91,8 @@ class PoolSpawned(Event):
 
 @dataclass(frozen=True)
 class SegmentsPrimed(Event):
-    """Workers received a new segment working set (epoch bumped)."""
+    """The pool's working set changed (epoch bumped): its chunks now
+    name another plane, or it was respawned with new segments."""
 
     kind: ClassVar[str] = "segments_primed"
     epoch: int
@@ -218,10 +219,11 @@ class BudgetExceeded(Event):
 
 @dataclass(frozen=True)
 class WorkerCrashed(Event):
-    """The scoring pool lost a worker (or a priming broadcast failed)."""
+    """The scoring pool lost a worker, or a chunk failed outside its
+    task guard."""
 
     kind: ClassVar[str] = "worker_crashed"
-    reason: str  # "worker-crash" | "hang" | "broadcast"
+    reason: str  # "worker-crash" | "hang" | "worker-error"
     detail: str
 
 

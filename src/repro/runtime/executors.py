@@ -13,17 +13,18 @@ substrate is explicit, and every wave goes through one call,
     quarantine log, wave telemetry and stats assembly live here once.
 
 :class:`PooledExecutor`
-    creates the process pool **once per synthesis run**, primes workers
-    with the scorer configuration at spawn, and re-primes the segment
-    working set only when it actually changes.  Re-priming is a
-    broadcast of a shared-memory plane handle (:mod:`repro.runtime.shm`):
-    one barrier-synchronized task per worker, so every worker installs
-    the new segments exactly once (the barrier keeps the pool from
-    handing all the priming tasks to a single worker).  The barrier
-    rides into workers through fork inheritance.  Without ``fork``, or
-    when no plane can be built, the executor respawns the pool with the
-    segments in its initializer instead — still at most one pool per
-    *working set* rather than per wave.
+    creates the process pool **once per synthesis run** and reaches its
+    workers through one message only, the scoring chunk.  Each chunk
+    carries the wave's scorer config and the handle of a shared-memory
+    plane holding the segment working set (:mod:`repro.runtime.shm`): a
+    worker rebuilds its scorer only when the config differs from the one
+    it holds, and attaches a plane only when the handle names a new one.
+    Each result carries the chunk's counter deltas beside its outcomes;
+    the parent adds them to one running total, so ``stats()`` costs no
+    round trip.  Without ``fork``, or when no plane can be built, the
+    executor respawns the pool with the segments in its initializer
+    instead (its chunks then carry no handle) — still at most one pool
+    per *working set* rather than per wave.
 
 Both run the same task routine, :func:`_score_tasks`: a pool worker runs
 it over one chunk of a wave, and every in-process wave (the serial
@@ -54,15 +55,15 @@ Fault tolerance (``docs/RESILIENCE.md``) is layered on top:
   the not-yet-completed suffix, blames (and, on a second strike,
   quarantines) the sketch at the head of the suffix, and degrades
   gracefully to serial scoring after ``max_pool_rebuilds`` consecutive
-  failures.  Priming broadcasts get one rebuild, then the same serial
-  degradation — a wedged pool never propagates out of the executor.
+  failures.  A chunk that raises outside the task guard (a plane the
+  worker cannot attach, say) is supervised like a crash that blames no
+  sketch — a wedged pool never propagates out of the executor.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
@@ -84,7 +85,7 @@ from repro.runtime.events import (
     WaveDispatched,
     WorkerCrashed,
 )
-from repro.runtime.faults import FaultInjected, FaultPlan, apply_sketch_faults
+from repro.runtime.faults import FaultPlan, apply_sketch_faults
 from repro.runtime.shm import (
     PlaneHandle,
     SegmentPlane,
@@ -123,10 +124,6 @@ MIN_PARALLEL_SKETCHES = 4
 #: result-consumption latency, shallow enough that the incumbent bounds
 #: piggybacked on later submissions stay warm.
 WAVE_WINDOW_PER_WORKER = 2
-
-#: How long a priming broadcast may take before the pool is declared
-#: wedged and rebuilt.
-_PRIME_TIMEOUT_SECONDS = 120.0
 
 #: Pool breaks tolerated with the same sketch at the head of the
 #: incomplete suffix before that sketch is quarantined as the culprit.
@@ -230,30 +227,21 @@ def derive_chunksize(tasks: int, workers: int) -> int:
     return max(1, -(-tasks // (workers * 4)))
 
 
-#: Zero value of ``ScoringCounters.as_tuple()`` — the executors carry
-#: worker counter snapshots in this positional shape (the last slot is
-#: the float ``envelope_precompute_ms``).
-_COUNTER_ZEROS: tuple = (0, 0, 0, 0, 0, 0, 0.0)
+#: Zero value of a scorer's counters as the executors add them up:
+#: ``ScoringCounters.as_tuple()`` (its last slot the float
+#: ``envelope_precompute_ms``), then the score cache's hits, misses and
+#: entries.  Pool chunks report their deltas in this shape.
+_COUNTER_ZEROS: tuple = (0, 0, 0, 0, 0, 0, 0.0, 0, 0, 0)
 
 
-def _zero_scorer_counters(scorer: "Scorer") -> None:
-    """Reset a scorer's cumulative telemetry in place.
-
-    Cache *contents* survive (a warm cache is an asset the next job
-    should inherit); only the hit/miss accounting and the batched-path
-    prune counters restart from zero.
-    """
-    counters = scorer.counters
-    counters.batched_waves = 0
-    counters.lb_pruned = 0
-    counters.dp_abandoned = 0
-    counters.candidates_pruned = 0
-    counters.warm_start_pruned = 0
-    counters.batched_dtw_sweeps = 0
-    counters.envelope_precompute_ms = 0.0
-    if scorer.cache is not None:
-        scorer.cache.hits = 0
-        scorer.cache.misses = 0
+def _scorer_counts(scorer: "Scorer | None") -> tuple:
+    """*scorer*'s cumulative counters, shaped like :data:`_COUNTER_ZEROS`."""
+    if scorer is None:
+        return _COUNTER_ZEROS
+    cache = scorer.cache
+    if cache is None:
+        return (*scorer.counters.as_tuple(), 0, 0, 0)
+    return (*scorer.counters.as_tuple(), cache.hits, cache.misses, len(cache))
 
 
 @dataclass(frozen=True)
@@ -343,6 +331,9 @@ class SerialExecutor:
     degraded = False
     #: Peak bytes of live shared-memory planes (none in-process).
     shm_bytes = 0
+    #: Running total of the counter deltas pool chunks reported (none
+    #: in-process), shaped like :data:`_COUNTER_ZEROS`.
+    _chunk_counts: tuple = _COUNTER_ZEROS
 
     def __init__(
         self,
@@ -370,9 +361,9 @@ class SerialExecutor:
     def adopt_scorer(self, scorer: Scorer) -> None:
         """Point subsequent waves at *scorer* (scheduler job switches).
 
-        A pool installs the swap in its workers at the next priming,
-        and only when the scorer's config actually differs from what
-        the pool is running.
+        Pool workers receive the new scorer's config with their next
+        chunk and rebuild their scorer only when it differs from the one
+        they hold.
         """
         self._scorers.setdefault(id(scorer), scorer)
         self.scorer = scorer
@@ -383,15 +374,6 @@ class SerialExecutor:
         if token != self._prepared_token:
             self.scorer.prepare_segments(segments)
             self._prepared_token = token
-
-    def reset_stats(self) -> None:
-        """Zero all cumulative counters (between jobs sharing the
-        executor) without touching cache *contents* — entries stay warm,
-        only the hit/miss accounting restarts."""
-        self._waves = _WaveTelemetry()
-        self.quarantined = []
-        for scorer in self._scorers.values():
-            _zero_scorer_counters(scorer)
 
     def _quarantine(
         self, sketch: Sketch, reason: str, detail: str
@@ -496,35 +478,21 @@ class SerialExecutor:
 
     # ------------------------------------------------------------------
 
-    def _refresh_worker_counters(self) -> None:
-        """Pull worker counters into the parent (no workers here)."""
-
-    def _counter_totals(self) -> list:
-        """``ScoringCounters.as_tuple()`` summed over every scorer."""
-        totals = list(_COUNTER_ZEROS)
+    def stats(self) -> tuple[CacheStats | None, ScoringStats]:
+        """Cumulative score-cache (``None`` when caching is off) and
+        batched-scoring telemetry: every scorer this executor has run
+        waves with, plus the counters pool chunks reported."""
+        totals = list(self._chunk_counts)
         for scorer in self._scorers.values():
-            for index, value in enumerate(scorer.counters.as_tuple()):
+            for index, value in enumerate(_scorer_counts(scorer)):
                 totals[index] += value
-        return totals
-
-    def _assemble_cache_stats(self) -> CacheStats | None:
-        snapshots = [
-            scorer.cache.stats()
-            for scorer in self._scorers.values()
-            if scorer.cache is not None
-        ]
-        if not snapshots:
-            return None
-        return CacheStats(
-            hits=sum(snap.hits for snap in snapshots),
-            misses=sum(snap.misses for snap in snapshots),
-            entries=sum(snap.entries for snap in snapshots),
-        )
-
-    def _assemble_scoring_stats(self) -> ScoringStats:
-        totals = self._counter_totals()
+        cache = None
+        if any(scorer.cache is not None for scorer in self._scorers.values()):
+            cache = CacheStats(
+                hits=totals[7], misses=totals[8], entries=totals[9]
+            )
         waves = self._waves
-        return ScoringStats(
+        return cache, ScoringStats(
             batched_waves=totals[0],
             lb_pruned=totals[1],
             dp_abandoned=totals[2],
@@ -539,29 +507,6 @@ class SerialExecutor:
             shm_bytes=self.shm_bytes,
         )
 
-    def cache_stats(self) -> CacheStats | None:
-        """Cumulative score-cache counters, if caching is enabled."""
-        if all(scorer.cache is None for scorer in self._scorers.values()):
-            return None
-        self._refresh_worker_counters()
-        return self._assemble_cache_stats()
-
-    def scoring_stats(self) -> ScoringStats:
-        """Cumulative batched-scoring counters (prunes, abandons, waves)."""
-        self._refresh_worker_counters()
-        return self._assemble_scoring_stats()
-
-    def stats(self) -> tuple[CacheStats | None, ScoringStats]:
-        """Both telemetry snapshots off ONE worker broadcast.
-
-        ``cache_stats()`` + ``scoring_stats()`` back-to-back each pay a
-        barrier-synchronized round-trip across a pool; callers that
-        want both (the refinement loop, every iteration) should use this
-        instead and pay for one.
-        """
-        self._refresh_worker_counters()
-        return (self._assemble_cache_stats(), self._assemble_scoring_stats())
-
     def close(self, *, wait: bool = False) -> None:
         pass
 
@@ -573,25 +518,28 @@ class SerialExecutor:
 
 
 # ----------------------------------------------------------------------
-# Worker-side state for PooledExecutor.  Installed by the initializer at
-# pool spawn; segments are refreshed by _broadcast_segments.
+# Worker-side state for PooledExecutor.  The initializer sets what is
+# fixed for the pool's lifetime; the scorer and the plane follow the
+# config and handle each chunk carries (see _score_chunk).
 
 _worker_scorer: "Scorer | None" = None
+#: The ``(config, cache_entries)`` the worker's scorer was built from.
+_worker_config: "tuple[dict, int | None] | None" = None
 _worker_segments: "Sequence[TraceSegment] | None" = None
-_worker_barrier = None
 _worker_faults: FaultPlan | None = None
 _worker_generation = 0
 _worker_watchdog: float | None = None
 #: The attached shared-memory plane, as ``(name, SharedMemory)``.
 #: One attach per pool lifetime per plane; replaced (and the old
-#: mapping closed) when a broadcast ships a different plane.
+#: mapping closed) when a chunk names a different plane.
 _worker_plane: "tuple[str, object] | None" = None
 
 
 def _attach_plane_segments(handle: PlaneHandle) -> "list":
-    """Materialize the working set from a plane handle (worker side)."""
+    """Attach *handle*'s plane in place of the attached one and
+    materialize the working set from it (worker side)."""
     global _worker_plane
-    if _worker_plane is not None and _worker_plane[0] != handle.name:
+    if _worker_plane is not None:
         try:
             _worker_plane[1].close()
         except BufferError:
@@ -600,8 +548,7 @@ def _attach_plane_segments(handle: PlaneHandle) -> "list":
             # when the worker exits.
             pass
         _worker_plane = None
-    if _worker_plane is None:
-        _worker_plane = (handle.name, attach_plane(handle))
+    _worker_plane = (handle.name, attach_plane(handle))
     return plane_segments(_worker_plane[1], handle)
 
 
@@ -616,101 +563,57 @@ def _build_worker_scorer(config: dict, cache_entries: int | None) -> Scorer:
 
 
 def _init_worker(
-    barrier,
-    scorer_config: dict,
-    cache_entries: int | None,
     segments: "Sequence[TraceSegment] | None",
     fault_plan: FaultPlan | None,
     generation: int,
     watchdog_seconds: float | None,
 ) -> None:
-    global _worker_scorer, _worker_segments, _worker_barrier
-    global _worker_faults, _worker_generation, _worker_watchdog
-    _worker_scorer = _build_worker_scorer(scorer_config, cache_entries)
+    global _worker_segments, _worker_faults, _worker_generation
+    global _worker_watchdog
     _worker_segments = segments
-    _worker_barrier = barrier
     _worker_faults = fault_plan
     _worker_generation = generation
     _worker_watchdog = watchdog_seconds
 
 
-def _worker_cache_counts() -> tuple[int, int, int]:
-    cache = _worker_scorer.cache if _worker_scorer is not None else None
-    if cache is None:
-        return (0, 0, 0)
-    return (cache.hits, cache.misses, len(cache))
-
-
-def _worker_scoring_counts() -> tuple:
-    if _worker_scorer is None:
-        return _COUNTER_ZEROS
-    return _worker_scorer.counters.as_tuple()
-
-
-def _broadcast_segments(
-    handle: PlaneHandle | None,
-) -> tuple[int, tuple[int, int, int], tuple]:
-    """Install a new working set (or just report stats when ``None``).
-
-    *handle* names a shared-memory plane this worker attaches and
-    rebuilds views over.  Returns ``(pid, cache_counts,
-    scoring_counts)`` so the parent can aggregate run-wide cache and
-    batched-scoring telemetry.  The barrier wait is what guarantees each
-    worker executes exactly one broadcast task: a worker that finished
-    its task blocks until every sibling has one, so the pool cannot
-    route two broadcasts to the same worker.
-    """
-    global _worker_segments
-    if handle is not None:
-        _worker_segments = _attach_plane_segments(handle)
-    if _worker_barrier is not None:
-        _worker_barrier.wait(timeout=_PRIME_TIMEOUT_SECONDS)
-    return (os.getpid(), _worker_cache_counts(), _worker_scoring_counts())
-
-
-def _install_worker_scorer(
-    payload: tuple,
-) -> tuple[int, tuple[int, int, int], tuple]:
-    """Swap this worker's scorer in place (scheduler job switch).
-
-    Returns the OUTGOING scorer's cumulative counters: the parent folds
-    them into its retired totals before zeroing this pid's map entry,
-    so run-wide sums never lose or double-count work.  Barrier-
-    synchronized like :func:`_broadcast_segments` — every worker swaps
-    exactly once.
-    """
-    global _worker_scorer
-    old_cache = _worker_cache_counts()
-    old_scoring = _worker_scoring_counts()
-    _worker_scorer = _build_worker_scorer(*payload)
-    if _worker_barrier is not None:
-        _worker_barrier.wait(timeout=_PRIME_TIMEOUT_SECONDS)
-    return (os.getpid(), old_cache, old_scoring)
-
-
-def _reset_worker_stats() -> int:
-    """Zero this worker's scorer telemetry (cache contents survive)."""
-    if _worker_scorer is not None:
-        _zero_scorer_counters(_worker_scorer)
-    if _worker_barrier is not None:
-        _worker_barrier.wait(timeout=_PRIME_TIMEOUT_SECONDS)
-    return os.getpid()
-
-
 def _score_chunk(
-    tasks: "list[tuple[int, Sketch]]", incumbents: dict[int, float]
-) -> "tuple[list[ScoredHandler | _WorkerFailure], float]":
+    tasks: "list[tuple[int, Sketch]]",
+    incumbents: dict[int, float],
+    config: "tuple[dict, int | None]",
+    handle: PlaneHandle | None,
+) -> "tuple[list[ScoredHandler | _WorkerFailure], float, tuple]":
     """A worker's share of a pooled wave: one chunk through
-    :func:`_score_tasks`.
+    :func:`_score_tasks`, the only task a pool worker runs.
+
+    *config* is the wave's ``(scorer config, cache entries)``; the
+    worker rebuilds its scorer only when it differs from the one it
+    holds.  *handle* names the wave's plane, attached (and its views
+    rebuilt) only when it differs from the attached one; ``None`` means
+    the segments came in through the pool initializer.
 
     *incumbents* is the parent's snapshot of the chunk's group bounds —
     possibly stale, which is always sound (a stale bound is looser and
     only prunes less).  Results earlier in the chunk tighten later
     same-group members immediately, at in-process freshness, without
     waiting for the parent round-trip.
+
+    Returns the outcomes, the seconds spent and the chunk's counter
+    deltas (shaped like :data:`_COUNTER_ZEROS`), which the parent adds
+    to its running total.
     """
+    global _worker_scorer, _worker_config, _worker_segments
+    before = _scorer_counts(_worker_scorer)
+    if config != _worker_config:
+        _worker_scorer = _build_worker_scorer(*config)
+        _worker_config = config
+        # The new scorer counts from zero; the old cache's entries go.
+        before = (*_COUNTER_ZEROS[:-1], before[-1])
+    if handle is not None and (
+        _worker_plane is None or _worker_plane[0] != handle.name
+    ):
+        _worker_segments = _attach_plane_segments(handle)
     assert _worker_scorer is not None and _worker_segments is not None
-    return _score_tasks(
+    outcomes, seconds = _score_tasks(
         _worker_scorer,
         tasks,
         _worker_segments,
@@ -720,6 +623,11 @@ def _score_chunk(
         in_worker=True,
         generation=_worker_generation,
     )
+    counts = tuple(
+        after - was
+        for after, was in zip(_scorer_counts(_worker_scorer), before)
+    )
+    return outcomes, seconds, counts
 
 
 class _PoolBroken(Exception):
@@ -735,7 +643,7 @@ class _PoolBroken(Exception):
     ) -> None:
         super().__init__(detail)
         self.completed = completed
-        self.reason = reason  # "worker-crash" | "hang"
+        self.reason = reason  # "worker-crash" | "hang" | "worker-error"
         self.detail = detail
         #: Whether the first incomplete sketch is the likely culprit
         #: (crashes: yes; hangs: the hung sketch was already quarantined).
@@ -766,30 +674,19 @@ class PooledExecutor(SerialExecutor):
         self.workers = workers
         self.supervisor = Supervisor(policy)
         self._pool: ProcessPoolExecutor | None = None
-        self._barrier = None
-        self._segments_token: tuple[int, ...] | None = None
+        #: Plane key of the working set the live pool is primed with,
+        #: and the handle its chunks carry (``None``: the segments rode
+        #: the pool initializer).
+        self._primed: tuple | None = None
+        self._handle: PlaneHandle | None = None
         self._epoch = -1
         self._crash_strikes: dict[str, int] = {}
-        self._broadcast_faults_left = (
-            fault_plan.broadcast_failures if fault_plan is not None else 0
-        )
         self.pools_spawned = 0
         #: Spawns the lifecycle asked for (first spawn, respawn after an
         #: explicit ``close()``, per-working-set respawns without a
         #: plane).  Everything beyond these is a crash-driven rebuild.
         self._planned_spawns = 0
         self._expect_spawn = True
-        #: Scorer config the pool's workers currently have installed.
-        self._installed_config: dict | None = None
-        #: Cache (hits, misses) and scoring counters of worker scorers
-        #: that were replaced by an install broadcast — their work
-        #: happened and stays in the run-wide sums.
-        self._retired_cache = [0, 0]
-        self._retired_scoring = list(_COUNTER_ZEROS)
-        #: Latest cumulative cache counters per worker pid.
-        self._worker_cache: dict[int, tuple[int, int, int]] = {}
-        #: Latest cumulative batched-scoring counters per worker pid.
-        self._worker_scoring: dict[int, tuple] = {}
         methods = multiprocessing.get_all_start_methods()
         self._mp_context = (
             multiprocessing.get_context("fork") if "fork" in methods else None
@@ -807,58 +704,30 @@ class PooledExecutor(SerialExecutor):
         crash-driven rebuild count)."""
         return max(0, self.pools_spawned - self._planned_spawns)
 
-    def reset_stats(self) -> None:
-        """Zero all cumulative counters (between jobs sharing the
-        executor) without touching cache *contents* — worker caches stay
-        warm, only the accounting restarts."""
-        super().reset_stats()
-        self._crash_strikes.clear()
-        self._retired_cache = [0, 0]
-        self._retired_scoring = list(_COUNTER_ZEROS)
-        self.shm_bytes = sum(
-            plane.nbytes for plane in self._planes.values()
-        )
-        self._worker_cache.clear()
-        self._worker_scoring.clear()
-        if self._pool is not None and self._mp_context is not None:
-            try:
-                futures = [
-                    self._pool.submit(_reset_worker_stats)
-                    for _ in range(self.workers)
-                ]
-                for future in futures:
-                    future.result(timeout=_PRIME_TIMEOUT_SECONDS * 2)
-            except Exception:
-                pass  # a wedged pool surfaces on the next wave, not here
-
-    def _scorer_config(self) -> dict:
+    def _scorer_config(self) -> tuple[dict, int | None]:
+        """What a worker builds the current scorer from: its knobs and
+        its cache bound (each worker keeps a cache of its own)."""
         scorer = self.scorer
-        return dict(
-            metric_name=scorer.metric_name,
-            constant_pool=tuple(scorer.constant_pool),
-            completion_cap=scorer.completion_cap,
-            seed=scorer.seed,
-            max_replay_rows=scorer.max_replay_rows,
-            series_budget=scorer.series_budget,
-            batch=scorer.batch,
-            table_cache_entries=scorer.table_cache_entries,
+        return (
+            dict(
+                metric_name=scorer.metric_name,
+                constant_pool=tuple(scorer.constant_pool),
+                completion_cap=scorer.completion_cap,
+                seed=scorer.seed,
+                max_replay_rows=scorer.max_replay_rows,
+                series_budget=scorer.series_budget,
+                batch=scorer.batch,
+                table_cache_entries=scorer.table_cache_entries,
+            ),
+            scorer.cache.max_entries if scorer.cache is not None else None,
         )
-
-    def _cache_entries(self) -> int | None:
-        cache = self.scorer.cache
-        return cache.max_entries if cache is not None else None
 
     def _spawn_pool(self, segments: Sequence[TraceSegment] | None) -> None:
-        if self._mp_context is not None:
-            self._barrier = self._mp_context.Barrier(self.workers)
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=self._mp_context,
             initializer=_init_worker,
             initargs=(
-                self._barrier,
-                self._scorer_config(),
-                self._cache_entries(),
                 list(segments) if segments is not None else None,
                 self.fault_plan,
                 self.pools_spawned + 1,  # pool generation, 1-based
@@ -869,7 +738,6 @@ class PooledExecutor(SerialExecutor):
         if self._expect_spawn:
             self._planned_spawns += 1
             self._expect_spawn = False
-        self._installed_config = self._scorer_config()
         self._emit(PoolSpawned(workers=self.workers))
 
     def _shutdown_pool(self, *, wait: bool = False) -> None:
@@ -878,8 +746,7 @@ class PooledExecutor(SerialExecutor):
         if self._pool is not None:
             self._pool.shutdown(wait=wait, cancel_futures=True)
             self._pool = None
-            self._barrier = None
-        self._segments_token = None
+        self._primed = None
 
     def _degrade(self, reason: str) -> None:
         """Give up on pooled scoring for the rest of the run."""
@@ -893,32 +760,36 @@ class PooledExecutor(SerialExecutor):
         while self._planes:
             self._planes.popitem(last=False)[1].close()
 
-    def _plane_for(
-        self, token: tuple[int, ...], segments: Sequence[TraceSegment]
-    ) -> SegmentPlane | None:
-        """The plane for this working set under the scorer's data knobs,
-        building (and LRU-evicting) as needed; ``None`` when there is no
-        plane — no ``fork``, or input :meth:`SegmentPlane.build` cannot
-        pack — and the segments must ride a pool respawn instead.
+    def _plane_key(self, segments: Sequence[TraceSegment]) -> tuple:
+        """The working set under the scorer's data knobs.
 
-        Keyed on the data-shaping knobs too: two jobs sharing segments
-        but differing in ``max_replay_rows``/``series_budget`` (or
-        metric — envelopes only exist for DTW) need different arrays.
+        Two jobs sharing segments but differing in
+        ``max_replay_rows``/``series_budget`` (or metric — envelopes
+        only exist for DTW) need different arrays, hence different
+        planes.
         """
-        if self._mp_context is None:
-            return None
         scorer = self.scorer
-        key = (
-            token,
+        return (
+            tuple(id(segment) for segment in segments),
             scorer.metric_name,
             scorer.max_replay_rows,
             scorer.series_budget,
         )
+
+    def _plane_for(
+        self, key: tuple, segments: Sequence[TraceSegment]
+    ) -> SegmentPlane | None:
+        """The plane for *key*, building (and LRU-evicting) as needed;
+        ``None`` when there is no plane — no ``fork``, or input
+        :meth:`SegmentPlane.build` cannot pack — and the segments must
+        ride a pool respawn instead."""
+        if self._mp_context is None:
+            return None
         plane = self._planes.get(key)
         if plane is not None:
             self._planes.move_to_end(key)
             return plane
-        plane = SegmentPlane.build(scorer.prepare_segments(segments))
+        plane = SegmentPlane.build(self.scorer.prepare_segments(segments))
         if plane is None:
             return None
         self._planes[key] = plane
@@ -935,127 +806,35 @@ class PooledExecutor(SerialExecutor):
 
     # ------------------------------------------------------------------
 
-    def _broadcast(self, handle: PlaneHandle | None) -> None:
-        """Run one barrier-synchronized task on every worker."""
-        assert self._pool is not None
-        if handle is not None and self._broadcast_faults_left > 0:
-            self._broadcast_faults_left -= 1
-            raise FaultInjected("injected broadcast failure")
-        futures = [
-            self._pool.submit(_broadcast_segments, handle)
-            for _ in range(self.workers)
-        ]
-        for future in futures:
-            pid, cache_counts, scoring_counts = future.result(
-                timeout=_PRIME_TIMEOUT_SECONDS * 2
-            )
-            self._worker_cache[pid] = cache_counts
-            self._worker_scoring[pid] = scoring_counts
+    def _prime(self, segments: Sequence[TraceSegment]) -> PlaneHandle | None:
+        """Ready the pool for *segments*; returns the plane handle the
+        wave's chunks carry.
 
-    def _install_scorer(self, config: dict) -> None:
-        """Broadcast a scorer swap to every worker.
-
-        The returned outgoing counters are folded into the retired
-        totals and the per-pid map entries zeroed (the fresh worker
-        scorers restart their cumulative counts from zero), so stats
-        sums never lose or double-count work across job switches.
+        Keep the pool when it already holds this working set; otherwise
+        build or reuse the working set's plane (spawning a pool if none
+        is live), or — with no plane — respawn the pool with the
+        segments in its initializer, a planned spawn rather than a
+        rebuild, and return ``None``.
         """
-        assert self._pool is not None
-        payload = (config, self._cache_entries())
-        futures = [
-            self._pool.submit(_install_worker_scorer, payload)
-            for _ in range(self.workers)
-        ]
-        for future in futures:
-            pid, cache_counts, scoring_counts = future.result(
-                timeout=_PRIME_TIMEOUT_SECONDS * 2
-            )
-            # Hits/misses are cumulative (keep them); entries are a
-            # point-in-time gauge of a cache that no longer exists.
-            self._retired_cache[0] += cache_counts[0]
-            self._retired_cache[1] += cache_counts[1]
-            for index in range(len(_COUNTER_ZEROS)):
-                self._retired_scoring[index] += scoring_counts[index]
-            self._worker_cache[pid] = (0, 0, 0)
-            self._worker_scoring[pid] = _COUNTER_ZEROS
-        self._installed_config = config
-
-    def _prime(self, segments: Sequence[TraceSegment]) -> None:
-        """Install the current scorer and *segments* in the pool,
-        surviving broadcast failures.
-
-        Segments reach workers only through a plane handle.  Without a
-        plane (no ``fork``, or nothing :meth:`SegmentPlane.build` can
-        pack) the pool is respawned with scorer and segments in its
-        initializer instead — a planned spawn, not a rebuild.
-
-        A failed broadcast (wedged worker, broken barrier) gets exactly
-        one pool rebuild; a second consecutive failure means the pool
-        cannot be kept alive on this host, and the executor degrades to
-        serial instead of propagating — the run continues either way.
-        """
-        if self.degraded:
-            return
-        token = tuple(id(segment) for segment in segments)
-        config = self._scorer_config()
-        same_segments = (
-            self._pool is not None and token == self._segments_token
-        )
-        if same_segments and config == self._installed_config:
-            return
-        segments = list(segments)
-        segments_shipped = not same_segments
-        plane = None if same_segments else self._plane_for(token, segments)
-        if self._mp_context is None or (plane is None and not same_segments):
+        key = self._plane_key(segments)
+        if self._pool is not None and key == self._primed:
+            return self._handle
+        plane = self._plane_for(key, segments)
+        if plane is None:
             if self._pool is not None:
                 # Replacing a healthy pool is planned, not a rebuild.
                 self._shutdown_pool()
                 self._expect_spawn = True
             self._spawn_pool(segments)
-            segments_shipped = True
-        else:
-            if self._pool is None:
-                self._spawn_pool(None)
-            rebuilt = False
-            while True:
-                try:
-                    if config != self._installed_config:
-                        self._install_scorer(config)
-                    if plane is not None:
-                        self._broadcast(plane.handle)
-                    break
-                except Exception as exc:
-                    # A wedged/dead worker broke the barrier.
-                    self._shutdown_pool()
-                    self._emit(
-                        WorkerCrashed(
-                            reason="broadcast",
-                            detail=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    if rebuilt:
-                        self._degrade("segment broadcast failed twice")
-                        return
-                    rebuilt = True
-                    # The fresh pool needs the working set again.
-                    plane = self._plane_for(token, segments)
-                    self._spawn_pool(segments if plane is None else None)
-                    segments_shipped = True
-                    self._emit(
-                        PoolRebuilt(
-                            rebuilds=self.pool_rebuilds, backoff_seconds=0.0
-                        )
-                    )
-        self._segments_token = token
-        if segments_shipped:
-            # A pure scorer swap leaves the working set (and its primed
-            # epoch) untouched — no SegmentsPrimed for those.
-            self._epoch += 1
-            self._emit(
-                SegmentsPrimed(
-                    epoch=self._epoch, segment_count=len(segments)
-                )
-            )
+        elif self._pool is None:
+            self._spawn_pool(None)
+        self._primed = key
+        self._handle = plane.handle if plane is not None else None
+        self._epoch += 1
+        self._emit(
+            SegmentsPrimed(epoch=self._epoch, segment_count=len(segments))
+        )
+        return self._handle
 
     # ------------------------------------------------------------------
 
@@ -1100,9 +879,11 @@ class PooledExecutor(SerialExecutor):
         deadline: float | None,
         exempt: int,
         incumbents: list[float],
+        handle: PlaneHandle | None,
     ) -> list[ScoredHandler]:
         """One fused wave on the live pool, pipelined through a bounded
-        in-flight window.
+        in-flight window; every chunk carries the scorer config and
+        *handle* (see :func:`_score_chunk`).
 
         Tasks enter the pool in :func:`derive_chunksize`-sized chunks,
         at most ``workers × WAVE_WINDOW_PER_WORKER`` chunks at a time:
@@ -1155,6 +936,7 @@ class PooledExecutor(SerialExecutor):
                 break
             covered += len(chunk)
             primer_chunks += 1
+        config = self._scorer_config()
         pending: deque = deque()  # (chunk, future) FIFO
         next_chunk = 0
         busy_seconds = 0.0
@@ -1170,14 +952,13 @@ class PooledExecutor(SerialExecutor):
                 chunk = chunks[next_chunk]
                 bounds = {group: incumbents[group] for group, _ in chunk}
                 try:
-                    future = self._pool.submit(_score_chunk, chunk, bounds)
+                    future = self._pool.submit(
+                        _score_chunk, chunk, bounds, config, handle
+                    )
                 except BrokenProcessPool as exc:
                     # A worker died after an earlier submission.
-                    drain_pending()
-                    note_occupancy()
-                    raise _PoolBroken(
-                        completed, "worker-crash", str(exc) or "pool broken",
-                        blame_next=True,
+                    raise abort(
+                        "worker-crash", str(exc) or "pool broken", True
                     ) from exc
                 pending.append((chunk, future))
                 next_chunk += 1
@@ -1186,16 +967,21 @@ class PooledExecutor(SerialExecutor):
                 sum(len(chunk) for chunk, _ in pending),
             )
 
-        def drain_pending() -> None:
-            while pending:
-                pending.popleft()[1].cancel()
-
         def note_occupancy() -> None:
             wall = time.perf_counter() - wall_started
             if wall > 0 and completed:
                 self._waves.note_occupancy(
                     min(1.0, busy_seconds / (wall * self.workers))
                 )
+
+        def abort(reason: str, detail: str, blame_next: bool) -> _PoolBroken:
+            """Cancel what is still in flight and close the wave."""
+            while pending:
+                pending.popleft()[1].cancel()
+            note_occupancy()
+            return _PoolBroken(
+                completed, reason, detail, blame_next=blame_next
+            )
 
         top_up()
         cut_short = False
@@ -1215,7 +1001,7 @@ class PooledExecutor(SerialExecutor):
                 future.cancel()
                 continue
             try:
-                outcomes, seconds = future.result(timeout=timeout)
+                outcomes, seconds, counts = future.result(timeout=timeout)
             except FutureTimeoutError:
                 if binding == "deadline":
                     cut_short = True
@@ -1233,19 +1019,21 @@ class PooledExecutor(SerialExecutor):
                         f"no result within {timeout:.3g}s backstop",
                     )
                 )
-                drain_pending()
-                note_occupancy()
-                raise _PoolBroken(
-                    completed, "hang", f"worker hung on {head}",
-                    blame_next=False,
-                )
+                raise abort("hang", f"worker hung on {head}", False)
             except BrokenProcessPool as exc:
-                drain_pending()
-                note_occupancy()
-                raise _PoolBroken(
-                    completed, "worker-crash", str(exc) or "pool broken",
-                    blame_next=True,
+                raise abort(
+                    "worker-crash", str(exc) or "pool broken", True
                 ) from exc
+            except Exception as exc:
+                # The chunk raised outside the task guard (a plane the
+                # worker cannot attach, say): no sketch is to blame.
+                raise abort(
+                    "worker-error", f"{type(exc).__name__}: {exc}", False
+                ) from exc
+            self._chunk_counts = tuple(
+                total + count
+                for total, count in zip(self._chunk_counts, counts)
+            )
             busy_seconds += seconds
             for (group, sketch), outcome in zip(chunk, outcomes):
                 scored = self._resolve_outcome(sketch, outcome)
@@ -1286,7 +1074,6 @@ class PooledExecutor(SerialExecutor):
             return _scatter(order, flat, len(groups))
         flat: list[ScoredHandler] = []
         while len(flat) < len(tasks):
-            self._prime(segments)
             remaining = tasks[len(flat):]
             exempt = max(0, mandatory - len(flat))
             if self.degraded:
@@ -1296,9 +1083,12 @@ class PooledExecutor(SerialExecutor):
                     )
                 )
                 break
+            handle = self._prime(segments)
             try:
                 flat.extend(
-                    self._pool_wave(remaining, deadline, exempt, incumbents)
+                    self._pool_wave(
+                        remaining, deadline, exempt, incumbents, handle
+                    )
                 )
                 self.supervisor.record_success()
                 break
@@ -1341,42 +1131,10 @@ class PooledExecutor(SerialExecutor):
                         backoff_seconds=backoff,
                     )
                 )
-                # Loop: _prime respawns the pool and re-primes segments.
+                # Loop: _prime respawns the pool for the working set.
         return _scatter(order, flat, len(groups))
 
     # ------------------------------------------------------------------
-
-    def _refresh_worker_counters(self) -> None:
-        """One broadcast refreshing cache *and* scoring counters at once
-        (``stats()`` reads both snapshots off a single round-trip)."""
-        if self._pool is not None and self._mp_context is not None:
-            try:
-                self._broadcast(None)
-            except Exception:
-                pass  # stale counters are better than a crashed run
-
-    def _counter_totals(self) -> list:
-        """Parent scorers plus workers (as last reported) plus the
-        scorers workers retired; counters from workers lost to a rebuild
-        stay in the sum (they describe work that really happened)."""
-        totals = super()._counter_totals()
-        for entry in (*self._worker_scoring.values(), self._retired_scoring):
-            for index, value in enumerate(entry):
-                totals[index] += value
-        return totals
-
-    def _assemble_cache_stats(self) -> CacheStats | None:
-        parent = super()._assemble_cache_stats()
-        if parent is None:
-            return None
-        workers = self._worker_cache.values()
-        return CacheStats(
-            hits=parent.hits + self._retired_cache[0]
-            + sum(entry[0] for entry in workers),
-            misses=parent.misses + self._retired_cache[1]
-            + sum(entry[1] for entry in workers),
-            entries=parent.entries + sum(entry[2] for entry in workers),
-        )
 
     def close(self, *, wait: bool = False) -> None:
         """Shut the pool down; safe to call any number of times.

@@ -1,11 +1,15 @@
 """Deterministic fault injection for the scoring runtime.
 
 Recovery code that only runs when the cluster misbehaves is recovery
-code that never runs in CI.  A :class:`FaultPlan` makes every failure
-mode the executors guard against *injectable on demand*, keyed by the
-canonical text of the sketch being scored, so tests can crash a specific
-worker on a specific task, hang a specific candidate, or raise from the
-scorer — deterministically, under both executors.
+code that never runs in CI.  A :class:`FaultPlan` makes every failure a
+scoring task can meet *injectable on demand*, keyed by the canonical
+text of the sketch being scored, so tests can crash a specific worker
+on a specific task, hang a specific candidate, or raise from the scorer
+— deterministically, under both executors.  The one message a pool
+worker gets is its scoring chunk, so the plan needs no pool-level
+faults: a chunk failing before its tasks run (a plane the worker cannot
+attach) is supervised like a crash, and tests reach it by patching
+``attach_plane``.
 
 The plan is a frozen, picklable value: :class:`PooledExecutor` ships it
 to workers through the pool initializer, and the serial path consults it
@@ -54,9 +58,7 @@ class FaultPlan:
     exercises the quarantine path.  ``crash_generations`` restricts
     crashes to specific pool generations (the first pool a run spawns is
     generation 1), so a test can model a *transient* crash: the rebuilt
-    pool scores the same sketch cleanly.  ``broadcast_failures`` fails
-    the first N segment-priming broadcasts in the parent, exercising the
-    pool-rebuild branch of ``_prime``.
+    pool scores the same sketch cleanly.
     """
 
     crash_on: frozenset[str] = frozenset()
@@ -64,7 +66,6 @@ class FaultPlan:
     raise_on: frozenset[str] = frozenset()
     crash_generations: frozenset[int] | None = None
     hang_seconds: float = 3600.0
-    broadcast_failures: int = 0
 
     @classmethod
     def make(
@@ -75,7 +76,6 @@ class FaultPlan:
         raise_on: Iterable = (),
         crash_generations: Iterable[int] | None = None,
         hang_seconds: float = 3600.0,
-        broadcast_failures: int = 0,
     ) -> "FaultPlan":
         """Build a plan from sketches (or their texts) directly."""
         return cls(
@@ -88,7 +88,6 @@ class FaultPlan:
                 else None
             ),
             hang_seconds=hang_seconds,
-            broadcast_failures=broadcast_failures,
         )
 
     def is_empty(self) -> bool:

@@ -19,7 +19,7 @@ Request flow, in order of appearance within one run::
 
     ScorerReady      -> (no reply)   driver binds/adopts an executor
     WaveRequest      -> WaveReply    score these groups on these segments
-    StatsRequest     -> ExecutorSnapshot
+    StatsRequest     -> ExecutorSnapshot   telemetry, read in the parent
     ProgressReport   -> (no reply)   anytime-answer beacon at checkpoints
 
 The protocol deliberately knows nothing about buckets, DSLs, or traces:
@@ -108,7 +108,8 @@ class StatsRequest:
     """Ask for executor telemetry; reply with :class:`ExecutorSnapshot`.
 
     The blocking wrapper always answers with real cache/scoring
-    snapshots (one pool broadcast); a scheduler may answer with ``None``
+    snapshots (read in the parent, no pool round trip: worker counters
+    ride back on chunk results); a scheduler may answer with ``None``
     for both — executor counters are fleet-wide there, not per-job — and
     the core then simply emits no stats events for that boundary.
     """

@@ -19,10 +19,10 @@ many cores and answers all of them against a single shared pool:
   whole waves.
 * **One pool** — the executor is created on the first wave and adopted
   scorer-by-scorer as jobs interleave
-  (:meth:`~repro.runtime.executors.SerialExecutor.adopt_scorer` defers
-  the worker-side swap to the next prime, which broadcasts only when the
-  scorer config actually differs).  Jobs whose flattened slice is below
-  the executor's parallel threshold score inline in the scheduler
+  (:meth:`~repro.runtime.executors.SerialExecutor.adopt_scorer`; every
+  scoring chunk carries the scorer config, and a worker rebuilds its
+  scorer only when the config differs).  Jobs whose flattened slice is
+  below the executor's parallel threshold score inline in the scheduler
   process and never occupy pool slots.
 * **Leases** — a job submitted with a held
   :class:`~repro.runtime.checkpoint.CheckpointLease` (``Job.lease``, won

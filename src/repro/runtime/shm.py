@@ -6,10 +6,11 @@ parent trace's ACK stream — into each worker, which then re-derived the
 scoring inputs (signal table, normalized observed series, downsample,
 Keogh envelope) from scratch.  The plane inverts that: the parent builds
 those arrays **once** (:meth:`~repro.synth.scoring.Scorer.prepare_segments`),
-packs them into ONE ``multiprocessing.shared_memory`` block, and
-broadcasts a small picklable :class:`PlaneHandle` (names, dtypes,
-offsets) instead.  Workers attach once per pool lifetime and rebuild
-numpy views over the same physical pages — no copies, no re-derivation.
+packs them into ONE ``multiprocessing.shared_memory`` block, and sends
+a small picklable :class:`PlaneHandle` (names, dtypes, offsets) with
+every scoring chunk instead.  A worker attaches a plane the first time
+a chunk names it and rebuilds numpy views over the same physical pages
+— no copies, no re-derivation.
 
 Ownership is parent-side and fleet-safe: every working set gets its own
 uniquely-named plane (``repro-plane-<pid>-<token>``), so N jobs
@@ -86,8 +87,8 @@ class PlaneHandle:
     """Picklable ticket for attaching to a :class:`SegmentPlane`.
 
     A handle is a name plus a layout — a few hundred bytes per segment
-    regardless of how long the traces are — and is what
-    ``_broadcast_segments`` ships to every worker.
+    regardless of how long the traces are — and rides every scoring
+    chunk a pool worker receives.
     """
 
     name: str
@@ -103,8 +104,8 @@ class PlaneSegment:
     :meth:`~repro.synth.scoring.Scorer._entry_for` recognizes the
     :meth:`plane_entry` attribute and rebuilds its ``_SegmentEntry``
     from the views instead of re-extracting signals.  Identity is
-    stable for the lifetime of a broadcast (the worker holds one list
-    per plane), so ``id()``-keyed score caches behave exactly as they
+    stable while the plane stays attached (the worker holds one list
+    per attach), so ``id()``-keyed score caches behave exactly as they
     do for real segments.
     """
 

@@ -45,7 +45,7 @@ from repro.dsl.families import DslSpec
 from repro.dsl.parser import parse
 from repro.dsl.printer import to_text
 from repro.errors import SynthesisError
-from repro.runtime.cache import DEFAULT_CACHE_ENTRIES, ScoreCache
+from repro.runtime.cache import ScoreCache
 from repro.runtime.checkpoint import (
     CheckpointWriter,
     RefinementCheckpoint,
@@ -114,7 +114,6 @@ class SynthesisConfig:
     #: values are the exact floats a cold scorer computes, so disabling
     #: this changes runtime, never results.
     cache_scores: bool = True
-    cache_max_entries: int = DEFAULT_CACHE_ENTRIES
     #: Per-sketch watchdog: a candidate scoring longer than this is
     #: quarantined (worst-case score) instead of wedging the run.
     #: ``None`` disables the watchdog (the bit-identical default).
@@ -126,9 +125,6 @@ class SynthesisConfig:
     #: Persist refinement state to this JSONL file at iteration
     #: boundaries (atomic writes; see ``docs/RESILIENCE.md``).
     checkpoint_path: str | None = None
-    #: Checkpoint every N iteration boundaries (the last boundary before
-    #: the loop exits is always written).
-    checkpoint_every: int = 1
     #: Restore refinement state from this checkpoint file before looping.
     resume_path: str | None = None
     #: Score each sketch's concretizations through the batched fast path
@@ -223,11 +219,7 @@ def synthesize_core(
         seed=config.seed,
         series_budget=config.series_budget,
         max_replay_rows=config.max_replay_rows,
-        cache=(
-            ScoreCache(config.cache_max_entries)
-            if config.cache_scores
-            else None
-        ),
+        cache=ScoreCache() if config.cache_scores else None,
         batch=config.batch_scoring,
     )
     pool = BucketPool(dsl, context=ctx)
@@ -341,10 +333,6 @@ def synthesize_core(
     def write_checkpoint(finished: bool) -> None:
         if writer is None:
             return
-        completed = len(state.records)
-        due = completed % max(config.checkpoint_every, 1) == 0
-        if not (due or finished):
-            return
         writer.write(
             RefinementCheckpoint(
                 fingerprint=fingerprint,
@@ -369,7 +357,7 @@ def synthesize_core(
         )
         ctx.emit(
             CheckpointSaved(
-                path=writer.path, iteration=completed
+                path=writer.path, iteration=len(state.records)
             )
         )
 
@@ -447,8 +435,6 @@ def synthesize_core(
                 )
             )
             pool.prune({bucket.key for bucket in survivors})
-            # One combined snapshot: cache_stats() + scoring_stats()
-            # separately would cost two pool-wide barrier broadcasts.
             # A scheduler may answer (None, None); stats are fleet-wide
             # there and the run log simply carries no per-job counters.
             snapshot = yield StatsRequest()

@@ -71,7 +71,7 @@ def test_serial_matches_direct_scoring(sketches, reno_segments):
         assert fresh.score_sketch(sketch, working).distance == pytest.approx(
             result.distance
         )
-    assert executor.cache_stats() is None
+    assert executor.stats()[0] is None
 
 
 def test_serial_deadline_cuts_wave_short(sketches, reno_segments):
@@ -89,7 +89,7 @@ def test_serial_deadline_cuts_wave_short(sketches, reno_segments):
 def test_serial_cache_stats_reported(sketches, reno_segments):
     executor = SerialExecutor(_scorer(cache=ScoreCache()))
     _each(executor, sketches, reno_segments[:1])
-    stats = executor.cache_stats()
+    stats, _ = executor.stats()
     assert stats is not None
     assert stats.lookups > 0
 
@@ -147,7 +147,7 @@ def test_pooled_deadline_respects_min_results(sketches, reno_segments):
 def test_pooled_aggregates_worker_cache_stats(sketches, reno_segments):
     with PooledExecutor(_scorer(cache=ScoreCache()), 2) as pooled:
         _each(pooled, sketches, reno_segments[:2])
-        stats = pooled.cache_stats()
+        stats, _ = pooled.stats()
     assert stats is not None
     assert stats.lookups > 0
 
@@ -170,44 +170,70 @@ def test_make_executor_picks_by_workers():
 def test_serial_reports_scoring_stats(sketches, reno_segments):
     executor = SerialExecutor(_scorer())
     _each(executor, sketches, reno_segments[:2])
-    stats = executor.scoring_stats()
+    _, stats = executor.stats()
     assert stats.kind == "scoring_stats"
     assert stats.batched_waves > 0
 
 
-def test_pooled_scoring_stats_match_serial(sketches, reno_segments):
-    """Counter totals are per-sketch work, so the worker split (and the
-    per-worker scorers it implies) cannot change the aggregate.  The
-    wall-clock, transport and pipeline-shape fields (precompute ms, shm
-    bytes, in-flight peak, occupancy) describe *how* the work ran, not
-    how much — normalized out before comparing."""
+def _deterministic(stats):
+    """*stats* without the wall-clock, transport and pipeline-shape
+    fields (precompute ms, shm bytes, in-flight peak, occupancy): they
+    describe *how* the work ran, not how much."""
     import dataclasses
 
-    def deterministic(stats):
-        return dataclasses.replace(
-            stats,
-            envelope_precompute_ms=0.0,
-            shm_bytes=0,
-            peak_in_flight=0,
-            mean_occupancy=0.0,
-        )
+    return dataclasses.replace(
+        stats,
+        envelope_precompute_ms=0.0,
+        shm_bytes=0,
+        peak_in_flight=0,
+        mean_occupancy=0.0,
+    )
 
+
+def test_pooled_scoring_stats_match_serial(sketches, reno_segments):
+    """Counter totals are per-sketch work, so the worker split (and the
+    per-worker scorers it implies) cannot change the aggregate."""
     working = reno_segments[:2]
     serial = SerialExecutor(_scorer())
     _each(serial, sketches, working)
-    expected = serial.scoring_stats()
+    _, expected = serial.stats()
     with PooledExecutor(_scorer(), 2) as pooled:
         _each(pooled, sketches, working)
-        stats = pooled.scoring_stats()
-        assert stats.shm_bytes > 0  # the plane carried the broadcast
-    assert deterministic(stats) == deterministic(expected)
+        _, stats = pooled.stats()
+        assert stats.shm_bytes > 0  # the plane carried the working set
+    assert _deterministic(stats) == _deterministic(expected)
     assert stats.batched_waves == len(sketches)
+
+
+def test_pooled_stats_without_fork_match_serial(
+    sketches, reno_segments, monkeypatch
+):
+    """A pool built without ``fork`` (no plane: the segments ride the
+    initializer) still reports its workers' counters, because they come
+    back with the chunk results."""
+    import multiprocessing
+
+    working = reno_segments[:2]
+    serial = SerialExecutor(_scorer(cache=ScoreCache()))
+    _each(serial, sketches, working)
+    expected_cache, expected = serial.stats()
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
+    with PooledExecutor(_scorer(cache=ScoreCache()), 2) as pooled:
+        _each(pooled, sketches, working)
+        cache, stats = pooled.stats()
+        assert pooled.pools_spawned == 1
+        assert stats.shm_bytes == 0  # no plane without fork
+    assert _deterministic(stats) == _deterministic(expected)
+    assert stats.batched_waves == len(sketches)
+    assert cache.lookups == expected_cache.lookups > 0
 
 
 def test_pooled_batch_flag_reaches_workers(sketches, reno_segments):
     with PooledExecutor(_scorer(batch=False), 2) as pooled:
         _each(pooled, sketches, reno_segments[:2])
-        stats = pooled.scoring_stats()
+        _, stats = pooled.stats()
     assert stats.batched_waves == 0
 
 
@@ -358,30 +384,26 @@ def test_grouped_emits_wave_dispatched(sketches, reno_segments):
     assert waves[0].groups == 2
     assert waves[0].tasks == 5
     assert waves[0].workers == 1
-    stats = executor.scoring_stats()
+    _, stats = executor.stats()
     assert stats.fused_waves == 1
     assert stats.fused_tasks == 5
     assert stats.peak_in_flight >= 1
     assert stats.mean_occupancy > 0.0
 
 
-def test_pooled_stats_single_broadcast(sketches, reno_segments, monkeypatch):
-    """stats() must pay ONE worker broadcast where cache_stats() +
-    scoring_stats() used to pay two."""
-    from repro.runtime.cache import ScoreCache as _Cache
-
-    with PooledExecutor(_scorer(cache=_Cache()), 2) as pooled:
+def test_pooled_stats_submits_no_pool_task(
+    sketches, reno_segments, monkeypatch
+):
+    """Worker counters ride back on chunk results, so stats() reads
+    them in the parent without a pool round trip."""
+    with PooledExecutor(_scorer(cache=ScoreCache()), 2) as pooled:
         _each(pooled, sketches, reno_segments[:2])
-        calls = []
-        original = pooled._broadcast
-
-        def counting(segments):
-            calls.append(segments)
-            return original(segments)
-
-        monkeypatch.setattr(pooled, "_broadcast", counting)
+        submitted = []
+        monkeypatch.setattr(
+            pooled._pool, "submit", lambda fn, *args: submitted.append(fn)
+        )
         cache, scoring = pooled.stats()
-    assert calls == [None]
+    assert submitted == []
     assert cache is not None and cache.lookups > 0
     assert scoring.batched_waves == len(sketches)
 
@@ -407,45 +429,6 @@ def test_pooled_close_then_reuse_across_runs(sketches, reno_segments):
     assert pooled.pools_spawned == 2
     assert pooled.pool_rebuilds == 0  # planned respawns are not faults
     assert len(collector.of_kind("pool_spawned")) == 2
-
-
-def test_pooled_reset_stats_isolates_sequential_runs(sketches, reno_segments):
-    from repro.runtime.cache import ScoreCache as _Cache
-
-    with PooledExecutor(_scorer(cache=_Cache()), 2) as pooled:
-        working = reno_segments[:2]
-        _each(pooled, sketches, working)
-        cache, scoring = pooled.stats()
-        assert cache.lookups > 0
-        assert scoring.batched_waves > 0
-        pooled.reset_stats()
-        cache, scoring = pooled.stats()
-        assert cache is not None and cache.lookups == 0
-        assert scoring.batched_waves == 0
-        # Cache *contents* survive the counter reset (only counters
-        # zero): the entries gauge is still populated after rescoring.
-        # (Hit counts are not asserted here — task->worker placement is
-        # nondeterministic, so a task may miss a peer worker's cache.)
-        _each(pooled, sketches, working)
-        cache, _ = pooled.stats()
-        assert cache.entries > 0
-        assert cache.lookups > 0
-
-
-def test_serial_reset_stats_zeroes_counters(sketches, reno_segments):
-    from repro.runtime.cache import ScoreCache as _Cache
-
-    executor = SerialExecutor(_scorer(cache=_Cache()))
-    _each(executor, sketches, reno_segments[:1])
-    assert executor.cache_stats().lookups > 0
-    executor.reset_stats()
-    assert executor.cache_stats().lookups == 0
-    assert executor.scoring_stats().batched_waves == 0
-    # Contents survive the counter reset: rescoring the same wave in
-    # one process hits every entry the first run populated.
-    _each(executor, sketches, reno_segments[:1])
-    assert executor.cache_stats().hits >= len(sketches)
-    assert executor.cache_stats().misses == 0
 
 
 def test_pooled_adopt_scorer_switches_jobs(sketches, reno_segments):
@@ -481,8 +464,8 @@ def test_pooled_adopt_scorer_switches_jobs(sketches, reno_segments):
     assert len(collector.of_kind("pool_spawned")) == 1
 
 
-def test_pooled_adopt_same_config_skips_broadcast(sketches, reno_segments):
-    """Two scorers with identical config share one worker install."""
+def test_pooled_adopt_same_config_keeps_working_set(sketches, reno_segments):
+    """Two scorers with identical config share the pool's working set."""
     collector = CollectorSink()
     ctx = RunContext([collector])
     with PooledExecutor(_scorer(), 2, context=ctx) as pooled:
@@ -496,3 +479,23 @@ def test_pooled_adopt_same_config_skips_broadcast(sketches, reno_segments):
     # Same segments + same config: the second wave needed no re-prime,
     # so the epoch (segments_primed count) did not move.
     assert len(collector.of_kind("segments_primed")) == 1
+
+
+def test_pooled_adopt_other_data_knobs_switches_plane(sketches, reno_segments):
+    """Same segments, a scorer with another ``series_budget``: the plane
+    holds arrays shaped by the data knobs, so the pool must move to the
+    new scorer's plane, not score the new config against the old one."""
+    working = reno_segments[:2]
+
+    def scorer(budget):
+        return Scorer(
+            constant_pool=(0.5, 1.0), completion_cap=8, series_budget=budget
+        )
+
+    expected = _each(SerialExecutor(scorer(32)), sketches, working)
+    with PooledExecutor(scorer(128), 2) as pooled:
+        _each(pooled, sketches, working)
+        pooled.adopt_scorer(scorer(32))
+        adopted = _each(pooled, sketches, working)
+        assert len(pooled._planes) == 2
+    assert [r.distance for r in adopted] == [r.distance for r in expected]

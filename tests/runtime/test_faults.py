@@ -1,11 +1,11 @@
 """Fault-tolerance tests: every recovery path, under both executors.
 
-The :class:`~repro.runtime.faults.FaultPlan` makes each failure mode the
-executors guard against injectable on demand — crash a worker on a
-specific sketch, hang a candidate, raise from the scorer, or fail a
-priming broadcast — so the supervision, quarantine, and degradation
-machinery is exercised deterministically in CI rather than only when a
-real cluster misbehaves.
+The :class:`~repro.runtime.faults.FaultPlan` makes each failure a
+scoring task can meet injectable on demand — crash a worker on a
+specific sketch, hang a candidate, raise from the scorer — and a
+patched ``attach_plane`` fails a chunk before its tasks run, so the
+supervision, quarantine, and degradation machinery is exercised
+deterministically in CI rather than only when a real cluster misbehaves.
 """
 
 import multiprocessing
@@ -258,41 +258,78 @@ def test_pooled_close_is_idempotent(sketches, reno_segments):
     _assert_no_pool_children()
 
 
-# ------------------------------------------------------ pooled: broadcasts
+# ---------------------------------------------------- pooled: chunk errors
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="planes (and inheriting the patch) need fork",
+)
 
 
-def test_broadcast_failure_rebuilds_once(sketches, reno_segments):
+def _failing_attach(monkeypatch, generations=None):
+    """Make pool workers fail to attach a plane — in the pool
+    *generations* given, or always.  Patched before the pool forks, so
+    its workers inherit the patch."""
+    from repro.runtime import executors
+
+    real = executors.attach_plane
+
+    def attach(handle):
+        if generations is None or executors._worker_generation in generations:
+            raise OSError("injected attach failure")
+        return real(handle)
+
+    monkeypatch.setattr(executors, "attach_plane", attach)
+
+
+@needs_fork
+def test_attach_failure_rebuilds_once(sketches, reno_segments, monkeypatch):
+    """A chunk that fails outside its task guard blames no sketch: the
+    pool is rebuilt and the fresh workers score the wave cleanly."""
     working = reno_segments[:1]
     baseline = _baseline(sketches, working)
+    _failing_attach(monkeypatch, generations={1})
     collector, ctx = _collected()
     with PooledExecutor(
         _scorer(),
         POOL_WORKERS,
         context=ctx,
-        fault_plan=FaultPlan(broadcast_failures=1),
+        policy=SupervisionPolicy(backoff_base_seconds=0.0),
     ) as pooled:
         results = _each(pooled, sketches, working)
         assert pooled.pool_rebuilds == 1
         assert not pooled.degraded
     assert [r.distance for r in results] == pytest.approx(baseline)
+    assert pooled.quarantined == []
     crashes = collector.of_kind("worker_crashed")
-    assert [c.reason for c in crashes] == ["broadcast"]
+    assert [c.reason for c in crashes] == ["worker-error"]
     assert len(collector.of_kind("pool_rebuilt")) == 1
 
 
-def test_second_broadcast_failure_degrades_to_serial(sketches, reno_segments):
+@needs_fork
+def test_persistent_attach_failure_degrades_to_serial(
+    sketches, reno_segments, monkeypatch
+):
     working = reno_segments[:1]
-    baseline = _baseline(sketches, working)
+    oracle = _each(
+        SerialExecutor(
+            Scorer(constant_pool=(0.5, 1.0), completion_cap=8, batch=False)
+        ),
+        sketches,
+        working,
+    )
+    _failing_attach(monkeypatch)
     collector, ctx = _collected()
+    policy = SupervisionPolicy(max_pool_rebuilds=1, backoff_base_seconds=0.0)
     with PooledExecutor(
-        _scorer(),
-        POOL_WORKERS,
-        context=ctx,
-        fault_plan=FaultPlan(broadcast_failures=2),
+        _scorer(), POOL_WORKERS, context=ctx, policy=policy
     ) as pooled:
         results = _each(pooled, sketches, working)
         assert pooled.degraded
-    assert [r.distance for r in results] == pytest.approx(baseline)
+    assert [r.distance for r in results] == [r.distance for r in oracle]
+    assert pooled.quarantined == []
+    crashes = collector.of_kind("worker_crashed")
+    assert [c.reason for c in crashes] == ["worker-error"] * 2
     assert len(collector.of_kind("degraded_to_serial")) == 1
     _assert_no_pool_children()
 
