@@ -22,7 +22,8 @@ depth".  Their expansions live in :mod:`repro.dsl.macros`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter, is_
 from typing import Iterator
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "macros_used",
     "fill_holes",
     "rename_holes",
+    "canonicalize",
 ]
 
 #: Binary arithmetic operator tokens accepted by :class:`BinOp`.
@@ -171,30 +173,68 @@ class ModEq(BoolExpr):
     right: NumExpr
 
 
+#: Child slot names of each node class, in syntactic order: the fields
+#: that hold sub-expressions.  Every tree utility reads this table instead
+#: of reflecting on each node, so a new node class registers here, and
+#: its child fields must come after its other fields (``with_children``
+#: rebuilds a node as ``cls(*other_fields, *children)``).
+_CHILD_SLOTS: dict[type[Expr], tuple[str, ...]] = {
+    Const: (),
+    Signal: (),
+    Macro: (),
+    BinOp: ("left", "right"),
+    Cond: ("pred", "then", "otherwise"),
+    Cube: ("arg",),
+    Cbrt: ("arg",),
+    Cmp: ("left", "right"),
+    ModEq: ("left", "right"),
+}
+
+
+def _slot_reader(names: tuple[str, ...]):
+    """A function returning the values of *names* on a node, as a tuple."""
+    if not names:
+        return lambda expr: ()
+    if len(names) == 1:
+        read_one = attrgetter(names[0])
+        return lambda expr: (read_one(expr),)
+    return attrgetter(*names)
+
+
+#: Per node class: the reader of its children and the names of its other
+#: fields, both derived once from ``_CHILD_SLOTS``.
+_READ_CHILDREN = {
+    cls: _slot_reader(names) for cls, names in _CHILD_SLOTS.items()
+}
+_OTHER_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.name not in names)
+    for cls, names in _CHILD_SLOTS.items()
+}
+
+
 def children(expr: Expr) -> tuple[Expr, ...]:
     """Return the direct sub-expressions of *expr* in syntactic order."""
-    out: list[Expr] = []
-    for field in fields(expr):
-        value = getattr(expr, field.name)
-        if isinstance(value, Expr):
-            out.append(value)
-    return tuple(out)
+    return _READ_CHILDREN[type(expr)](expr)
 
 
 def with_children(expr: Expr, new_children: tuple[Expr, ...]) -> Expr:
-    """Return a copy of *expr* with its sub-expressions replaced in order."""
-    child_fields = [
-        field.name
-        for field in fields(expr)
-        if isinstance(getattr(expr, field.name), Expr)
-    ]
-    if len(child_fields) != len(new_children):
+    """Return *expr* with its sub-expressions replaced in order.
+
+    When every new child is the old child object, *expr* itself is
+    returned, so a rewrite that changes nothing allocates nothing.
+    """
+    cls = type(expr)
+    old_children = _READ_CHILDREN[cls](expr)
+    if len(old_children) != len(new_children):
         raise ValueError(
-            f"{type(expr).__name__} has {len(child_fields)} children, "
+            f"{cls.__name__} has {len(old_children)} children, "
             f"got {len(new_children)}"
         )
-    updates = dict(zip(child_fields, new_children))
-    return replace(expr, **updates) if updates else expr
+    if all(map(is_, old_children, new_children)):
+        return expr
+    return cls(
+        *[getattr(expr, name) for name in _OTHER_FIELDS[cls]], *new_children
+    )
 
 
 def walk(expr: Expr) -> Iterator[Expr]:
@@ -211,12 +251,12 @@ def depth(expr: Expr) -> int:
     kids = children(expr)
     if not kids:
         return 1
-    return 1 + max(depth(child) for child in kids)
+    return 1 + max(map(depth, kids))
 
 
 def node_count(expr: Expr) -> int:
     """Total number of AST nodes, counting macros as one node."""
-    return sum(1 for _ in walk(expr))
+    return 1 + sum(map(node_count, children(expr)))
 
 
 def holes(expr: Expr) -> tuple[Const, ...]:
@@ -226,6 +266,25 @@ def holes(expr: Expr) -> tuple[Const, ...]:
     )
 
 
+#: The operator name of each non-arithmetic operator node class.
+_OPERATOR_NAMES: dict[type[Expr], str] = {
+    Cond: "cond",
+    Cube: "cube",
+    Cbrt: "cbrt",
+    Cmp: "cmp",
+    ModEq: "modeq",
+}
+
+
+def _operator_name(node: Expr) -> str | None:
+    """The operator name *node* contributes to :func:`operators_used`:
+    a :class:`BinOp`'s token, the lower-case class name of any other
+    operator (``cond``, ``cube``, ...), ``None`` for a leaf."""
+    if type(node) is BinOp:
+        return node.op
+    return _OPERATOR_NAMES.get(type(node))
+
+
 def operators_used(expr: Expr) -> frozenset[str]:
     """The set of operator names appearing in *expr*.
 
@@ -233,21 +292,9 @@ def operators_used(expr: Expr) -> frozenset[str]:
     arithmetic operators by token, plus ``cond``, ``cube``, ``cbrt``,
     ``cmp`` and ``modeq``.
     """
-    ops: set[str] = set()
-    for node in walk(expr):
-        if isinstance(node, BinOp):
-            ops.add(node.op)
-        elif isinstance(node, Cond):
-            ops.add("cond")
-        elif isinstance(node, Cube):
-            ops.add("cube")
-        elif isinstance(node, Cbrt):
-            ops.add("cbrt")
-        elif isinstance(node, Cmp):
-            ops.add("cmp")
-        elif isinstance(node, ModEq):
-            ops.add("modeq")
-    return frozenset(ops)
+    names = set(map(_operator_name, walk(expr)))
+    names.discard(None)
+    return frozenset(names)
 
 
 def signals_used(expr: Expr) -> frozenset[str]:
@@ -262,26 +309,50 @@ def macros_used(expr: Expr) -> frozenset[str]:
     return frozenset(node.name for node in walk(expr) if isinstance(node, Macro))
 
 
+def canonicalize(
+    expr: Expr,
+) -> tuple[Expr, frozenset[str], int, int, int]:
+    """:func:`rename_holes` of *expr*, with the metadata of a sketch.
+
+    Returns ``(rename_holes(expr), operators_used(expr),
+    node_count(expr), depth(expr), len(holes(expr)))``, all from one
+    walk of the tree.
+    """
+    operators: set[str] = set()
+    size = 0
+    deepest = 0
+    hole_count = 0
+
+    def rec(node: Expr, level: int) -> Expr:
+        nonlocal size, deepest, hole_count
+        size += 1
+        if level > deepest:
+            deepest = level
+        if isinstance(node, Const) and node.is_hole:
+            hole_id = hole_count
+            hole_count += 1
+            return node if node.hole_id == hole_id else Const(None, hole_id)
+        name = _operator_name(node)
+        if name is not None:
+            operators.add(name)
+        kids = children(node)
+        if not kids:
+            return node
+        level += 1
+        return with_children(node, tuple([rec(kid, level) for kid in kids]))
+
+    renamed = rec(expr, 1)
+    return renamed, frozenset(operators), size, deepest, hole_count
+
+
 def rename_holes(expr: Expr) -> Expr:
     """Return *expr* with holes renumbered 0, 1, 2, ... in pre-order.
 
     Enumeration may produce holes with arbitrary ids; canonical numbering
-    makes structurally identical sketches compare equal.
+    makes structurally identical sketches compare equal.  An already
+    canonical *expr* is returned as is.
     """
-    counter = 0
-
-    def rec(node: Expr) -> Expr:
-        nonlocal counter
-        if isinstance(node, Const) and node.is_hole:
-            renamed = Const(None, counter)
-            counter += 1
-            return renamed
-        kids = children(node)
-        if not kids:
-            return node
-        return with_children(node, tuple(rec(child) for child in kids))
-
-    return rec(expr)
+    return canonicalize(expr)[0]
 
 
 def fill_holes(expr: Expr, assignment: dict[int, float]) -> Expr:
@@ -296,6 +367,6 @@ def fill_holes(expr: Expr, assignment: dict[int, float]) -> Expr:
         kids = children(node)
         if not kids:
             return node
-        return with_children(node, tuple(rec(child) for child in kids))
+        return with_children(node, tuple(map(rec, kids)))
 
     return rec(expr)

@@ -132,4 +132,4 @@ def expand_macros(expr: NumExpr) -> NumExpr:
     kids = children(expr)
     if not kids:
         return expr
-    return with_children(expr, tuple(expand_macros(child) for child in kids))
+    return with_children(expr, tuple(map(expand_macros, kids)))

@@ -53,12 +53,15 @@ def _flatten(op: str, expr: ast.Expr) -> list[ast.Expr]:
 
 
 def _rewrite_once(expr: ast.Expr) -> ast.Expr:
-    """Apply one bottom-up rewriting pass."""
+    """Apply one bottom-up rewriting pass.
+
+    A pass that fires no rule returns *expr* itself (``with_children``
+    keeps a node whose children are unchanged), and every rule changes
+    the tree, so "same object" means "fixpoint".
+    """
     kids = ast.children(expr)
     if kids:
-        expr = ast.with_children(
-            expr, tuple(_rewrite_once(child) for child in kids)
-        )
+        expr = ast.with_children(expr, tuple(map(_rewrite_once, kids)))
 
     if isinstance(expr, ast.BinOp):
         left, right = expr.left, expr.right
@@ -170,7 +173,7 @@ def simplify(expr: ast.Expr) -> ast.Expr:
     """Rewrite *expr* to a fixpoint of the simplification rules."""
     for _ in range(_MAX_PASSES):
         rewritten = _rewrite_once(expr)
-        if rewritten == expr:
+        if rewritten is expr:
             return expr
         expr = rewritten
     return expr
@@ -209,4 +212,4 @@ def is_simplifiable(expr: ast.Expr) -> bool:
     """True if the enumerator should discard *expr* as redundant."""
     if _has_redundant_constants(expr):
         return True
-    return simplify(expr) != expr
+    return simplify(expr) is not expr

@@ -22,6 +22,7 @@ corruption).
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Iterable
 
 from repro.runtime.events import CacheStats
 from repro.trace.model import TraceSegment
@@ -104,3 +105,13 @@ class ScoreCache:
 
     def clear(self) -> None:
         self._entries.clear()
+
+    def forget_segments(self, segments: Iterable[TraceSegment]) -> None:
+        """Drop the entries of *segments* (matched by identity)."""
+        doomed = {id(segment) for segment in segments}
+        for key in [
+            key
+            for key, (segment, _) in self._entries.items()
+            if id(segment) in doomed
+        ]:
+            del self._entries[key]

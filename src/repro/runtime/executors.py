@@ -537,16 +537,19 @@ _worker_plane: "tuple[str, object] | None" = None
 
 def _attach_plane_segments(handle: PlaneHandle) -> "list":
     """Attach *handle*'s plane in place of the attached one and
-    materialize the working set from it (worker side)."""
-    global _worker_plane
+    materialize the working set from it (worker side).
+
+    The scorer's table LRU and score cache pin the old plane's segments,
+    whose arrays are views into the old mapping; those entries go before
+    the mapping is closed.  They could never hit again anyway: lookups
+    match segments by identity, and an attach makes new segment objects.
+    """
+    global _worker_plane, _worker_segments
     if _worker_plane is not None:
-        try:
-            _worker_plane[1].close()
-        except BufferError:
-            # The scorer's table LRU may still hold views into the old
-            # plane; the mapping stays alive with them and is reclaimed
-            # when the worker exits.
-            pass
+        if _worker_scorer is not None and _worker_segments is not None:
+            _worker_scorer.forget_segments(_worker_segments)
+        _worker_segments = None
+        _worker_plane[1].close()
         _worker_plane = None
     _worker_plane = (handle.name, attach_plane(handle))
     return plane_segments(_worker_plane[1], handle)

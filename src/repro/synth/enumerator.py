@@ -30,6 +30,7 @@ Constraints applied, mirroring §4.1:
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 from repro.dsl import ast
@@ -37,7 +38,7 @@ from repro.dsl.families import DslSpec
 from repro.dsl.macros import macro_definition
 from repro.dsl.simplify import is_simplifiable
 from repro.dsl.typecheck import SIGNAL_UNITS, infer_unit
-from repro.errors import EnumerationError, UnitError
+from repro.errors import EnumerationError, TypeCheckError, UnitError
 from repro.synth.sketch import Sketch
 from repro.units import BYTES, Unit
 
@@ -389,8 +390,6 @@ def bucket_witnesses(
     enumeration order to reach by streaming (§4.4's guarantee that every
     bucket can be sampled).
     """
-    import itertools as _itertools
-
     arith = [op for op in _ARITH if op in key]
     preds = [op for op in _PRED_OPS if op in key]
     unary = [op for op in ("cube", "cbrt") if op in key]
@@ -416,7 +415,7 @@ def bucket_witnesses(
     witnesses: list[Sketch] = []
     seen: set[ast.NumExpr] = set()
     attempts = 0
-    choice_space = _itertools.product(
+    choice_space = itertools.product(
         bytes_leaves,
         bytes_leaves,
         scale_operands,
@@ -462,24 +461,24 @@ def bucket_witnesses(
             if alternate == expr:
                 continue
             expr = ast.Cond(pred, expr, alternate)
-        expr = ast.rename_holes(expr)
-        if expr in seen:
+        sketch = Sketch.from_expr(expr)
+        if sketch.expr in seen:
             continue
-        if ast.operators_used(expr) != key:
+        if sketch.operators != key:
             continue
-        if ast.node_count(expr) > dsl.max_nodes:
+        if sketch.size > dsl.max_nodes:
             continue
-        if ast.depth(expr) > dsl.max_depth:
+        if sketch.depth > dsl.max_depth:
             continue
-        if is_simplifiable(expr):
+        if is_simplifiable(sketch.expr):
             continue
         if dsl.strict_units:
             try:
-                unit = infer_unit(expr)
-            except Exception:
+                unit = infer_unit(sketch.expr)
+            except (UnitError, TypeCheckError):
                 continue
             if unit is not None and unit != BYTES:
                 continue
-        seen.add(expr)
-        witnesses.append(Sketch.from_expr(expr))
+        seen.add(sketch.expr)
+        witnesses.append(sketch)
     return witnesses

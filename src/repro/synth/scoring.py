@@ -347,6 +347,16 @@ class Scorer:
         """Extract (and LRU-cache) the signal table for *segment*."""
         return self._entry_for(segment).table
 
+    def forget_segments(self, segments: Sequence[TraceSegment]) -> None:
+        """Drop every table entry and cached score that pins one of
+        *segments* (matched by identity, like every lookup here)."""
+        for segment in segments:
+            entry = self._tables.get(id(segment))
+            if entry is not None and entry.segment is segment:
+                del self._tables[id(segment)]
+        if self.cache is not None:
+            self.cache.forget_segments(segments)
+
     def prepare_segments(
         self, segments: Sequence[TraceSegment]
     ) -> "list[_SegmentEntry]":

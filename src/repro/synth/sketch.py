@@ -27,13 +27,14 @@ class Sketch:
 
     @classmethod
     def from_expr(cls, expr: ast.NumExpr) -> "Sketch":
-        expr = ast.rename_holes(expr)
+        """The sketch of *expr*, its holes renumbered in pre-order."""
+        expr, operators, size, depth, hole_count = ast.canonicalize(expr)
         return cls(
             expr=expr,
-            operators=ast.operators_used(expr),
-            size=ast.node_count(expr),
-            depth=ast.depth(expr),
-            hole_count=len(ast.holes(expr)),
+            operators=operators,
+            size=size,
+            depth=depth,
+            hole_count=hole_count,
         )
 
     def completion_count(self, pool_size: int) -> int:

@@ -65,20 +65,27 @@ def test_simplifiable_detected(source):
     assert is_simplifiable(parse(source))
 
 
-@pytest.mark.parametrize(
-    "source",
-    [
-        "cwnd + c0 * reno_inc",
-        "cwnd + reno_inc",
-        "(vegas_diff < c0) ? cwnd + mss : cwnd",
-        "c0 * ack_rate * min_rtt",
-        "cwnd + 8 * rtt * reno_inc",
-        "mss",
-        "c0",
-    ],
-)
+IRREDUCIBLE = [
+    "cwnd + c0 * reno_inc",
+    "cwnd + reno_inc",
+    "(vegas_diff < c0) ? cwnd + mss : cwnd",
+    "c0 * ack_rate * min_rtt",
+    "cwnd + 8 * rtt * reno_inc",
+    "mss",
+    "c0",
+]
+
+
+@pytest.mark.parametrize("source", IRREDUCIBLE)
 def test_not_simplifiable(source):
     assert not is_simplifiable(parse(source))
+
+
+@pytest.mark.parametrize("source", IRREDUCIBLE)
+def test_fixpoint_returns_the_same_tree(source):
+    """A pass that fires no rule rebuilds nothing."""
+    expr = parse(source)
+    assert simplify(expr) is expr
 
 
 def test_paper_handlers_are_irreducible():

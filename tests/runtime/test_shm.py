@@ -244,6 +244,73 @@ def test_coscheduled_working_sets_get_isolated_planes(
     assert _live_planes() == []
 
 
+# ------------------------------------------------------- plane switching
+
+
+def test_plane_switch_drops_views_of_the_closed_plane(
+    sketches, reno_segments, monkeypatch
+):
+    """A worker that switches planes A -> B -> A keeps no scorer entry
+    (signal table or cached score) pinning a segment of a plane it has
+    closed, and scores each plane exactly as a worker that only ever
+    saw that plane."""
+    from repro.runtime import executors
+
+    config = ({"constant_pool": (0.5, 1.0), "completion_cap": 8}, 1_000)
+    tasks = list(enumerate(sketches))
+    builder = _scorer()
+    planes = {
+        name: SegmentPlane.build(builder.prepare_segments(working))
+        for name, working in (
+            ("A", reno_segments[:2]),
+            ("B", reno_segments[2:4]),
+        )
+    }
+
+    def fresh_worker():
+        attached = executors._worker_plane
+        for name in (
+            "_worker_scorer",
+            "_worker_config",
+            "_worker_segments",
+            "_worker_plane",
+        ):
+            monkeypatch.setattr(executors, name, None)
+        if attached is not None:
+            attached[1].close()
+
+    def chunk(name):
+        bounds = {group: float("inf") for group, _ in tasks}
+        outcomes, _, _ = executors._score_chunk(
+            tasks, bounds, config, planes[name].handle
+        )
+        return [outcome.distance for outcome in outcomes]
+
+    try:
+        expected = {}
+        for name in planes:
+            fresh_worker()
+            expected[name] = chunk(name)
+        fresh_worker()
+        closed = []
+        for name in ("A", "B", "A"):
+            if executors._worker_segments is not None:
+                closed.extend(executors._worker_segments)
+            assert chunk(name) == expected[name]
+            scorer = executors._worker_scorer
+            assert scorer._tables and scorer.cache._entries, "both filled"
+            pinned = [entry.segment for entry in scorer._tables.values()]
+            pinned += [pair[0] for pair in scorer.cache._entries.values()]
+            assert not any(
+                segment is old for segment in pinned for old in closed
+            )
+    finally:
+        fresh_worker()
+        for plane in planes.values():
+            plane.close()
+    assert _live_planes() == []
+
+
 # ---------------------------------------------------------- no-plane hosts
 
 
