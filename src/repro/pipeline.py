@@ -248,7 +248,9 @@ def reverse_engineer(
             context=context,
             trace_policy=trace_policy,
             quorum=quorum,
-        )
+        ),
+        config,
+        context,
     )
 
 

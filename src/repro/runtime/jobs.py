@@ -54,7 +54,6 @@ class Job:
     #: scheduler renews it as the heartbeat and releases it at the end.
     #: ``None`` means no lease: the job is lost on a scheduler crash.
     lease: Any = None
-    metadata: dict[str, Any] = field(default_factory=dict)
 
     # -- live progress, owned by the scheduler ----------------------------
     state: JobState = JobState.PENDING

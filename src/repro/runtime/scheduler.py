@@ -17,8 +17,8 @@ many cores and answers all of them against a single shared pool:
   unsliced dispatch (the multi-job differential suite pins this at
   workers 1 and 4).  A job running alone skips the slicing and takes
   whole waves.
-* **One pool** — the executor is created on the first wave and adopted
-  scorer-by-scorer as jobs interleave
+* **One pool** — the executor is created on the first wave and adopts
+  each wave's scorer as jobs interleave
   (:meth:`~repro.runtime.executors.SerialExecutor.adopt_scorer`; every
   scoring chunk carries the scorer config, and a worker rebuilds its
   scorer only when the config differs).  Jobs whose flattened slice is
@@ -41,8 +41,8 @@ many cores and answers all of them against a single shared pool:
   readable while refinement deepens.
 
 Known (documented) telemetry deviations from the one-job path: executor
-counters are fleet-wide, so cores receive ``None`` stats snapshots (no
-per-job cache/scoring events); executor-emitted events (pool spawns,
+counters are fleet-wide, so wave replies carry none (no per-job
+cache/scoring events); executor-emitted events (pool spawns,
 wave dispatches, quarantine notices) go to the scheduler's fleet
 context, not the per-job context; and crash strikes are shared across
 jobs.  None of these affect search decisions.
@@ -74,14 +74,7 @@ from repro.runtime.faults import (
     apply_service_faults,
 )
 from repro.runtime.jobs import Job, JobQueue, JobState, ResultStore
-from repro.runtime.protocol import (
-    ExecutorSnapshot,
-    ProgressReport,
-    ScorerReady,
-    StatsRequest,
-    WaveReply,
-    WaveRequest,
-)
+from repro.runtime.protocol import ProgressReport, WaveReply, WaveRequest
 from repro.runtime.supervise import SupervisionPolicy
 
 __all__ = ["Scheduler", "DEFAULT_QUANTUM_TASKS"]
@@ -112,7 +105,6 @@ class _ActiveJob:
 
     job: Job
     core: Generator
-    scorer: Any = None
     pending: _PendingWave | None = None
     reply: Any = None  #: queued reply for the core's next ``send``
 
@@ -202,10 +194,10 @@ class Scheduler:
     def _solo(self) -> bool:
         return len(self._active) == 1 and not self._queue
 
-    def _ensure_executor(self, active: _ActiveJob):
+    def _ensure_executor(self, scorer):
         if self._executor is None:
             self._executor = make_executor(
-                active.scorer,
+                scorer,
                 self.workers,
                 context=self.context,
                 policy=SupervisionPolicy(
@@ -214,8 +206,8 @@ class Scheduler:
                 watchdog_seconds=self.watchdog_seconds,
                 fault_plan=self.fault_plan,
             )
-        elif self._executor.scorer is not active.scorer:
-            self._executor.adopt_scorer(active.scorer)
+        elif self._executor.scorer is not scorer:
+            self._executor.adopt_scorer(scorer)
         return self._executor
 
     def _dispatch_slice(self, active: _ActiveJob) -> bool:
@@ -232,7 +224,7 @@ class Scheduler:
         job = active.job
         pending = active.pending
         request = pending.request
-        executor = self._ensure_executor(active)
+        executor = self._ensure_executor(request.scorer)
         remaining = request.groups[pending.cursor :]
         if self._solo:
             take = len(remaining)  # no one to be fair to
@@ -284,20 +276,7 @@ class Scheduler:
                     self._fail(active, exc)
                     return
                 active.reply = None
-                if isinstance(request, ScorerReady):
-                    # The shared pool uses the *scheduler's* worker and
-                    # supervision knobs; only the scorer is per-job.
-                    active.scorer = request.scorer
-                elif isinstance(request, StatsRequest):
-                    executor = self._executor
-                    active.reply = ExecutorSnapshot(
-                        cache=None,  # executor counters are fleet-wide
-                        scoring=None,
-                        quarantined=tuple(job.quarantined),
-                        pool_rebuilds=job.pool_rebuilds,
-                        degraded=executor is not None and executor.degraded,
-                    )
-                elif isinstance(request, ProgressReport):
+                if isinstance(request, ProgressReport):
                     job.iterations_done = request.iteration
                     job.best_expression = request.best_expression
                     job.best_distance = request.best_distance
@@ -318,12 +297,17 @@ class Scheduler:
                 elif isinstance(request, WaveRequest):
                     active.pending = _PendingWave(request)
                     job.waves_dispatched += 1
-                # Unknown requests expect no reply; skip them.
                 continue
             if pending.done:
+                # The job's own faults and no counters: the shared
+                # executor's are fleet-wide.  A wave with no groups
+                # dispatches no slice, so no executor may exist yet.
+                executor = self._executor
                 active.reply = WaveReply(
                     grouped=tuple(pending.grouped),
                     quarantined=tuple(job.quarantined),
+                    pool_rebuilds=job.pool_rebuilds,
+                    degraded=executor is not None and executor.degraded,
                 )
                 active.pending = None
                 continue

@@ -105,12 +105,19 @@ DEFAULT_RETRY_BACKOFF = 2.0
 _RECONCILED = {"completed": "done", "failed": "failed"}
 
 #: SynthesisConfig fields a spec may override.  Checkpoint/resume paths
-#: are owned by the spool (every job checkpoints under ``checkpoints/``)
-#: and fault plans are a test-harness feature, not a service input.
+#: are owned by the spool (every job checkpoints under ``checkpoints/``),
+#: the pool knobs (workers, rebuilds, watchdog) by the executor every
+#: job of a ``serve`` shares, and fault plans are a test-harness
+#: feature, not a service input.
 _CONFIG_FIELDS = {
-    field.name
-    for field in dataclasses.fields(SynthesisConfig)
-    if field.name not in {"checkpoint_path", "resume_path", "fault_plan"}
+    field.name for field in dataclasses.fields(SynthesisConfig)
+} - {
+    "checkpoint_path",
+    "resume_path",
+    "workers",
+    "max_pool_rebuilds",
+    "watchdog_seconds",
+    "fault_plan",
 }
 
 
@@ -281,7 +288,6 @@ def build_job(
         source=source,
         priority=int(spec.get("priority", 0)),
         resumed=resumed,
-        metadata={"spec": spec},
     )
 
 
@@ -690,53 +696,13 @@ class FleetServer:
         return self.store.all_latest()
 
 
-def serve(
-    spool: str,
-    *,
-    workers: int = 1,
-    steal_leases: bool = False,
-    quantum_tasks: int = DEFAULT_QUANTUM_TASKS,
-    lease_ttl_seconds: float = DEFAULT_LEASE_TTL,
-    context: RunContext | None = None,
-    server_id: str | None = None,
-    claim_interval_seconds: float = DEFAULT_CLAIM_INTERVAL,
-    max_job_retries: int = DEFAULT_MAX_JOB_RETRIES,
-    retry_backoff_seconds: float = DEFAULT_RETRY_BACKOFF,
-    fault_plan: ServiceFaultPlan | None = None,
-    exit_after_slices: int | None = None,
-    drain: Any = None,
-    clock: Callable[[], float] = time.time,
-    sleep: Callable[[float], None] = time.sleep,
-) -> dict[str, dict[str, Any]]:
+def serve(spool: str, **options: Any) -> dict[str, dict[str, Any]]:
     """Run one fleet server over *spool* until every job is terminal;
     returns the final snapshots (job id -> result-store snapshot).
 
-    ``exit_after_slices`` is kept as sugar for the chaos harnesses: it
-    folds into a :class:`~repro.runtime.faults.ServiceFaultPlan` whose
-    injected kill dies by ``os._exit`` — no cleanup, no lease release —
-    exactly like a SIGKILLed server.
+    *options* are :class:`FleetServer`'s keywords.
     """
-    if exit_after_slices is not None:
-        base = fault_plan or ServiceFaultPlan()
-        fault_plan = dataclasses.replace(
-            base, kill_after_slices=exit_after_slices
-        )
-    return FleetServer(
-        spool,
-        server_id=server_id,
-        workers=workers,
-        steal_leases=steal_leases,
-        quantum_tasks=quantum_tasks,
-        lease_ttl_seconds=lease_ttl_seconds,
-        claim_interval_seconds=claim_interval_seconds,
-        max_job_retries=max_job_retries,
-        retry_backoff_seconds=retry_backoff_seconds,
-        context=context,
-        fault_plan=fault_plan,
-        drain=drain,
-        clock=clock,
-        sleep=sleep,
-    ).run()
+    return FleetServer(spool, **options).run()
 
 
 def fleet_status(

@@ -6,12 +6,7 @@ over trace segments, operator-subset bucketization, and the refinement
 loop that samples/scores/prunes buckets until a handler emerges.
 """
 
-from repro.synth.buckets import (
-    Bucket,
-    bucket_key_for,
-    coherent_op_sets,
-    make_buckets,
-)
+from repro.synth.buckets import Bucket, bucket_key_for, coherent_op_sets
 from repro.synth.concretize import (
     DEFAULT_COMPLETION_CAP,
     concretizations,
@@ -39,7 +34,6 @@ __all__ = [
     "Bucket",
     "bucket_key_for",
     "coherent_op_sets",
-    "make_buckets",
     "DEFAULT_COMPLETION_CAP",
     "concretizations",
     "concretize_all",

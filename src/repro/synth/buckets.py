@@ -1,11 +1,12 @@
 """Search-space bucketization (§4.4).
 
-Abagnale partitions the sketch space into disjoint *buckets* so each can
-be searched by an independent, smaller enumerator, and whole buckets can
-be ranked and discarded.  The discriminator is the paper's option (2):
-**the exact set of DSL operators the sketch uses** — easy to enforce in
-the enumerator and behaviorally meaningful (sketches sharing operators
-tend to share dynamics).
+Abagnale partitions the sketch space into disjoint *buckets* so whole
+buckets can be ranked and discarded.  The discriminator is the paper's
+option (2): **the exact set of DSL operators the sketch uses** — read
+off every sketch as it is enumerated, and behaviorally meaningful
+(sketches sharing operators tend to share dynamics).
+:class:`~repro.synth.pool.BucketPool` enumerates the DSL once and routes
+each sketch to the bucket its operator set names.
 
 A bucket key must be *coherent* to be non-empty: ``cond`` appears iff at
 least one predicate operator does, since predicates exist only inside
@@ -16,13 +17,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.dsl.families import DslSpec
-from repro.synth.enumerator import enumerate_sketches
 from repro.synth.sketch import Sketch
 
-__all__ = ["Bucket", "make_buckets", "coherent_op_sets", "bucket_key_for"]
+__all__ = ["Bucket", "coherent_op_sets", "bucket_key_for"]
 
 _ARITH = ("+", "-", "*", "/")
 _UNARY = ("cube", "cbrt")
@@ -62,15 +61,15 @@ def bucket_key_for(sketch: Sketch) -> frozenset[str]:
 
 @dataclass
 class Bucket:
-    """One disjoint slice of the search space, with its own enumerator.
+    """One disjoint slice of the search space and its drawn sample.
 
-    Sketches are drawn lazily and cached so successive refinement
-    iterations extend (never re-draw) the sample (§4.4: N grows 8x each
-    iteration).  ``exhausted`` becomes true once the underlying generator
-    ends — the loop then knows the bucket has been fully enumerated.
+    The pool appends the sketches it routes here, so successive
+    refinement iterations extend (never re-draw) the sample (§4.4: N
+    grows 8x each iteration).  ``exhausted`` becomes true once the
+    pool's stream ends — the loop then knows the bucket has been fully
+    enumerated.
     """
 
-    dsl: DslSpec
     key: frozenset[str]
     drawn: list[Sketch] = field(default_factory=list)
     exhausted: bool = False
@@ -78,34 +77,7 @@ class Bucket:
     #: members (see BucketPool._probe_empty_buckets).
     probed: bool = False
     score: float = float("inf")
-    _source: Iterator[Sketch] | None = field(default=None, repr=False)
-
-    def _generator(self) -> Iterator[Sketch]:
-        if self._source is None:
-            self._source = enumerate_sketches(
-                self.dsl, allowed_ops=self.key, exact_ops=True
-            )
-        return self._source
-
-    def draw(self, target: int) -> list[Sketch]:
-        """Extend the drawn sample to *target* sketches; return new ones."""
-        new: list[Sketch] = []
-        source = self._generator()
-        while len(self.drawn) < target and not self.exhausted:
-            try:
-                sketch = next(source)
-            except StopIteration:
-                self.exhausted = True
-                break
-            self.drawn.append(sketch)
-            new.append(sketch)
-        return new
 
     @property
     def label(self) -> str:
         return "{" + ",".join(sorted(self.key)) + "}" if self.key else "{}"
-
-
-def make_buckets(dsl: DslSpec) -> list[Bucket]:
-    """Create the bucket set for *dsl* (one per coherent operator set)."""
-    return [Bucket(dsl=dsl, key=key) for key in coherent_op_sets(dsl)]

@@ -302,8 +302,9 @@ def min_feasible_size(ops: frozenset[str]) -> int:
     Every arithmetic operator needs its own internal node plus one extra
     operand; each predicate type needs its own conditional (a Cond holds
     exactly one predicate node), costing ~5 nodes.  The bound may
-    under-estimate (safe: only extra scanning) but never over-estimates,
-    so starting enumeration at this size cannot skip a feasible sketch.
+    under-estimate (safe: only an extra witness probe) but never
+    over-estimates, so an operator set whose bound exceeds the node
+    budget labels a provably empty bucket.
     """
     arith = len(ops & {"+", "-", "*", "/"})
     unary = len(ops & {"cube", "cbrt"})
@@ -315,18 +316,14 @@ def enumerate_sketches(
     dsl: DslSpec,
     *,
     allowed_ops: frozenset[str] | None = None,
-    exact_ops: bool = False,
     max_nodes: int | None = None,
     max_depth: int | None = None,
-    min_nodes: int = 1,
 ) -> Iterator[Sketch]:
     """Lazily yield well-formed sketches for *dsl*, smallest first.
 
-    ``allowed_ops`` restricts the operator vocabulary (a bucket's
-    discriminator); with ``exact_ops`` only sketches whose operator set
-    equals ``allowed_ops`` are yielded — that exact-set semantics is what
-    makes buckets disjoint (§4.4).  ``min_nodes`` skips sizes below a
-    known feasibility floor (see :func:`min_feasible_size`).
+    ``allowed_ops`` restricts the operator vocabulary (a pruned pool's
+    union of surviving bucket keys); each sketch's exact operator set
+    (``sketch.operators``) names its bucket (§4.4).
     """
     ops = (
         frozenset(dsl.operators) if allowed_ops is None else frozenset(allowed_ops)
@@ -334,11 +331,9 @@ def enumerate_sketches(
     generator = _Generator(dsl, ops)
     nodes_cap = max_nodes if max_nodes is not None else dsl.max_nodes
     depth_cap = max_depth if max_depth is not None else dsl.max_depth
-    for size in range(max(min_nodes, 1), nodes_cap + 1):
+    for size in range(1, nodes_cap + 1):
         for expr, unit in generator.nums(size, depth_cap):
             if dsl.strict_units and unit is not None and unit != BYTES:
-                continue
-            if exact_ops and ast.operators_used(expr) != ops:
                 continue
             if _never_grows(expr):
                 continue
@@ -351,7 +346,6 @@ def count_sketches(
     dsl: DslSpec,
     *,
     allowed_ops: frozenset[str] | None = None,
-    exact_ops: bool = False,
     cap: int = 1_000_000,
     max_nodes: int | None = None,
     max_depth: int | None = None,
@@ -361,7 +355,6 @@ def count_sketches(
     for _ in enumerate_sketches(
         dsl,
         allowed_ops=allowed_ops,
-        exact_ops=exact_ops,
         max_nodes=max_nodes,
         max_depth=max_depth,
     ):

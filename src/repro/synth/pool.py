@@ -47,7 +47,7 @@ class BucketPool:
         self.dsl = dsl
         self.context = context
         self.buckets: dict[frozenset[str], Bucket] = {
-            key: Bucket(dsl=dsl, key=key) for key in coherent_op_sets(dsl)
+            key: Bucket(key=key) for key in coherent_op_sets(dsl)
         }
         self._stream: Iterator[Sketch] = enumerate_sketches(dsl)
         self._stream_done = False

@@ -64,14 +64,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.executors import make_executor
 from repro.runtime.faults import FaultPlan
-from repro.runtime.protocol import (
-    ExecutorSnapshot,
-    ProgressReport,
-    ScorerReady,
-    StatsRequest,
-    WaveReply,
-    WaveRequest,
-)
+from repro.runtime.protocol import ProgressReport, WaveReply, WaveRequest
 from repro.runtime.supervise import Quarantined, SupervisionPolicy
 from repro.synth.pool import BucketPool
 from repro.synth.result import IterationRecord, SynthesisResult
@@ -196,9 +189,9 @@ def synthesize_core(
 ):
     """The refinement loop as a re-entrant generator.
 
-    Yields :mod:`repro.runtime.protocol` requests (``ScorerReady``, then
-    ``WaveRequest`` / ``StatsRequest`` / ``ProgressReport``) and expects
-    the matching replies via ``send()``; the final
+    Yields :mod:`repro.runtime.protocol` requests (``WaveRequest`` and
+    ``ProgressReport``) and expects the matching replies via ``send()``;
+    the final
     :class:`~repro.synth.result.SynthesisResult` is the generator's
     return value.  Driven by :func:`drive` with a private executor this
     is bit-identical to the classic blocking :func:`synthesize`; driven
@@ -282,20 +275,16 @@ def synthesize_core(
         else None
     )
 
-    # Hand the scorer to whoever is driving; every WaveRequest after this
-    # yield has an executor (private or shared) to land on.
-    yield ScorerReady(
-        scorer=scorer,
-        workers=config.workers,
-        max_pool_rebuilds=config.max_pool_rebuilds,
-        watchdog_seconds=config.watchdog_seconds,
-        fault_plan=config.fault_plan,
-        context=ctx,
-    )
-    # Cumulative quarantine log for this run, as of the latest wave reply
-    # (quarantines only ever happen inside waves, so at a checkpoint
-    # boundary this is exactly what executor.quarantined used to read).
-    wave_quarantined: tuple[Quarantined, ...] = ()
+    # The latest wave reply: the executor's state as of the last wave.
+    # Quarantines, rebuilds and counters only ever change inside a wave,
+    # so at a checkpoint boundary and at the end of the run it is
+    # current; a run that dispatches no wave keeps this empty one.
+    last = WaveReply(grouped=())
+
+    def emit_counters() -> None:
+        for counters in (last.cache, last.scoring):
+            if counters is not None:
+                ctx.emit(counters)
 
     n_samples = config.initial_samples
     keep = config.initial_keep
@@ -352,7 +341,7 @@ def synthesize_core(
                 next_samples=n_samples,
                 next_keep=keep,
                 next_segment_count=segment_count,
-                quarantined=tuple(prior_quarantine) + wave_quarantined,
+                quarantined=tuple(prior_quarantine) + last.quarantined,
             )
         )
         ctx.emit(
@@ -406,15 +395,15 @@ def synthesize_core(
             # One pipelined dispatch for the whole iteration: all
             # buckets' samples interleaved round-robin, scattered back
             # positionally (docs/PERFORMANCE.md).
-            reply = yield WaveRequest(
+            last = yield WaveRequest(
+                scorer=scorer,
                 groups=tuple(tuple(bucket.drawn) for bucket in buckets),
                 segments=working,
                 deadline=deadline,
                 min_results=1,
                 phase="refinement",
             )
-            wave_quarantined = reply.quarantined
-            for bucket, results in zip(buckets, reply.grouped):
+            for bucket, results in zip(buckets, last.grouped):
                 note_bucket(bucket, results)
             ranking = sorted(buckets, key=lambda bucket: bucket.score)
             cutoff_index = min(keep, len(ranking)) - 1
@@ -435,13 +424,7 @@ def synthesize_core(
                 )
             )
             pool.prune({bucket.key for bucket in survivors})
-            # A scheduler may answer (None, None); stats are fleet-wide
-            # there and the run log simply carries no per-job counters.
-            snapshot = yield StatsRequest()
-            if snapshot.cache is not None:
-                ctx.emit(snapshot.cache)
-            if snapshot.scoring is not None:
-                ctx.emit(snapshot.scoring)
+            emit_counters()
             ctx.emit(
                 IterationFinished(
                     index=iteration + 1,
@@ -480,7 +463,6 @@ def synthesize_core(
                     else float("inf")
                 ),
                 handlers_scored=state.handlers_scored,
-                phase="refinement",
             )
             if out_of_time():
                 note_budget("refinement")
@@ -508,30 +490,24 @@ def synthesize_core(
                 for bucket in live
             ]
             if any(fresh_groups):
-                reply = yield WaveRequest(
+                last = yield WaveRequest(
+                    scorer=scorer,
                     groups=tuple(tuple(fresh) for fresh in fresh_groups),
                     segments=working,
                     deadline=deadline,
                     min_results=0,
                     phase="exhaustive",
                 )
-                wave_quarantined = reply.quarantined
-                for results in reply.grouped:
+                for results in last.grouped:
                     for result in results:
                         state.observe(result, 1)
                 if out_of_time():
                     note_budget("exhaustive")
 
-    # One last telemetry snapshot while the executor is still bound (the
-    # driver closes it when this generator returns or raises).
-    snapshot = yield StatsRequest(final=True)
-    run_quarantine = prior_quarantine + list(snapshot.quarantined)
+    run_quarantine = prior_quarantine + list(last.quarantined)
     if state.best is None:
         raise SynthesisError("no handler was scored")
-    if snapshot.cache is not None:
-        ctx.emit(snapshot.cache)
-    if snapshot.scoring is not None:
-        ctx.emit(snapshot.scoring)
+    emit_counters()
     result = SynthesisResult(
         best=state.best,
         dsl_name=dsl.name,
@@ -541,8 +517,8 @@ def synthesize_core(
         total_sketches_drawn=state.sketches_drawn,
         elapsed_seconds=time.perf_counter() - started,
         quarantined=tuple(run_quarantine),
-        pool_rebuilds=snapshot.pool_rebuilds,
-        degraded=snapshot.degraded,
+        pool_rebuilds=last.pool_rebuilds,
+        degraded=last.degraded,
     )
     ctx.emit(
         RunFinished(
@@ -557,17 +533,24 @@ def synthesize_core(
     return result
 
 
-def drive(core) -> Any:
+def drive(
+    core,
+    config: SynthesisConfig | None = None,
+    context: RunContext | None = None,
+) -> Any:
     """Run a re-entrant core to completion against a private executor.
 
-    The blocking half of the wave protocol: answers ``ScorerReady`` by
-    building the executor the config asked for, services every
-    ``WaveRequest`` with one ``score_grouped`` call, and snapshots
-    executor telemetry for ``StatsRequest``.  The executor is closed on
-    every exit path, so an exception mid-run can never leak worker
-    processes.  ``drive(synthesize_core(...))`` is bit-identical
+    The blocking half of the wave protocol: at the first ``WaveRequest``
+    it builds the executor that *config*'s execution knobs ask for
+    (``workers``, ``max_pool_rebuilds``, ``watchdog_seconds``,
+    ``fault_plan``; its events go to *context*), answers every wave with
+    one ``score_grouped`` call and the executor's state, and ignores
+    ``ProgressReport``.  The executor is closed on every exit path, so
+    an exception mid-run can never leak worker processes.
+    ``drive(synthesize_core(...), config, context)`` is bit-identical
     — results, events, checkpoints — to the pre-protocol inline loop.
     """
+    config = config or SynthesisConfig()
     executor = None
     reply = None
     try:
@@ -577,38 +560,34 @@ def drive(core) -> Any:
             except StopIteration as stop:
                 return stop.value
             reply = None
-            if isinstance(request, ScorerReady):
+            if not isinstance(request, WaveRequest):
+                continue
+            if executor is None:
                 executor = make_executor(
                     request.scorer,
-                    request.workers,
-                    context=request.context,
+                    config.workers,
+                    context=context,
                     policy=SupervisionPolicy(
-                        max_pool_rebuilds=request.max_pool_rebuilds
+                        max_pool_rebuilds=config.max_pool_rebuilds
                     ),
-                    watchdog_seconds=request.watchdog_seconds,
-                    fault_plan=request.fault_plan,
+                    watchdog_seconds=config.watchdog_seconds,
+                    fault_plan=config.fault_plan,
                 )
-            elif isinstance(request, WaveRequest):
-                grouped = executor.score_grouped(
-                    request.groups,
-                    request.segments,
-                    deadline=request.deadline,
-                    min_results=request.min_results,
-                )
-                reply = WaveReply(
-                    grouped=tuple(grouped),
-                    quarantined=tuple(executor.quarantined),
-                )
-            elif isinstance(request, StatsRequest):
-                cache, scoring = executor.stats()
-                reply = ExecutorSnapshot(
-                    cache=cache,
-                    scoring=scoring,
-                    quarantined=tuple(executor.quarantined),
-                    pool_rebuilds=executor.pool_rebuilds,
-                    degraded=executor.degraded,
-                )
-            # ProgressReport (and any future beacon) needs no reply.
+            grouped = executor.score_grouped(
+                request.groups,
+                request.segments,
+                deadline=request.deadline,
+                min_results=request.min_results,
+            )
+            cache, scoring = executor.stats()
+            reply = WaveReply(
+                grouped=tuple(grouped),
+                quarantined=tuple(executor.quarantined),
+                pool_rebuilds=executor.pool_rebuilds,
+                degraded=executor.degraded,
+                cache=cache,
+                scoring=scoring,
+            )
     finally:
         if executor is not None:
             executor.close()
@@ -628,4 +607,8 @@ def synthesize(
     The blocking wrapper over :func:`synthesize_core`: one private
     executor, one run, bit-identical to the historical inline loop.
     """
-    return drive(synthesize_core(segments, dsl, config, context=context))
+    return drive(
+        synthesize_core(segments, dsl, config, context=context),
+        config,
+        context,
+    )

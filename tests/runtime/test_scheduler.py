@@ -287,7 +287,7 @@ def test_sub_parallel_waves_never_spawn_a_pool(reno_segments):
     score inline in the scheduler process, even on a parallel scheduler
     (MIN_PARALLEL_SKETCHES short-circuit, shared-pool edition)."""
     from repro.dsl.parser import parse
-    from repro.runtime.protocol import ScorerReady, WaveRequest
+    from repro.runtime.protocol import WaveRequest
     from repro.synth.scoring import Scorer
     from repro.synth.sketch import Sketch
 
@@ -297,19 +297,12 @@ def test_sub_parallel_waves_never_spawn_a_pool(reno_segments):
         for text in ("cwnd + mss", "cwnd + c0 * reno_inc")
     )
 
-    def tiny_core(ctx):
+    def tiny_core():
         scorer = Scorer(
             constant_pool=(0.5, 1.0), completion_cap=4, cache=None
         )
-        yield ScorerReady(
-            scorer=scorer,
-            workers=4,
-            max_pool_rebuilds=3,
-            watchdog_seconds=None,
-            fault_plan=None,
-            context=ctx,
-        )
         reply = yield WaveRequest(
+            scorer=scorer,
             groups=(sketches,),  # 2 tasks < MIN_PARALLEL_SKETCHES
             segments=segments,
             deadline=None,
@@ -321,8 +314,8 @@ def test_sub_parallel_waves_never_spawn_a_pool(reno_segments):
     collector = CollectorSink()
     with RunContext([collector]) as ctx:
         scheduler = Scheduler(workers=4, quantum_tasks=1, context=ctx)
-        scheduler.submit(Job(job_id="t1", source=lambda: tiny_core(ctx)))
-        scheduler.submit(Job(job_id="t2", source=lambda: tiny_core(ctx)))
+        scheduler.submit(Job(job_id="t1", source=tiny_core))
+        scheduler.submit(Job(job_id="t2", source=tiny_core))
         with scheduler:
             completed = scheduler.run()
     assert len(completed) == 2

@@ -2,17 +2,9 @@
 
 import itertools
 
-import pytest
-
-from repro.dsl import CUBIC_DSL, RENO_DSL, ast, with_budget
-from repro.synth.buckets import (
-    Bucket,
-    bucket_key_for,
-    coherent_op_sets,
-    make_buckets,
-)
+from repro.dsl import CUBIC_DSL, RENO_DSL, with_budget
+from repro.synth.buckets import Bucket, bucket_key_for, coherent_op_sets
 from repro.synth.enumerator import enumerate_sketches
-from repro.synth.sketch import Sketch
 
 SMALL_RENO = with_budget(RENO_DSL, max_depth=3, max_nodes=5)
 
@@ -47,43 +39,6 @@ def test_buckets_partition_the_space():
         assert bucket_key_for(sketch) in keys
 
 
-def test_bucket_draw_extends_monotonically():
-    bucket = Bucket(dsl=SMALL_RENO, key=frozenset({"+"}))
-    first = bucket.draw(5)
-    assert len(first) == 5
-    second = bucket.draw(8)
-    assert len(second) == 3
-    assert bucket.drawn[:5] == first
-
-
-def test_bucket_draw_idempotent_at_target():
-    bucket = Bucket(dsl=SMALL_RENO, key=frozenset({"+"}))
-    bucket.draw(5)
-    assert bucket.draw(5) == []
-
-
-def test_bucket_exhaustion():
-    bucket = Bucket(dsl=SMALL_RENO, key=frozenset())
-    bucket.draw(10_000)
-    assert bucket.exhausted
-    # Leaf-only sketches: the DSL's leaves that are bytes-valued.
-    assert all(sketch.size == 1 for sketch in bucket.drawn)
-
-
-def test_bucket_members_match_key():
-    bucket = Bucket(dsl=SMALL_RENO, key=frozenset({"+", "*"}))
-    for sketch in bucket.draw(50):
-        assert ast.operators_used(sketch.expr) == frozenset({"+", "*"})
-
-
-def test_make_buckets_unique_keys():
-    buckets = make_buckets(SMALL_RENO)
-    keys = [bucket.key for bucket in buckets]
-    assert len(keys) == len(set(keys))
-
-
 def test_bucket_label():
-    assert Bucket(dsl=SMALL_RENO, key=frozenset()).label == "{}"
-    assert (
-        Bucket(dsl=SMALL_RENO, key=frozenset({"+", "cmp"})).label == "{+,cmp}"
-    )
+    assert Bucket(key=frozenset()).label == "{}"
+    assert Bucket(key=frozenset({"+", "cmp"})).label == "{+,cmp}"

@@ -66,17 +66,21 @@ def test_submit_rejects_unknown_config_key(tmp_path):
         )
     with pytest.raises(SynthesisError, match="nope"):
         submit_job(str(tmp_path), "job", cca="reno", config={"nope": 1})
-    # Config fields that no longer exist are unknown like any other.
-    for removed in (
+    # Config fields that no longer exist are unknown like any other, and
+    # so are the pool knobs that serve's shared executor owns.
+    for refused in (
         "fused_scheduling",
         "shm_plane",
         "batch_dtw",
         "checkpoint_every",
         "cache_max_entries",
+        "workers",
+        "max_pool_rebuilds",
+        "watchdog_seconds",
     ):
-        with pytest.raises(SynthesisError, match=removed):
+        with pytest.raises(SynthesisError, match=refused):
             submit_job(
-                str(tmp_path), "job", cca="reno", config={removed: False}
+                str(tmp_path), "job", cca="reno", config={refused: False}
             )
 
 
@@ -122,6 +126,32 @@ def test_build_job_fresh_checkpoint_not_resumed(tmp_path, archive):
         )
     )
     assert build_job(spool, spec).resumed
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [("workers", 4), ("max_pool_rebuilds", 0), ("watchdog_seconds", 0.5)],
+)
+def test_claim_fails_a_spec_naming_a_pool_knob(
+    tmp_path, archive, knob, value
+):
+    """A spec that sets a knob of the shared executor, written past
+    submit_job, is a bad spec: the claim marks it failed, runs nothing."""
+    spool = str(tmp_path / "spool")
+    path = _submit(spool, "pooled", archive)
+    with open(path, "r", encoding="utf-8") as handle:
+        spec = json.load(handle)
+    spec["config"][knob] = value
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(spec, handle)
+    snapshots = serve(spool, workers=1)
+    assert snapshots["pooled"]["state"] == "failed"
+    assert knob in snapshots["pooled"]["error"]
+    record = JobLedger(os.path.join(spool, "state")).read("pooled")
+    assert record.state == "failed"
+    assert record.last_failure["reason"] == "bad-spec"
+    checkpoint = os.path.join(spool, "checkpoints", "pooled.jsonl")
+    assert not os.path.exists(checkpoint)
 
 
 # ------------------------------------------------------------------- serve
