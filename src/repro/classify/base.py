@@ -73,22 +73,38 @@ class ClassifierVerdict:
         return self.label
 
 
+#: Reference signatures of each known CCA, one per probe environment,
+#: keyed by CCA name.  They depend only on the CCA and the fixed
+#: :func:`probe_config` (the probes are noise-free and the simulator is
+#: deterministic), so every library in the process shares them: each
+#: CCA is simulated on its first classified call, not at import, and
+#: the arrays are read-only.
+_SIGNATURES: dict[str, tuple[np.ndarray, ...]] = {}
+
+
+def _reference_signatures(name: str) -> tuple[np.ndarray, ...]:
+    """*name*'s signatures under the probe environments, built once."""
+    signatures = _SIGNATURES.get(name)
+    if signatures is None:
+        signatures = tuple(
+            trace_signature(trace)
+            for trace in collect_traces(name, probe_config())
+        )
+        for signature in signatures:
+            signature.setflags(write=False)
+        _SIGNATURES[name] = signatures
+    return signatures
+
+
 class ReferenceLibrary:
     """Signatures of known CCAs under the probe environments."""
 
     def __init__(self, known_ccas: tuple[str, ...]):
         self.known_ccas = known_ccas
-        self._signatures: dict[str, list[np.ndarray]] = {}
 
-    def _ensure_built(self) -> None:
-        if self._signatures:
-            return
-        config = probe_config()
-        for name in self.known_ccas:
-            traces = collect_traces(name, config)
-            self._signatures[name] = [
-                trace_signature(trace) for trace in traces
-            ]
+    def signatures(self) -> dict[str, tuple[np.ndarray, ...]]:
+        """Each known CCA's reference signatures, in ``known_ccas`` order."""
+        return {name: _reference_signatures(name) for name in self.known_ccas}
 
     def nearest(self, trace: Trace) -> tuple[str, float]:
         """Nearest known CCA to *trace* and the distance to it.
@@ -97,11 +113,11 @@ class ReferenceLibrary:
         every known CCA, whichever probe environment it was measured
         under; on a tie the CCA listed first in ``known_ccas`` wins.
         """
-        self._ensure_built()
+        references = self.signatures()
         target = trace_signature(trace)
         best_name = self.known_ccas[0]
         best_distance = float("inf")
-        for name, signatures in self._signatures.items():
+        for name, signatures in references.items():
             for signature in signatures:
                 distance = signature_distance(target, signature)
                 if distance < best_distance:

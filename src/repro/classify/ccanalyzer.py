@@ -57,11 +57,11 @@ class CcaAnalyzer:
 
     def rank(self, traces: list[Trace]) -> list[tuple[str, float]]:
         """All known CCAs ranked by mean distance to *traces* (best first)."""
-        self.library._ensure_built()
+        references = self.library.signatures()
         totals: dict[str, list[float]] = defaultdict(list)
         for trace in traces:
             target = trace_signature(trace)
-            for name, signatures in self.library._signatures.items():
+            for name, signatures in references.items():
                 totals[name].append(
                     min(
                         signature_distance(target, signature)

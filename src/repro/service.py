@@ -250,14 +250,20 @@ def _job_inputs(spec: dict[str, Any]) -> tuple[SynthesisConfig, Any]:
 
 
 def build_job(
-    spool: str, spec: dict[str, Any], context: RunContext | None = None
+    spool: str,
+    spec: dict[str, Any],
+    context: RunContext | None = None,
+    *,
+    workers: int = 1,
 ) -> Job:
     """One schedulable :class:`~repro.runtime.jobs.Job` from a spec.
 
     The checkpoint lives at ``checkpoints/<job_id>.jsonl``; when it
     already holds a boundary the job resumes from it (that is the whole
     crash-recovery path — a successor ``serve`` naturally picks up where
-    the dead one left off).
+    the dead one left off).  *workers* is the width of the executor
+    that will score the job, so its ``run_started`` event names the
+    pool that actually runs it (a worker count changes no result).
     """
     job_id = str(spec["job_id"])
     config, dsl = _job_inputs(spec)
@@ -269,6 +275,7 @@ def build_job(
         config,
         checkpoint_path=checkpoint_path,
         resume_path=checkpoint_path if resumed else None,
+        workers=workers,
     )
 
     def source():
@@ -590,7 +597,7 @@ class FleetServer:
             self._emit(event)
         if not lease.held:
             return False
-        job = build_job(self.spool, spec, self.context)
+        job = build_job(self.spool, spec, self.context, workers=self.workers)
         job.lease = lease
         scheduler.submit(job)
         self.jobs_claimed += 1

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.trace.model import TraceSegment
-from repro.trace.signals import extract_signals
+from repro.trace.signals import window_columns
 
 __all__ = ["segment_shape", "shape_distance", "select_diverse_segments"]
 
@@ -29,11 +29,11 @@ def segment_shape(segment: TraceSegment) -> np.ndarray:
 
     The cwnd series is resampled to a fixed length over normalized time
     and scaled by its mean, so segments from different bandwidths and
-    durations are comparable.
+    durations are comparable.  It reads the same ``time`` and ``cwnd``
+    columns :func:`~repro.trace.signals.extract_signals` would, and
+    refuses the same segments, without extracting the other signals.
     """
-    table = extract_signals(segment)
-    cwnd = table.observed_cwnd()
-    times = table.times()
+    _, times, cwnd = window_columns(segment)
     if len(cwnd) < 2:
         return np.ones(_SHAPE_POINTS)
     t_norm = (times - times[0]) / max(times[-1] - times[0], 1e-9)

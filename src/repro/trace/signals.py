@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.trace.model import TraceSegment
+from repro.trace.model import AckRecord, TraceSegment
 
-__all__ = ["SignalTable", "extract_signals", "SIGNAL_NAMES"]
+__all__ = ["SignalTable", "extract_signals", "window_columns", "SIGNAL_NAMES"]
 
 #: Signals every table provides, aligned per new-data ACK.
 SIGNAL_NAMES: tuple[str, ...] = (
@@ -149,6 +150,53 @@ def _usable_rtt(ack) -> float | None:
     return sample
 
 
+def window_columns(
+    segment: TraceSegment,
+) -> tuple[list[AckRecord], np.ndarray, np.ndarray]:
+    """The new-data ACKs of *segment* with their ``time`` and ``cwnd``.
+
+    The guards of :func:`extract_signals` live here, so a caller that
+    needs only these two columns refuses exactly the segments a full
+    extraction refuses: :class:`~repro.errors.TraceError` when the
+    segment has no new-data ACK, a non-finite timestamp, no usable RTT
+    sample up to its end, or no finite window observation.  A non-finite
+    window carries the previous finite one, and a leading run of them
+    back-fills from the first finite one, instead of landing NaN in the
+    series the scorer matches against.
+    """
+    trace = segment.trace
+    inside = [
+        ack
+        for ack in trace.acks[segment.start : segment.stop]
+        if not ack.dupack
+    ]
+    if not inside:
+        raise TraceError(f"segment {segment.label} has no new-data ACKs")
+    if not all(math.isfinite(ack.time) for ack in inside):
+        raise TraceError(
+            f"segment {segment.label} has non-finite timestamps; "
+            "run trace triage before extraction"
+        )
+    if not any(
+        not ack.dupack and _usable_rtt(ack) is not None
+        for ack in islice(trace.acks, segment.stop)
+    ):
+        raise TraceError(f"segment {segment.label} has no usable RTT samples")
+    times = np.array([ack.time for ack in inside], dtype=float)
+    cwnd = np.array([ack.cwnd_bytes for ack in inside], dtype=float)
+    finite = np.isfinite(cwnd)
+    if not finite.all():
+        if not finite.any():
+            raise TraceError(
+                f"segment {segment.label} has no finite cwnd observations"
+            )
+        # Each row reads the latest finite row at or before it; rows
+        # before the first finite one read that one.
+        source = np.where(finite, np.arange(len(cwnd)), finite.argmax())
+        cwnd = cwnd[np.maximum.accumulate(source)]
+    return inside, times, cwnd
+
+
 def extract_signals(segment: TraceSegment) -> SignalTable:
     """Compute the :class:`SignalTable` for *segment*.
 
@@ -156,27 +204,13 @@ def extract_signals(segment: TraceSegment) -> SignalTable:
     carry no RTT sample and no window progress.  Guards keep garbage
     out of the table: non-finite RTT samples count as missing, a run of
     missing samples at the trace head back-fills from the first real
-    sample (instead of fabricating a 1 ms RTT), and non-finite window
-    observations carry the nearest finite neighbor.  A segment with no
-    finite timestamps, windows, or RTT samples raises
-    :class:`~repro.errors.TraceError` — that trace needs
-    :mod:`repro.trace.triage` first.
+    sample (instead of fabricating a 1 ms RTT), and the window guards
+    and refusals of :func:`window_columns` apply — a segment it refuses
+    needs :mod:`repro.trace.triage` first.
     """
+    inside, times, cwnd = window_columns(segment)
     trace = segment.trace
-    rows = [
-        (index, ack)
-        for index, ack in enumerate(trace.acks[: segment.stop])
-        if not ack.dupack
-    ]
-    prefix = [(i, a) for i, a in rows if i < segment.start]
-    inside = [(i, a) for i, a in rows if i >= segment.start]
-    if not inside:
-        raise TraceError(f"segment {segment.label} has no new-data ACKs")
-    if not all(math.isfinite(ack.time) for _, ack in inside):
-        raise TraceError(
-            f"segment {segment.label} has non-finite timestamps; "
-            "run trace triage before extraction"
-        )
+    prefix = [ack for ack in trace.acks[: segment.start] if not ack.dupack]
 
     loss_times = trace.loss_times()
 
@@ -189,7 +223,7 @@ def extract_signals(segment: TraceSegment) -> SignalTable:
     prev_rtt = None
     prev_time = None
     gradient = 0.0
-    for _, ack in prefix:
+    for ack in prefix:
         rtt_sample = _usable_rtt(ack)
         if rtt_sample is not None:
             min_rtt = min(min_rtt, rtt_sample)
@@ -206,6 +240,8 @@ def extract_signals(segment: TraceSegment) -> SignalTable:
 
     n = len(inside)
     out = {name: np.zeros(n) for name in SIGNAL_NAMES}
+    out["time"] = times
+    out["cwnd"] = cwnd
     delivered: list[tuple[float, float]] = []  # (time, cumulative bytes)
     cumulative = 0.0
     last_rtt = prev_rtt
@@ -214,23 +250,14 @@ def extract_signals(segment: TraceSegment) -> SignalTable:
         # first real sample in the segment (the way
         # :meth:`Trace.rtt_series` does) rather than fabricating a 1 ms
         # RTT that would poison min_rtt for the whole flow.
+        # :func:`window_columns` refused a segment without one.
         last_rtt = next(
-            (
-                sample
-                for sample in map(
-                    lambda pair: _usable_rtt(pair[1]), inside
-                )
-                if sample is not None
-            ),
-            None,
+            sample
+            for sample in map(_usable_rtt, inside)
+            if sample is not None
         )
-        if last_rtt is None:
-            raise TraceError(
-                f"segment {segment.label} has no usable RTT samples"
-            )
-    last_cwnd: float | None = None
 
-    for row, (_, ack) in enumerate(inside):
+    for row, ack in enumerate(inside):
         time = ack.time
         rtt_sample = _usable_rtt(ack)
         if rtt_sample is not None:
@@ -268,15 +295,6 @@ def extract_signals(segment: TraceSegment) -> SignalTable:
             time - earlier_losses[-1] if earlier_losses.size else time
         )
 
-        if math.isfinite(ack.cwnd_bytes):
-            last_cwnd = float(ack.cwnd_bytes)
-        out["time"][row] = time
-        # A non-finite window observation carries the previous finite
-        # one (leading garbage back-fills below) instead of landing NaN
-        # in the series the scorer matches against.
-        out["cwnd"][row] = (
-            last_cwnd if last_cwnd is not None else float("nan")
-        )
         out["acked_bytes"][row] = acked
         out["rtt"][row] = rtt
         out["min_rtt"][row] = min_rtt if min_rtt != float("inf") else rtt
@@ -289,17 +307,6 @@ def extract_signals(segment: TraceSegment) -> SignalTable:
         out["inflight"][row] = (
             ack.inflight_bytes if math.isfinite(ack.inflight_bytes) else 0.0
         )
-
-    # Back-fill a leading run of non-finite window observations from the
-    # first finite one; refuse a segment with no finite window at all.
-    cwnd_column = out["cwnd"]
-    if not np.isfinite(cwnd_column).all():
-        finite = cwnd_column[np.isfinite(cwnd_column)]
-        if finite.size == 0:
-            raise TraceError(
-                f"segment {segment.label} has no finite cwnd observations"
-            )
-        cwnd_column[~np.isfinite(cwnd_column)] = finite[0]
 
     table = SignalTable(mss=float(trace.mss), columns=out)
     # W_max estimate: the window at segment start, undone by a canonical

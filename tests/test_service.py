@@ -12,6 +12,7 @@ from repro.cli import main
 from repro.dsl import family, with_budget
 from repro.errors import SynthesisError
 from repro.pipeline import reverse_engineer
+from repro.runtime import CollectorSink, RunContext
 from repro.runtime.checkpoint import CheckpointWriter, RefinementCheckpoint
 from repro.service import JobLedger, build_job, load_specs, serve, submit_job
 from repro.synth.refinement import SynthesisConfig
@@ -203,6 +204,31 @@ def test_serve_skips_already_completed_jobs(tmp_path, archive):
     with open(results, "r", encoding="utf-8") as handle:
         assert len(handle.read().splitlines()) == lines_after
     assert third == again
+
+
+def test_serve_run_started_names_the_shared_pool(tmp_path, archive):
+    """Each job's ``run_started`` names the width of the pool that
+    scores it, not the job config's default of one worker."""
+    spool = str(tmp_path / "spool")
+    _submit(spool, "one", archive)
+    _submit(spool, "two", archive)
+    collector = CollectorSink()
+    with RunContext([collector]) as ctx:
+        snapshots = serve(spool, workers=2, quantum_tasks=5, context=ctx)
+    assert {snap["state"] for snap in snapshots.values()} == {"completed"}
+    widths = {
+        kind: [
+            event.workers
+            for event in collector.events
+            if event.kind == kind
+        ]
+        for kind in ("server_started", "run_started", "pool_spawned")
+    }
+    assert widths == {
+        "server_started": [2],
+        "run_started": [2, 2],
+        "pool_spawned": [2],
+    }
 
 
 # --------------------------------------------------------------------- CLI
