@@ -56,8 +56,7 @@ def report(capfd):
     """A print function that bypasses pytest's fd-level capture.
 
     Benchmarks print the reproduced table/figure rows; this keeps them
-    visible in a plain ``pytest benchmarks/ --benchmark-only`` run (and
-    in ``bench_output.txt``).
+    visible in a plain ``pytest benchmarks/ --benchmark-only`` run.
     """
 
     def _write(text: str = "") -> None:

@@ -20,7 +20,7 @@ from repro.distance.dtw import (
     inflate_bound,
 )
 from repro.distance.frechet import frechet_distance, lag_distance
-from repro.distance.lb import keogh_envelope, lb_keogh, lb_kim
+from repro.distance.lb import keogh_envelope, lb_keogh
 from repro.distance.pointwise import (
     correlation_distance,
     euclidean_distance,
@@ -43,7 +43,6 @@ __all__ = [
     "dtw_matrix",
     "band_width",
     "inflate_bound",
-    "lb_kim",
     "lb_keogh",
     "keogh_envelope",
     "frechet_distance",

@@ -17,8 +17,8 @@ the full ``(n+1)×(m+1)`` matrix (:func:`dtw_matrix` can still materialize
 the matrix for tests/debugging via ``return_matrix=True``), and
 :func:`dtw_distance_batch` runs the same recurrence over a ``(K, n)``
 stack of queries against one candidate in a single sweep, with per-lane
-early abandonment — the kernel the batched scoring cascade feeds whole
-replay matrices through.
+early abandonment — the kernel the batched scorer feeds each segment's
+live lanes through.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _banded_cost(
             running = np.minimum.accumulate(best_prev - shifted)
             row = prefix + running
             if i < n and bound is not None and not row.min() <= bound:
-                # `not <=` rather than `>` so a NaN bound never abandons.
+                # `not <=` rather than `>` so a NaN row abandons too.
                 # The final row is exempt: the matrix form writes the
                 # corner before checking, so an abandonment there still
                 # surfaces the exact corner value.
@@ -237,9 +237,10 @@ def dtw_distance_batch(
     *bounds* gives each lane its abandon threshold in normalized units
     (``inf`` lanes never abandon, matching the scalar no-bound path);
     abandoned lanes report ``inf`` and are compacted out of the sweep,
-    so heavily pruned waves cost proportionally less.  Inputs are used
-    as-is — callers downsample beforehand (the batched cascade already
-    holds the downsampled replay matrix).
+    so heavily pruned waves cost proportionally less.  A one-lane call
+    runs the scalar kernel instead, which computes the same floats at
+    less cost.  Inputs are used as-is — callers downsample beforehand
+    (the batched scorer already holds the downsampled replay matrix).
     """
     queries = np.asarray(queries, dtype=float)
     candidate = np.asarray(candidate, dtype=float)
@@ -264,6 +265,11 @@ def dtw_distance_batch(
             + _BOUND_ABSOLUTE_SLACK,
             _INF,
         )
+    if lanes == 1:
+        # One lane: the scalar kernel, the same floats at less cost.
+        bound = raw[0] if np.isfinite(raw[0]) else None
+        total = _banded_cost(queries[0], candidate, width, bound)
+        return np.array([total]) / (n + m)
     result = np.full(lanes, _INF)
     alive = np.arange(lanes)
     prev = np.full((lanes, m + 1), _INF)

@@ -1,25 +1,20 @@
-"""Cheap lower bounds for DTW (Kim et al., ICDE '01; Keogh, VLDB '02).
+"""LB_Keogh lower bounds for DTW (Keogh, VLDB '02).
 
-The early-abandon cascade scores a candidate in three stages of rising
-cost: LB_Kim (O(1)) → LB_Keogh (O(n)) → the banded DTW DP (O(n·w)).
-Each stage returns a value that provably never exceeds the **raw** DTW
-warping cost (the un-normalized corner of the accumulated-cost matrix),
-so a candidate whose lower bound already exceeds the best-so-far
-threshold can be discarded without running the stages above it — the
-surviving minimum is unchanged, which is what keeps batched rankings
-bit-identical to the scalar reference path.
+The batched scorer prescreens every candidate with LB_Keogh before any
+DTW runs.  The bound never exceeds the **raw** DTW warping cost (the
+un-normalized corner of the accumulated-cost matrix), so a candidate
+whose bound already exceeds the best-so-far threshold can be discarded
+without running the banded DP — the surviving minimum is unchanged,
+which is what keeps batched rankings bit-identical to the scalar
+reference path.
 
-Validity sketches:
-
-* **LB_Kim** — every warping path starts at cell ``(1, 1)`` and ends at
-  ``(n, m)``, and cell costs are non-negative, so the endpoint costs
-  ``|l[0] - r[0]|`` (plus ``|l[-1] - r[-1]|`` when the cells are
-  distinct) already lower-bound the total.
-* **LB_Keogh** — the banded DP only visits cells with ``|i - j| <= w``
-  (:func:`repro.distance.dtw.band_width`), so an upper/lower envelope of
-  the candidate series with reach ``w`` brackets every value the query's
-  point ``i`` can be matched against; each row is visited at least once,
-  so summing each point's distance-to-envelope lower-bounds the total.
+Validity: the banded DP only visits cells with ``|i - j| <= w``
+(:func:`repro.distance.dtw.band_width`), so an upper/lower envelope of
+the candidate series with reach ``w`` brackets every value the query's
+point ``i`` can be matched against; each row is visited at least once,
+so summing each point's distance-to-envelope lower-bounds the total.
+DTW is symmetric, so the bound also holds with the roles swapped (the
+envelope over the query), and the scorer takes the larger of the two.
 
 NaN inputs poison the bounds into NaN, whose comparisons are all false —
 a NaN series is therefore never pruned by a bound, preserving whatever
@@ -31,20 +26,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["lb_kim", "keogh_envelope", "keogh_envelope_batch", "lb_keogh"]
-
-
-def lb_kim(left: np.ndarray, right: np.ndarray) -> float:
-    """O(1) endpoint lower bound on the raw DTW cost of two series."""
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
-    if left.size == 0 or right.size == 0:
-        raise ValueError("LB_Kim requires non-empty series")
-    bound = abs(float(left[0]) - float(right[0]))
-    if left.size > 1 or right.size > 1:
-        # Start and end cells are distinct, so both contribute.
-        bound += abs(float(left[-1]) - float(right[-1]))
-    return bound
+__all__ = ["keogh_envelope", "keogh_envelope_batch", "lb_keogh"]
 
 
 def keogh_envelope(

@@ -2,7 +2,7 @@
 
 The benchmark harness prints the same rows/series the paper's tables and
 figures report; these helpers keep that output aligned and readable in a
-terminal (and in ``bench_output.txt``).  :func:`format_run_summary`
+terminal.  :func:`format_run_summary`
 renders the telemetry a :class:`~repro.runtime.sinks.CollectorSink`
 gathered over one synthesis run as the post-run summary table the CLI
 prints.

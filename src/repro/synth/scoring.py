@@ -7,16 +7,17 @@ values are comparable across environments).  The score of a *sketch* is
 the minimum score over its sampled concretizations — the best behavior
 the sketch can exhibit with pool constants (§4.2, §4.4).
 
-Two paths compute that minimum.  The scalar reference path replays and
-scores each concretization independently.  The batched fast path
-(default) compiles the sketch once into a lane-vectorized numpy function
+Two paths compute that minimum.  The scalar reference path
+(:meth:`Scorer.score_handler` per concretization) replays and scores
+each concretization in full.  The batched fast path (default) compiles
+the sketch once into a lane-vectorized numpy function
 (:func:`repro.dsl.compiled.compile_sketch_vector`), replays all
 concretizations in one pass (:func:`repro.synth.replay.replay_batch`),
-and gates each candidate's DTW behind an early-abandon cascade
-(LB_Kim → LB_Keogh → bounded DP, :mod:`repro.distance.lb`) keyed to the
-sketch's best-so-far.  Prunes only fire for candidates that provably
-cannot beat the incumbent (distances are non-negative and abandon
-thresholds carry float-safety slack), so both paths return the same
+prescreens them with LB_Keogh (:mod:`repro.distance.lb`), and scores the
+rest segment by segment, one bounded :func:`dtw_distance_batch` sweep per
+segment.  Prunes only fire for candidates that provably cannot beat the
+incumbent (distances are non-negative and abandon thresholds carry
+float-safety slack), so both paths return the same
 :class:`ScoredHandler` — the equivalence the property suite enforces.
 """
 
@@ -31,18 +32,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.distance.base import DEFAULT_METRIC, get_metric
-from repro.distance.dtw import (
-    band_width,
-    dtw_distance,
-    dtw_distance_batch,
-    inflate_bound,
-)
-from repro.distance.lb import (
-    keogh_envelope,
-    keogh_envelope_batch,
-    lb_keogh,
-    lb_kim,
-)
+from repro.distance.dtw import band_width, dtw_distance_batch, inflate_bound
+from repro.distance.lb import keogh_envelope, keogh_envelope_batch
 from repro.distance.preprocess import downsample
 from repro.dsl.compiled import compile_handler, compile_sketch_vector
 from repro.dsl.printer import to_text
@@ -209,7 +200,7 @@ class ScoringCounters:
 
     #: Sketches scored through the batched (vectorized) path.
     batched_waves: int = 0
-    #: Candidate×segment distance computations skipped by LB_Kim/LB_Keogh.
+    #: Candidate×segment distance computations skipped by LB_Keogh.
     lb_pruned: int = 0
     #: DTW dynamic programs abandoned mid-row by the bound.
     dp_abandoned: int = 0
@@ -220,8 +211,8 @@ class ScoringCounters:
     #: scheduler's per-bucket warm-start bound) was tighter than anything
     #: this sketch had computed itself.
     warm_start_pruned: int = 0
-    #: Multi-lane DP sweeps run by :func:`dtw_distance_batch` (each
-    #: replaces up to ``completion_cap`` scalar DPs).
+    #: DP sweeps run by :func:`dtw_distance_batch`: per segment, one for
+    #: the probe lane and one for the other live lanes.
     batched_dtw_sweeps: int = 0
     #: Wall-clock milliseconds spent eagerly building segment entries
     #: and Keogh envelopes in :meth:`Scorer.prepare_segments`.
@@ -245,7 +236,7 @@ class _SegmentEntry:
 
     ``observed``/``downsampled`` were previously recomputed for every
     one of the K×segments candidate evaluations; the LB_Keogh envelope
-    is built lazily on first cascade use (reach =
+    is built lazily on first prescreen use (reach =
     :func:`~repro.distance.dtw.band_width` of the banded DP, so the
     bound stays valid for every cell the DP can visit).
     """
@@ -383,14 +374,7 @@ class Scorer:
         return entries
 
     def score_handler(
-        self,
-        handler: ast.NumExpr,
-        segments: Sequence[TraceSegment],
-        *,
-        bound: float | None = None,
-        _synth: "Callable[[TraceSegment], np.ndarray] | None" = None,
-        _lb_suffix: "np.ndarray | None" = None,
-        _lb_row: "np.ndarray | None" = None,
+        self, handler: ast.NumExpr, segments: Sequence[TraceSegment]
     ) -> float:
         """Mean distance of *handler* across *segments* (lower = better).
 
@@ -399,45 +383,18 @@ class Scorer:
         the best-so-far handler the loop carries would otherwise always
         come from the smallest working set.
 
-        With a finite *bound* (the sketch's best-so-far mean) and the DTW
-        metric, the segment loop early-abandons: distances are
-        non-negative, so once the partial mean exceeds *bound* the
-        candidate provably cannot win and ``inf`` is returned instead of
-        the exact (worse-than-bound) mean — callers only compare scores
-        against *bound*, so rankings are unchanged.  *_synth* supplies
-        pre-replayed series and *_lb_suffix* per-segment lower-bound
-        suffix sums for the batched path (internal).
+        This is the scalar reference: every segment is replayed and
+        measured in full, with no bound, under any metric.
         """
         metric = get_metric(self.metric_name)
-        compiled = None
-        if _synth is None:
-            try:
-                compiled = compile_handler(handler)
-            except EvaluationError:
-                return float("inf")
+        try:
+            compiled = compile_handler(handler)
+        except EvaluationError:
+            return float("inf")
         cache = self.cache
         text = to_text(handler) if cache is not None else ""
-        cascade = (
-            bound is not None
-            and math.isfinite(bound)
-            and self.metric_name == "dtw"
-        )
-        count = len(segments)
         total = 0.0
-        if cascade:
-            # Rounded addition of non-negative distances is monotone, so
-            # a partial total above this (slack-inflated, see
-            # ``inflate_bound``) budget means the final mean the scalar
-            # path would compute is > bound for certain.
-            total_budget = inflate_bound(bound * count)
-        for index, segment in enumerate(segments):
-            if cascade:
-                pending = (
-                    _lb_suffix[index] if _lb_suffix is not None else 0.0
-                )
-                if total + pending > total_budget:
-                    self.counters.candidates_pruned += 1
-                    return float("inf")
+        for segment in segments:
             if cache is not None:
                 key = cache.key(
                     text,
@@ -453,41 +410,13 @@ class Scorer:
             entry = self._entry_for(segment)
             table = entry.table
             try:
-                if _synth is not None:
-                    synthesized = _synth(segment)
-                else:
-                    synthesized = (
-                        replay_handler(handler, table, compiled=compiled)
-                        / table.mss
-                    )
-                if cascade:
-                    # Budget left for this segment: whatever of the
-                    # (already slack-inflated) total budget the summed
-                    # distances so far and the lower bounds of the
-                    # *remaining* segments have not claimed.  The slack
-                    # dwarfs the cancellation error of the subtraction;
-                    # over-inflating is always sound — it only prunes
-                    # less.
-                    after = (
-                        _lb_suffix[index + 1]
-                        if _lb_suffix is not None
-                        else 0.0
-                    )
-                    distance = self._cascaded_distance(
-                        synthesized,
-                        entry,
-                        total_budget - total - after,
-                        known_lb=(
-                            _lb_row[index] if _lb_row is not None else None
-                        ),
-                    )
-                    if distance is None:  # pruned: can't beat the bound
-                        self.counters.candidates_pruned += 1
-                        return float("inf")
-                else:
-                    distance = metric(
-                        synthesized, entry.observed, budget=self.series_budget
-                    )
+                synthesized = (
+                    replay_handler(handler, table, compiled=compiled)
+                    / table.mss
+                )
+                distance = metric(
+                    synthesized, entry.observed, budget=self.series_budget
+                )
             except (EvaluationError, ArithmeticError, ValueError):
                 # A candidate whose arithmetic blows up on this segment
                 # cannot match it; charge the worst score for the segment
@@ -496,60 +425,9 @@ class Scorer:
                 # faults this narrow guard cannot contain).
                 distance = float("inf")
             if cache is not None:
-                # Pruned candidates never reach here: only exact
-                # distances are cached, keeping the cache bit-identical
-                # across the batched and scalar paths.
                 cache.put(key, segment, distance)
             total += distance
-        return total / count if segments else float("inf")
-
-    def _cascaded_distance(
-        self,
-        synthesized: np.ndarray,
-        entry: _SegmentEntry,
-        seg_bound: float,
-        known_lb: float | None = None,
-    ) -> float | None:
-        """DTW distance, or ``None`` when provably ``> seg_bound``.
-
-        Stages of rising cost; each stage's value never exceeds the raw
-        DTW total (see :mod:`repro.distance.lb`), so a prune is exact.
-        When the cascade does compute the distance it is bit-identical
-        to ``metric(synthesized, observed)``: ``downsample`` is
-        idempotent, so feeding pre-downsampled series through
-        :func:`dtw_distance` runs the same DP on the same floats.
-
-        *known_lb* is a normalized lower bound the batched prescreen
-        already computed for this (candidate, segment); when given it
-        replaces the LB_Kim/LB_Keogh stages.
-        """
-        query = downsample(synthesized, self.series_budget)
-        candidate = entry.downsampled
-        if known_lb is not None:
-            if known_lb > inflate_bound(seg_bound):
-                self.counters.lb_pruned += 1
-                return None
-        else:
-            raw_threshold = inflate_bound(
-                seg_bound * (query.size + candidate.size)
-            )
-            if lb_kim(query, candidate) > raw_threshold:
-                self.counters.lb_pruned += 1
-                return None
-            if query.size == candidate.size:
-                lower, upper = entry.envelope()
-                if lb_keogh(query, lower, upper) > raw_threshold:
-                    self.counters.lb_pruned += 1
-                    return None
-        distance = dtw_distance(
-            query, candidate, budget=self.series_budget, bound=seg_bound
-        )
-        if distance == float("inf"):
-            # band_width keeps the corner reachable, so inf means the DP
-            # abandoned (or the true distance is inf — equally hopeless).
-            self.counters.dp_abandoned += 1
-            return None
-        return distance
+        return total / len(segments) if segments else float("inf")
 
     def _score_sketch_batched(
         self,
@@ -562,7 +440,7 @@ class Scorer:
         sketch the vector backend cannot compile).
 
         A finite *bound* (an incumbent distance some *other* sketch
-        already achieved) warm-starts the cascade: candidates provably
+        already achieved) warm-starts the pruning: candidates provably
         unable to beat it are pruned before any DTW runs, and when the
         lower bounds rule out every lane the sketch is dismissed with
         zero distance computations.  The returned distance is then
@@ -587,6 +465,7 @@ class Scorer:
         self.counters.batched_waves += 1
         hole_ids = [hole.hole_id for hole in ast.holes(sketch.expr)]
         count = len(segments)
+        lanes = len(assignments)
 
         # Replay every concretization over every segment up front (one
         # K-wide vectorized pass per segment), then prescreen: a
@@ -594,18 +473,16 @@ class Scorer:
         # each candidate a lower bound on its *total* normalized
         # distance for a few numpy ops — candidates whose bound already
         # tops the incumbent mean are dropped with zero DTW calls.
-        replayed: dict[int, np.ndarray] = {}
-        lb_matrix = np.zeros((len(assignments), count))
+        lb_matrix = np.zeros((lanes, count))
         entries = [self._entry_for(segment) for segment in segments]
         #: Per segment, the (K, n) downsampled replay matrix — row
         #: ``lane`` holds the same floats ``downsample(matrix[lane])``
-        #: yields, so the batched DTW sweep below scores the very series
-        #: the scalar cascade would.
+        #: yields, so the DTW sweeps score the very series the scalar
+        #: reference would.
         queries_by_segment: list[np.ndarray] = []
         for seg_index, entry in enumerate(entries):
             table = entry.table
             matrix = replay_batch(vector, assignments, table) / table.mss
-            replayed[id(entry.segment)] = matrix
             size = matrix.shape[1]
             if size > self.series_budget:
                 picks = (
@@ -649,23 +526,15 @@ class Scorer:
             if bound is not None and math.isfinite(bound)
             else float("inf")
         )
+        handlers: dict[int, ast.NumExpr] = {}
 
-        def synthesized_for(lane: int) -> Callable[[TraceSegment], np.ndarray]:
-            def _synth(segment: TraceSegment) -> np.ndarray:
-                return replayed[id(segment)][lane]
-
-            return _synth
-
-        def handler_for(lane: int) -> ast.NumExpr:
-            return ast.fill_holes(
-                sketch.expr, dict(zip(hole_ids, assignments[lane]))
-            )
-
-        def suffix_for(lane: int) -> np.ndarray:
-            suffix = np.zeros(count + 1)
-            with np.errstate(invalid="ignore"):
-                suffix[:count] = np.cumsum(lb_matrix[lane, ::-1])[::-1]
-            return suffix
+        def handler_at(lane: int) -> ast.NumExpr:
+            handler = handlers.get(lane)
+            if handler is None:
+                handler = handlers[lane] = ast.fill_holes(
+                    sketch.expr, dict(zip(hole_ids, assignments[lane]))
+                )
+            return handler
 
         if math.isfinite(warm):
             # Whole-sketch warm-start skip: when every lane's lower bound
@@ -676,206 +545,160 @@ class Scorer:
             with np.errstate(invalid="ignore"):
                 hopeless = lb_totals > inflate_bound(warm * count)
             if hopeless.all():
-                lanes = len(assignments)
                 self.counters.lb_pruned += count * lanes
                 self.counters.candidates_pruned += lanes
                 self.counters.warm_start_pruned += lanes
-                return ScoredHandler(handler_for(0), float("inf"))
+                return ScoredHandler(handler_at(0), float("inf"))
 
-        # Probe: fully score the candidate the lower bounds like most,
-        # and use its distance as the initial pruning threshold.  Any
-        # probe choice is sound — prunes only ever discard candidates
-        # strictly worse than a *computed* candidate distance, and the
-        # final minimum is at most the probe's — so this does not
-        # disturb the stream-order tie semantics below; it just starts
-        # the sweep with a tight threshold instead of an empty one.
-        # With no finite lower bound at all the probe is lane 0.
+        # Probe: score the candidate the lower bounds like most against
+        # the warm start alone, and sweep the other lanes against
+        # ``min(warm, probe)``.  Any probe choice is sound — prunes only
+        # ever discard candidates strictly worse than the incumbent they
+        # are given, and the final minimum is at most the probe's — so
+        # this does not disturb the stream-order tie semantics below; it
+        # just starts the other lanes with a tight threshold.  With no
+        # finite lower bound at all the probe is lane 0.
         finite_lb = np.isfinite(lb_totals)
         probe = int(np.argmin(np.where(finite_lb, lb_totals, np.inf)))
-        handler = handler_for(probe)
-        probe_scored = ScoredHandler(
-            handler,
-            self.score_handler(
-                handler,
-                segments,
-                bound=(warm if math.isfinite(warm) else None),
-                _synth=synthesized_for(probe),
-                _lb_suffix=suffix_for(probe),
-                _lb_row=lb_matrix[probe],
-            ),
+        probe_distance = float(
+            self._sweep(
+                np.array([probe]),
+                warm,
+                entries,
+                queries_by_segment,
+                lb_matrix,
+                handler_at,
+            )[0]
         )
-        return self._batched_dtw_minimum(
+        incumbent = min(warm, probe_distance)
+        #: Lanes that take part in selection: a lane whose whole lower
+        #: bound tops the incumbent cannot win and is left out.
+        present = np.ones(lanes, dtype=bool)
+        if math.isfinite(incumbent):
+            with np.errstate(invalid="ignore"):
+                hopeless = lb_totals > inflate_bound(incumbent * count)
+            hopeless[probe] = False
+            dropped = int(np.count_nonzero(hopeless))
+            self.counters.lb_pruned += count * dropped
+            self.counters.candidates_pruned += dropped
+            if warm < probe_distance:
+                self.counters.warm_start_pruned += dropped
+            present &= ~hopeless
+        distances = np.full(lanes, np.inf)
+        distances[probe] = probe_distance
+        rest = np.nonzero(present)[0]
+        rest = rest[rest != probe]
+        distances[rest] = self._sweep(
+            rest,
+            incumbent,
             entries,
             queries_by_segment,
             lb_matrix,
-            lb_totals,
-            warm,
-            probe,
-            probe_scored,
-            handler_for,
+            handler_at,
         )
 
-    def _batched_dtw_minimum(
+        # Stream order, strict ``<``: ties resolve to the first lane, as
+        # in the scalar reference.  The incumbent is never tighter than
+        # the final minimum, so the winning lane is always scored exactly.
+        best: int | None = None
+        for lane in np.nonzero(present)[0]:
+            if best is None or distances[lane] < distances[best]:
+                best = int(lane)
+        assert best is not None  # the probe lane always takes part
+        return ScoredHandler(handler_at(best), float(distances[best]))
+
+    def _sweep(
         self,
+        lanes: np.ndarray,
+        incumbent: float,
         entries: "list[_SegmentEntry]",
         queries_by_segment: "list[np.ndarray]",
         lb_matrix: np.ndarray,
-        lb_totals: np.ndarray,
-        warm: float,
-        probe: int,
-        probe_scored: ScoredHandler,
-        handler_for: Callable[[int], ast.NumExpr],
-    ) -> ScoredHandler:
-        """Segment-major minimum over the non-probe lanes: one
-        :func:`dtw_distance_batch` sweep per segment instead of K scalar
-        DPs.
+        handler_at: Callable[[int], ast.NumExpr],
+    ) -> np.ndarray:
+        """Mean distance of each of *lanes* over the working set, or
+        ``inf`` where the lane provably cannot beat *incumbent*.
 
-        Returns the same :class:`ScoredHandler` as scoring the lanes one
-        by one in lane order, each bounded by the best distance so far
-        (the reference).  The pruning threshold here is the *fixed*
-        incumbent ``t0 = min(warm, probe)`` rather than the reference's
-        evolving one — a looser (never tighter) threshold, so this path
-        prunes a subset of what the reference prunes.  That cannot
-        change the result: every prune discards only lanes provably
-        worse than ``t0 >= final minimum`` (lower bounds and partial
-        totals versus a slack-inflated budget, exactly the reference
-        formulas), so the winning lane is always scored exactly, extra
-        exact-but-worse values never beat it under strict ``<``
-        selection in lane order, and when everything is ``inf`` the
-        initially-pruned (absent) set matches the reference's
-        ``continue`` set because no evolving incumbent ever tightened
-        below ``t0`` in that case either.
+        Segment by segment, the live lanes run one
+        :func:`dtw_distance_batch` sweep.  A lane drops out when its
+        partial total plus the lower bounds of the segments still to go
+        tops the budget ``inflate_bound(incumbent * count)``, when its
+        lower bound on this segment tops what the budget leaves it, or
+        when its DP abandons at that bound.  Distances are non-negative,
+        rounded addition is monotone and every threshold carries slack,
+        so a dropped lane's mean is worse than *incumbent* for certain.
         """
         count = len(entries)
-        lanes = lb_matrix.shape[0]
         cache = self.cache
-        t0 = min(warm, probe_scored.distance)
-        finite_budget = math.isfinite(t0)
-        budget = inflate_bound(t0 * count) if finite_budget else float("inf")
-        #: Lanes that produce a ScoredHandler (possibly ``inf``) exactly
-        #: like a ``score_handler`` call would; lanes pruned by the
-        #: whole-candidate lower bound are absent from selection like
-        #: the reference loop's ``continue``.
-        present = np.ones(lanes, dtype=bool)
-        alive = np.ones(lanes, dtype=bool)
-        alive[probe] = False
-        if finite_budget:
-            with np.errstate(invalid="ignore"):
-                hopeless = lb_totals > budget
-            hopeless[probe] = False
-            dropped = int(np.count_nonzero(hopeless))
-            if dropped:
-                self.counters.lb_pruned += count * dropped
-                self.counters.candidates_pruned += dropped
-                if warm < probe_scored.distance:
-                    self.counters.warm_start_pruned += dropped
-                present &= ~hopeless
-                alive &= ~hopeless
-        totals = np.zeros(lanes)
-        lb_suffix = np.zeros((lanes, count + 1))
+        finite_budget = math.isfinite(incumbent)
+        budget = (
+            inflate_bound(incumbent * count) if finite_budget else math.inf
+        )
+        lower = lb_matrix[lanes]
+        suffix = np.zeros((lanes.size, count + 1))
         with np.errstate(invalid="ignore"):
-            lb_suffix[:, :count] = np.cumsum(
-                lb_matrix[:, ::-1], axis=1
-            )[:, ::-1]
-        handlers: dict[int, ast.NumExpr] = {}
-
-        def handler_at(lane: int) -> ast.NumExpr:
-            handler = handlers.get(lane)
-            if handler is None:
-                handler = handler_for(lane)
-                handlers[lane] = handler
-            return handler
-
+            suffix[:, :count] = np.cumsum(lower[:, ::-1], axis=1)[:, ::-1]
+        totals = np.zeros(lanes.size)
+        alive = np.ones(lanes.size, dtype=bool)
         for seg_index, entry in enumerate(entries):
-            lane_ids = np.nonzero(alive)[0]
-            if lane_ids.size == 0:
+            live = np.nonzero(alive)[0]
+            if finite_budget:
+                over = totals[live] + suffix[live, seg_index] > budget
+                alive[live[over]] = False
+                dropped = int(np.count_nonzero(over))
+                self.counters.candidates_pruned += dropped
+                live = live[~over]
+            if live.size == 0:
                 break
             segment = entry.segment
-            if finite_budget:
-                # Partial total plus the remaining segments' lower
-                # bounds already over budget: the mean cannot beat t0.
-                over = (
-                    totals[lane_ids] + lb_suffix[lane_ids, seg_index]
-                    > budget
-                )
-                for lane in lane_ids[over]:
-                    alive[lane] = False
-                    self.counters.candidates_pruned += 1
-                lane_ids = lane_ids[~over]
-                if lane_ids.size == 0:
-                    break
-            need: list[int] = []
             keys: dict[int, tuple] = {}
-            for lane in (int(lane) for lane in lane_ids):
-                if cache is not None:
-                    key = cache.key(
-                        to_text(handler_at(lane)),
+            if cache is not None:
+                need: list[int] = []
+                for index in live:
+                    key = keys[index] = cache.key(
+                        to_text(handler_at(int(lanes[index]))),
                         segment,
                         self.metric_name,
                         self.max_replay_rows,
                         self.series_budget,
                     )
-                    keys[lane] = key
                     cached = cache.get(key, segment)
-                    if cached is not None:
-                        totals[lane] += cached
-                        continue
-                need.append(lane)
-            if not need:
-                continue
-            dtw_lanes: list[int] = []
-            bounds: list[float] = []
-            for lane in need:
-                seg_bound = float(
-                    budget - totals[lane] - lb_suffix[lane, seg_index + 1]
-                )
-                known_lb = lb_matrix[lane, seg_index]
-                if finite_budget and known_lb > inflate_bound(seg_bound):
-                    self.counters.lb_pruned += 1
-                    self.counters.candidates_pruned += 1
-                    alive[lane] = False
-                    continue
-                dtw_lanes.append(lane)
-                bounds.append(seg_bound)
-            if not dtw_lanes:
+                    if cached is None:
+                        need.append(index)
+                    else:
+                        totals[index] += cached
+                live = np.array(need, dtype=int)
+            with np.errstate(invalid="ignore"):
+                bounds = budget - totals[live] - suffix[live, seg_index + 1]
+                if finite_budget:
+                    # The lower bound alone tops what is left: no DP.
+                    pruned = lower[live, seg_index] > inflate_bound(bounds)
+                    alive[live[pruned]] = False
+                    dropped = int(np.count_nonzero(pruned))
+                    self.counters.lb_pruned += dropped
+                    self.counters.candidates_pruned += dropped
+                    live, bounds = live[~pruned], bounds[~pruned]
+            if live.size == 0:
                 continue
             distances = dtw_distance_batch(
-                queries_by_segment[seg_index][dtw_lanes],
+                queries_by_segment[seg_index][lanes[live]],
                 entry.downsampled,
-                bounds=np.array(bounds),
+                bounds=bounds,
             )
             self.counters.batched_dtw_sweeps += 1
-            for lane, distance in zip(dtw_lanes, distances):
-                if distance == float("inf"):
-                    # Abandoned DP (or a truly infinite distance —
-                    # equally hopeless), same accounting as the scalar
-                    # cascade.
-                    self.counters.dp_abandoned += 1
-                    self.counters.candidates_pruned += 1
-                    alive[lane] = False
-                    continue
-                value = float(distance)
-                if cache is not None:
-                    cache.put(keys[lane], segment, value)
-                totals[lane] += value
-
-        best: ScoredHandler | None = None
-        for lane in range(lanes):
-            if lane == probe:
-                scored = probe_scored
-            elif present[lane]:
-                distance = (
-                    float(totals[lane] / count)
-                    if alive[lane]
-                    else float("inf")
-                )
-                scored = ScoredHandler(handler_at(lane), distance)
-            else:
-                continue
-            if best is None or scored.distance < best.distance:
-                best = scored
-        assert best is not None  # the probe lane always contributes
-        return best
+            # An abandoned DP (or a truly infinite distance, equally
+            # hopeless) drops the lane.
+            abandoned = distances == np.inf
+            alive[live[abandoned]] = False
+            dropped = int(np.count_nonzero(abandoned))
+            self.counters.dp_abandoned += dropped
+            self.counters.candidates_pruned += dropped
+            live, distances = live[~abandoned], distances[~abandoned]
+            totals[live] += distances
+            if cache is not None:
+                for index, distance in zip(live, distances):
+                    cache.put(keys[index], segment, float(distance))
+        return np.where(alive, totals / count, np.inf)
 
     def score_sketch(
         self,

@@ -181,9 +181,8 @@ def test_dtw_distance_batch_matches_scalar_bit_identically():
             )
 
 
-def test_dtw_distance_batch_bounded_matches_scalar_per_lane():
-    from repro.distance.dtw import dtw_distance_batch
-
+def _bounded_batch_inputs():
+    """``(queries, candidate, bounds)`` triples for the lane-for-lane test."""
     rng = np.random.default_rng(14)
     for _ in range(40):
         lanes = int(rng.integers(1, 8))
@@ -194,13 +193,38 @@ def test_dtw_distance_batch_bounded_matches_scalar_per_lane():
         bounds = np.where(
             rng.random(lanes) < 0.3, np.inf, rng.random(lanes) * 6
         )
+        yield queries, candidate, bounds
+    # One lane runs the scalar kernel: a finite bound, no bound, a bound
+    # at the exact distance, one that abandons at once, and a query that
+    # holds an inf (abandoned under a bound, NaN without one).  The
+    # query ends on the candidate's last value, so the DP's last rows
+    # meet the exact bound and only its float-safety slack keeps it.
+    rng = np.random.default_rng(22)
+    query = np.round(rng.normal(size=(1, 40)) * 10, 1)
+    candidate = np.round(rng.normal(size=32) * 10, 1)
+    query[0, -1] = candidate[-1]
+    exact = dtw_distance(query[0], candidate, budget=1 << 30)
+    for bound in (exact * 2, np.inf, exact, 1e-6):
+        yield query, candidate, np.array([bound])
+    held = query.copy()
+    held[0, 17] = np.inf
+    for bound in (exact * 2, np.inf):
+        yield held, candidate, np.array([bound])
+
+
+def test_dtw_distance_batch_bounded_matches_scalar_per_lane():
+    from repro.distance.dtw import dtw_distance_batch
+
+    for queries, candidate, bounds in _bounded_batch_inputs():
+        lanes = len(queries)
         batch = dtw_distance_batch(queries, candidate, bounds=bounds)
         for lane in range(lanes):
             bound = None if not np.isfinite(bounds[lane]) else bounds[lane]
             scalar = dtw_distance(
                 queries[lane], candidate, budget=1 << 30, bound=bound
             )
-            assert batch[lane] == scalar
+            # Bitwise, so the NaN an unbounded inf query yields matches.
+            assert batch[lane].tobytes() == np.float64(scalar).tobytes()
 
 
 def test_dtw_distance_batch_abandons_hopeless_lanes_only():

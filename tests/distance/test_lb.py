@@ -1,11 +1,12 @@
-"""Lower-bound cascade tests: LB validity and bounded-DTW exactness.
+"""Lower-bound tests: LB_Keogh validity and bounded-DTW exactness.
 
 The batched scorer's correctness rests on two contracts proven here by
-property testing: every lower bound really is a lower bound of the raw
-banded-DTW cost (so a prune can never discard a would-be winner), and
-``dtw_distance(bound=b)`` returns the exact distance whenever the true
-distance is ``<= b`` (so the cascade is bit-identical to the unbounded
-metric on every candidate it does not discard).
+property testing: LB_Keogh, in either direction, really is a lower bound
+of the raw banded-DTW cost (so a prune can never discard a would-be
+winner), and ``dtw_distance(bound=b)`` returns the exact distance
+whenever the true distance is ``<= b`` (so a bounded sweep is
+bit-identical to the unbounded metric on every candidate it does not
+discard).
 """
 
 import numpy as np
@@ -19,12 +20,7 @@ from repro.distance.dtw import (
     dtw_matrix,
     inflate_bound,
 )
-from repro.distance.lb import (
-    keogh_envelope,
-    keogh_envelope_batch,
-    lb_keogh,
-    lb_kim,
-)
+from repro.distance.lb import keogh_envelope, keogh_envelope_batch, lb_keogh
 
 _series = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
@@ -51,12 +47,6 @@ _equal_pair = st.integers(min_value=2, max_value=40).flatmap(
 def _raw_cost(left, right):
     """The raw (un-normalized) banded-DTW corner the bounds must stay under."""
     return dtw_matrix(left, right)
-
-
-@given(_series, _series)
-@settings(max_examples=80, deadline=None)
-def test_lb_kim_lower_bounds_raw_cost(a, b):
-    assert lb_kim(a, b) <= _raw_cost(a, b) + 1e-9
 
 
 @given(_equal_pair)
@@ -145,11 +135,6 @@ def test_inflate_bound_adds_strictly_positive_slack(bound):
     inflated = inflate_bound(bound)
     assert inflated > bound
     assert inflated <= bound + bound * 1e-6 + 1e-8  # slack stays tiny
-
-
-def test_lb_kim_rejects_empty_series():
-    with pytest.raises(ValueError):
-        lb_kim(np.empty(0), np.ones(3))
 
 
 def test_lb_keogh_rejects_size_mismatch():

@@ -12,7 +12,10 @@ clock nor on which pool worker ran which task (a path is reduced to its
 file name).  The fleet run hashes its event kinds and the server's
 final snapshots.  The digests were recorded with the four-request
 protocol (a scorer message, waves, a stats request and progress
-reports) that the two-request one replaced.
+reports) that the two-request one replaced.  The three run-log digests
+were re-recorded once since, when the scorer's probe lane joined the
+per-segment DTW sweep: a decoded diff showed ``batched_dtw_sweeps`` as
+the only field that moved.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def test_synthesize_stream_one_worker(reno_segments, tmp_path):
     )
     assert _stream(events) == (
         40,
-        "c0d38b3a57080eb4f1ca1b5f105b8d15addff9a11040fdcd034f6277c8054c94",
+        "bd5bfdcf923968e3463fa2376b72a00455a01482fed0be4a7453da5eeb995d39",
     )
     assert _digest(checkpoint.read_text(encoding="utf-8").splitlines()) == (
         2,
@@ -112,7 +115,7 @@ def test_synthesize_stream_two_workers(reno_segments):
     assert any(event.kind == "pool_spawned" for event in events)
     assert _stream(events, TIMINGS | PLACEMENT) == (
         42,
-        "c28eb169a6a7c1db4b5d4666a6c8a6fc2d784b8dfe4aa13f50311f899fa714a7",
+        "1dc0f4e9f27bc35aeb6fbddd77b48650911423b130f7bc98f73569798b508061",
     )
 
 
@@ -130,7 +133,7 @@ def test_triaged_reverse_engineer_stream(reno_trace):
         )
     assert _stream(collector.events) == (
         46,
-        "f0c16e8e70c8824caab645ab22f39b3a89e906e20b1078d83d234c85b4cbe4fa",
+        "21e713b7de5a8dae52c590dfe2370a96df01b02801e2dea4fb5868cdd5108da6",
     )
 
 

@@ -103,3 +103,78 @@ def test_nonfinite_time_raises():
     )
     with pytest.raises(TraceError, match="non-finite"):
         segment_trace(trace)
+
+
+def _scanned_bounds(trace, min_acks):
+    """Segment bounds by a full scan of the trace per loss epoch: the
+    oracle for :func:`segment_trace`'s binary search."""
+    boundaries = [float("-inf")] + infer_loss_times(trace) + [float("inf")]
+    bounds = []
+    for lo, hi in zip(boundaries, boundaries[1:]):
+        indices = [
+            index
+            for index, ack in enumerate(trace.acks)
+            if lo < ack.time <= hi and not ack.dupack
+        ]
+        if len(indices) >= min_acks:
+            bounds.append(
+                (
+                    indices[0],
+                    indices[-1] + 1,
+                    lo if lo != float("-inf") else 0.0,
+                )
+            )
+    return bounds
+
+
+def _bounds(segments):
+    return [
+        (segment.start, segment.stop, segment.preceding_loss_time)
+        for segment in segments
+    ]
+
+
+def test_segment_bounds_match_full_scan():
+    """Every zoo CCA's noisy trace, every corrupted trace that loads and
+    passes the time-order precheck, and a loss record with a NaN time
+    (which empties the epochs it bounds), at two ``min_acks``."""
+    import json
+
+    from repro.cca import cca_names
+    from repro.errors import TraceError
+    from repro.netsim import Environment
+    from repro.trace.collect import CollectionConfig, collect_traces
+    from repro.trace.corrupt import corruption_corpus
+    from repro.trace.io import trace_from_dict
+    from repro.trace.noise import NoiseModel
+    from repro.trace.segmentation import MIN_SEGMENT_ACKS
+
+    config = CollectionConfig(
+        duration=6.0,
+        environments=(Environment(bandwidth_mbps=10.0, rtt_ms=50.0),),
+        noise=NoiseModel(jitter_std=0.002, dropout=0.02, seed=1),
+    )
+    traces = [
+        trace for name in cca_names() for trace in collect_traces(name, config)
+    ]
+    for sample in corruption_corpus(traces[cca_names().index("reno")]):
+        try:
+            traces.append(trace_from_dict(json.loads(sample.text)))
+        except (TraceError, ValueError):
+            continue  # refused at load: never segmented
+    nan_loss = _dupack_trace()
+    nan_loss.acks = [ack for ack in nan_loss.acks if not ack.dupack]
+    nan_loss.losses.append(LossRecord(float("nan"), "timeout"))
+    traces.append(nan_loss)
+    checked = segments = 0
+    for trace in traces:
+        for min_acks in (1, MIN_SEGMENT_ACKS):
+            try:
+                found = _bounds(segment_trace(trace, min_acks=min_acks))
+            except TraceError:
+                continue  # refused by the precheck
+            assert found == _scanned_bounds(trace, min_acks)
+            checked += 1
+            segments += len(found)
+    assert checked > 2 * len(cca_names())
+    assert segments > 300
