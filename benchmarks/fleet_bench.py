@@ -58,9 +58,9 @@ FAIR_QUANTUM = 16
 
 DSL = with_budget(RENO_DSL, max_depth=3, max_nodes=4)
 
-#: Real scoring per job (no cross-iteration cache), sized so one job is
-#: seconds, not minutes — the fleet effect under test is pool reuse and
-#: wave interleaving, not raw kernel speed.
+#: Real scoring per job, sized so one job is seconds, not minutes — the
+#: fleet effect under test is pool reuse and wave interleaving, not raw
+#: kernel speed.
 CONFIG = SynthesisConfig(
     initial_samples=12,
     initial_keep=4,
@@ -68,7 +68,6 @@ CONFIG = SynthesisConfig(
     max_iterations=1,
     exhaustive_cap=120,
     workers=WORKERS,
-    cache_scores=False,
     series_budget=512,
     max_replay_rows=1536,
 )
@@ -124,7 +123,7 @@ def _measure_fleet(job_segments, quantum: int) -> dict:
     completed = scheduler.run()
     seconds = time.perf_counter() - started
     executor = scheduler._executor
-    _, scoring = executor.stats() if executor is not None else (None, None)
+    scoring = executor.stats() if executor is not None else None
     scheduler.close()
     return {
         "results": [

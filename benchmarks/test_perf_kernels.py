@@ -102,66 +102,6 @@ def test_perf_simulator(benchmark):
     assert len(trace.acks) > 100
 
 
-def test_perf_score_cache_saves_replays(benchmark, store, monkeypatch):
-    """The cross-iteration score cache measurably reduces
-    ``replay_handler`` invocations over a multi-iteration refinement run.
-
-    Pinned on the *counters*, not wall-clock: an uncached run replays
-    once per (handler, segment) scoring; a cached run replays only on
-    misses, and the saved replays equal the cache's hit counter exactly
-    (the schedules are identical, so lookups == uncached replays).
-    """
-    import repro.synth.scoring as scoring_module
-    from repro.runtime import CollectorSink, RunContext
-    from repro.synth.refinement import SynthesisConfig, synthesize
-
-    real_replay = scoring_module.replay_handler
-    calls = {"n": 0}
-
-    def counting_replay(*args, **kwargs):
-        calls["n"] += 1
-        return real_replay(*args, **kwargs)
-
-    monkeypatch.setattr(scoring_module, "replay_handler", counting_replay)
-
-    segments = store.segments("reno", limit=3)
-    dsl = with_budget(RENO_DSL, max_depth=4, max_nodes=7)
-    base = dict(
-        initial_samples=4,
-        initial_keep=2,
-        completion_cap=4,
-        max_iterations=3,
-        exhaustive_cap=40,
-        initial_segments=2,
-        # The batched path replays via replay_batch, not replay_handler;
-        # this benchmark pins the scalar path's replay counters.
-        batch_scoring=False,
-    )
-
-    def run(cache: bool):
-        calls["n"] = 0
-        collector = CollectorSink()
-        result = synthesize(
-            segments,
-            dsl,
-            SynthesisConfig(cache_scores=cache, **base),
-            context=RunContext([collector]),
-        )
-        return result, calls["n"], collector.last_of_kind("cache_stats")
-
-    uncached_result, uncached_replays, _ = run(cache=False)
-    cached_result, cached_replays, stats = run(cache=True)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-    assert len(cached_result.iterations) >= 2  # schedule actually deepened
-    assert stats is not None and stats.hits > 0
-    # Caching never changes results, only work:
-    assert cached_result.best.distance == uncached_result.best.distance
-    assert cached_replays == stats.misses
-    assert uncached_replays == stats.hits + stats.misses
-    assert uncached_replays - cached_replays == stats.hits
-
-
 #: Two-hole sketches x an 8-constant pool = exactly 64 concretizations
 #: each, matching the completion cap the speedup target is pinned at.
 SCORING_SKETCHES = (

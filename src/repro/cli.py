@@ -56,7 +56,6 @@ from repro.netsim.environments import Environment
 from repro.pipeline import reverse_engineer
 from repro.reporting import format_run_summary
 from repro.runtime import (
-    CacheStats,
     CollectorSink,
     ConsoleProgressSink,
     IterationFinished,
@@ -186,11 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="result format: human-readable summary or a JSON document",
-    )
-    synthesize.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the cross-iteration score cache",
     )
     synthesize.add_argument(
         "--no-batch",
@@ -509,7 +503,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         max_iterations=args.iterations,
         workers=args.workers,
         time_budget_seconds=args.time_budget,
-        cache_scores=not args.no_cache,
         batch_scoring=not args.no_batch,
         checkpoint_path=args.checkpoint,
         resume_path=args.resume,
@@ -555,7 +548,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 def _json_report(report, collector: CollectorSink, context: RunContext) -> dict:
     """The machine-readable synthesis report (``--report json``)."""
-    cache = collector.last_of_kind(CacheStats.kind)
     scoring = collector.last_of_kind(ScoringStats.kind)
     return {
         "dsl": report.dsl.name,
@@ -585,16 +577,6 @@ def _json_report(report, collector: CollectorSink, context: RunContext) -> dict:
             }
             for event in collector.of_kind(IterationFinished.kind)
         ],
-        "cache": (
-            {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "hit_rate": cache.hit_rate,
-                "entries": cache.entries,
-            }
-            if cache is not None
-            else None
-        ),
         "scoring": (
             {
                 "batched_waves": scoring.batched_waves,

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.runtime.events import (
-    CacheStats,
     DegradedInputs,
     DegradedToSerial,
     Event,
@@ -252,8 +251,8 @@ def format_run_summary(events: Iterable[Event]) -> str:
 
     Shows the per-iteration schedule (samples, working set, surviving
     buckets, best distance), then one line each for the execution
-    substrate (pools spawned, segment primes), the score cache, and the
-    per-phase wall-clock split — everything a multi-minute search used
+    substrate (pools spawned, segment primes), the scorer's prunes, and
+    the per-phase wall-clock split — everything a multi-minute search used
     to keep to itself.
     """
     events = list(events)
@@ -417,13 +416,6 @@ def format_run_summary(events: Iterable[Event]) -> str:
                 [(q.sketch, q.reason, q.detail) for q in quarantines],
                 title="quarantined sketches",
             )
-        )
-    caches = [e for e in events if isinstance(e, CacheStats)]
-    if caches:
-        final = caches[-1]
-        lines.append(
-            f"cache:  {final.hits} hits / {final.lookups} lookups "
-            f"({final.hit_rate:.0%}), {final.entries} entries"
         )
     scorings = [e for e in events if isinstance(e, ScoringStats)]
     if scorings:

@@ -23,7 +23,6 @@ __all__ = [
     "SketchesDrawn",
     "BucketScored",
     "IterationFinished",
-    "CacheStats",
     "ScoringStats",
     "WaveDispatched",
     "BudgetExceeded",
@@ -133,24 +132,6 @@ class IterationFinished(Event):
     best_distance: float
     handlers_scored: int
     elapsed_seconds: float
-
-
-@dataclass(frozen=True)
-class CacheStats(Event):
-    """Score-cache counters at a point in time (cumulative for the run)."""
-
-    kind: ClassVar[str] = "cache_stats"
-    hits: int
-    misses: int
-    entries: int
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 @dataclass(frozen=True)
@@ -500,6 +481,4 @@ def event_payload(event: Event) -> dict[str, Any]:
     payload: dict[str, Any] = {"event": event.kind}
     for field in dataclasses.fields(event):
         payload[field.name] = _jsonable(getattr(event, field.name))
-    if isinstance(event, CacheStats):
-        payload["hit_rate"] = round(event.hit_rate, 4)
     return payload

@@ -72,10 +72,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.runtime.cache import ScoreCache
 from repro.runtime.context import RunContext
 from repro.runtime.events import (
-    CacheStats,
     DegradedToSerial,
     PoolRebuilt,
     PoolSpawned,
@@ -228,20 +226,17 @@ def derive_chunksize(tasks: int, workers: int) -> int:
 
 
 #: Zero value of a scorer's counters as the executors add them up:
-#: ``ScoringCounters.as_tuple()`` (its last slot the float
-#: ``envelope_precompute_ms``), then the score cache's hits, misses and
-#: entries.  Pool chunks report their deltas in this shape.
-_COUNTER_ZEROS: tuple = (0, 0, 0, 0, 0, 0, 0.0, 0, 0, 0)
+#: ``ScoringCounters.as_tuple()``, its last slot the float
+#: ``envelope_precompute_ms``.  Pool chunks report their deltas in this
+#: shape.
+_COUNTER_ZEROS: tuple = (0, 0, 0, 0, 0, 0, 0.0)
 
 
 def _scorer_counts(scorer: "Scorer | None") -> tuple:
     """*scorer*'s cumulative counters, shaped like :data:`_COUNTER_ZEROS`."""
     if scorer is None:
         return _COUNTER_ZEROS
-    cache = scorer.cache
-    if cache is None:
-        return (*scorer.counters.as_tuple(), 0, 0, 0)
-    return (*scorer.counters.as_tuple(), cache.hits, cache.misses, len(cache))
+    return scorer.counters.as_tuple()
 
 
 @dataclass(frozen=True)
@@ -478,21 +473,16 @@ class SerialExecutor:
 
     # ------------------------------------------------------------------
 
-    def stats(self) -> tuple[CacheStats | None, ScoringStats]:
-        """Cumulative score-cache (``None`` when caching is off) and
-        batched-scoring telemetry: every scorer this executor has run
-        waves with, plus the counters pool chunks reported."""
+    def stats(self) -> ScoringStats:
+        """Cumulative batched-scoring telemetry: every scorer this
+        executor has run waves with, plus the counters pool chunks
+        reported."""
         totals = list(self._chunk_counts)
         for scorer in self._scorers.values():
             for index, value in enumerate(_scorer_counts(scorer)):
                 totals[index] += value
-        cache = None
-        if any(scorer.cache is not None for scorer in self._scorers.values()):
-            cache = CacheStats(
-                hits=totals[7], misses=totals[8], entries=totals[9]
-            )
         waves = self._waves
-        return cache, ScoringStats(
+        return ScoringStats(
             batched_waves=totals[0],
             lb_pruned=totals[1],
             dp_abandoned=totals[2],
@@ -523,8 +513,8 @@ class SerialExecutor:
 # config and handle each chunk carries (see _score_chunk).
 
 _worker_scorer: "Scorer | None" = None
-#: The ``(config, cache_entries)`` the worker's scorer was built from.
-_worker_config: "tuple[dict, int | None] | None" = None
+#: The config the worker's scorer was built from.
+_worker_config: dict | None = None
 _worker_segments: "Sequence[TraceSegment] | None" = None
 _worker_faults: FaultPlan | None = None
 _worker_generation = 0
@@ -539,10 +529,10 @@ def _attach_plane_segments(handle: PlaneHandle) -> "list":
     """Attach *handle*'s plane in place of the attached one and
     materialize the working set from it (worker side).
 
-    The scorer's table LRU and score cache pin the old plane's segments,
-    whose arrays are views into the old mapping; those entries go before
-    the mapping is closed.  They could never hit again anyway: lookups
-    match segments by identity, and an attach makes new segment objects.
+    The scorer's table LRU pins the old plane's segments, whose arrays
+    are views into the old mapping; those entries go before the mapping
+    is closed.  They could never hit again anyway: lookups match
+    segments by identity, and an attach makes new segment objects.
     """
     global _worker_plane, _worker_segments
     if _worker_plane is not None:
@@ -553,16 +543,6 @@ def _attach_plane_segments(handle: PlaneHandle) -> "list":
         _worker_plane = None
     _worker_plane = (handle.name, attach_plane(handle))
     return plane_segments(_worker_plane[1], handle)
-
-
-def _build_worker_scorer(config: dict, cache_entries: int | None) -> Scorer:
-    """A worker's scorer: the parent scorer's config, its own cache."""
-    from repro.synth.scoring import Scorer
-
-    return Scorer(
-        **config,
-        cache=ScoreCache(cache_entries) if cache_entries else None,
-    )
 
 
 def _init_worker(
@@ -582,13 +562,13 @@ def _init_worker(
 def _score_chunk(
     tasks: "list[tuple[int, Sketch]]",
     incumbents: dict[int, float],
-    config: "tuple[dict, int | None]",
+    config: dict,
     handle: PlaneHandle | None,
 ) -> "tuple[list[ScoredHandler | _WorkerFailure], float, tuple]":
     """A worker's share of a pooled wave: one chunk through
     :func:`_score_tasks`, the only task a pool worker runs.
 
-    *config* is the wave's ``(scorer config, cache entries)``; the
+    *config* is the wave's scorer config (:class:`Scorer` keywords); the
     worker rebuilds its scorer only when it differs from the one it
     holds.  *handle* names the wave's plane, attached (and its views
     rebuilt) only when it differs from the attached one; ``None`` means
@@ -605,12 +585,12 @@ def _score_chunk(
     to its running total.
     """
     global _worker_scorer, _worker_config, _worker_segments
-    before = _scorer_counts(_worker_scorer)
     if config != _worker_config:
-        _worker_scorer = _build_worker_scorer(*config)
+        from repro.synth.scoring import Scorer
+
+        _worker_scorer = Scorer(**config)
         _worker_config = config
-        # The new scorer counts from zero; the old cache's entries go.
-        before = (*_COUNTER_ZEROS[:-1], before[-1])
+    before = _scorer_counts(_worker_scorer)
     if handle is not None and (
         _worker_plane is None or _worker_plane[0] != handle.name
     ):
@@ -707,22 +687,18 @@ class PooledExecutor(SerialExecutor):
         crash-driven rebuild count)."""
         return max(0, self.pools_spawned - self._planned_spawns)
 
-    def _scorer_config(self) -> tuple[dict, int | None]:
-        """What a worker builds the current scorer from: its knobs and
-        its cache bound (each worker keeps a cache of its own)."""
+    def _scorer_config(self) -> dict:
+        """What a worker builds the current scorer from: its knobs."""
         scorer = self.scorer
-        return (
-            dict(
-                metric_name=scorer.metric_name,
-                constant_pool=tuple(scorer.constant_pool),
-                completion_cap=scorer.completion_cap,
-                seed=scorer.seed,
-                max_replay_rows=scorer.max_replay_rows,
-                series_budget=scorer.series_budget,
-                batch=scorer.batch,
-                table_cache_entries=scorer.table_cache_entries,
-            ),
-            scorer.cache.max_entries if scorer.cache is not None else None,
+        return dict(
+            metric_name=scorer.metric_name,
+            constant_pool=tuple(scorer.constant_pool),
+            completion_cap=scorer.completion_cap,
+            seed=scorer.seed,
+            max_replay_rows=scorer.max_replay_rows,
+            series_budget=scorer.series_budget,
+            batch=scorer.batch,
+            table_cache_entries=scorer.table_cache_entries,
         )
 
     def _spawn_pool(self, segments: Sequence[TraceSegment] | None) -> None:

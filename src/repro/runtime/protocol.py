@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.runtime.events import CacheStats, ScoringStats
+from repro.runtime.events import ScoringStats
 from repro.runtime.supervise import Quarantined
 
 __all__ = ["WaveRequest", "WaveReply", "ProgressReport"]
@@ -66,16 +66,15 @@ class WaveReply:
 
     ``quarantined`` and ``pool_rebuilds`` are the run's cumulative
     counts (the checkpoint writer persists the quarantine log at
-    iteration boundaries).  ``cache`` and ``scoring`` are the executor's
-    cumulative counters; a scheduler, whose executor is shared by every
-    job, leaves them ``None`` and the run log carries no counters.
+    iteration boundaries).  ``scoring`` is the executor's cumulative
+    counters; a scheduler, whose executor is shared by every job, leaves
+    it ``None`` and the run log carries no counters.
     """
 
     grouped: tuple  #: tuple[list[ScoredHandler], ...]
     quarantined: tuple[Quarantined, ...] = ()
     pool_rebuilds: int = 0
     degraded: bool = False
-    cache: CacheStats | None = None
     scoring: ScoringStats | None = None
 
 

@@ -42,7 +42,7 @@ many cores and answers all of them against a single shared pool:
 
 Known (documented) telemetry deviations from the one-job path: executor
 counters are fleet-wide, so wave replies carry none (no per-job
-cache/scoring events); executor-emitted events (pool spawns,
+``scoring_stats`` events); executor-emitted events (pool spawns,
 wave dispatches, quarantine notices) go to the scheduler's fleet
 context, not the per-job context; and crash strikes are shared across
 jobs.  None of these affect search decisions.
@@ -68,14 +68,9 @@ from repro.runtime.events import (
     JobSubmitted,
 )
 from repro.runtime.executors import make_executor
-from repro.runtime.faults import (
-    FaultPlan,
-    ServiceFaultPlan,
-    apply_service_faults,
-)
+from repro.runtime.faults import ServiceFaultPlan, apply_service_faults
 from repro.runtime.jobs import Job, JobQueue, JobState, ResultStore
 from repro.runtime.protocol import ProgressReport, WaveReply, WaveRequest
-from repro.runtime.supervise import SupervisionPolicy
 
 __all__ = ["Scheduler", "DEFAULT_QUANTUM_TASKS"]
 
@@ -120,9 +115,6 @@ class Scheduler:
         store: ResultStore | None = None,
         quantum_tasks: int = DEFAULT_QUANTUM_TASKS,
         max_active: int | None = None,
-        max_pool_rebuilds: int = 3,
-        watchdog_seconds: float | None = None,
-        fault_plan: FaultPlan | None = None,
         service_fault_plan: ServiceFaultPlan | None = None,
     ) -> None:
         self.workers = workers
@@ -130,9 +122,6 @@ class Scheduler:
         self.store = store
         self.quantum_tasks = max(1, quantum_tasks)
         self.max_active = max_active
-        self.max_pool_rebuilds = max_pool_rebuilds
-        self.watchdog_seconds = watchdog_seconds
-        self.fault_plan = fault_plan
         self.service_fault_plan = service_fault_plan
         self._queue = JobQueue()
         self._active: deque[_ActiveJob] = deque()
@@ -197,14 +186,7 @@ class Scheduler:
     def _ensure_executor(self, scorer):
         if self._executor is None:
             self._executor = make_executor(
-                scorer,
-                self.workers,
-                context=self.context,
-                policy=SupervisionPolicy(
-                    max_pool_rebuilds=self.max_pool_rebuilds
-                ),
-                watchdog_seconds=self.watchdog_seconds,
-                fault_plan=self.fault_plan,
+                scorer, self.workers, context=self.context
             )
         elif self._executor.scorer is not scorer:
             self._executor.adopt_scorer(scorer)

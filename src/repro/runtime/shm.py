@@ -105,8 +105,8 @@ class PlaneSegment:
     :meth:`plane_entry` attribute and rebuilds its ``_SegmentEntry``
     from the views instead of re-extracting signals.  Identity is
     stable while the plane stays attached (the worker holds one list
-    per attach), so ``id()``-keyed score caches behave exactly as they
-    do for real segments.
+    per attach), so the scorer's ``id()``-keyed table LRU behaves
+    exactly as it does for real segments.
     """
 
     __slots__ = ("index", "_table", "_observed", "_downsampled", "_envelope")

@@ -18,7 +18,6 @@ from typing import IO, Iterator, Protocol
 
 from repro.runtime.events import (
     BudgetExceeded,
-    CacheStats,
     Event,
     IterationFinished,
     PoolSpawned,
@@ -98,16 +97,12 @@ class ConsoleProgressSink:
 
     def __init__(self, stream: IO[str] | None = None):
         self._stream = stream if stream is not None else sys.stderr
-        self._cache: CacheStats | None = None
 
     def _say(self, text: str, t: float) -> None:
         self._stream.write(f"[{t:7.1f}s] {text}\n")
         self._stream.flush()
 
     def handle(self, event: Event, t: float) -> None:
-        if isinstance(event, CacheStats):
-            self._cache = event  # folded into the next iteration line
-            return
         if isinstance(event, RunStarted):
             self._say(
                 f"run started: DSL {event.dsl_name!r}, "
@@ -119,13 +114,10 @@ class ConsoleProgressSink:
         elif isinstance(event, PoolSpawned):
             self._say(f"process pool spawned ({event.workers} workers)", t)
         elif isinstance(event, IterationFinished):
-            cache = ""
-            if self._cache is not None and self._cache.lookups:
-                cache = f", cache {self._cache.hit_rate:.0%} hit"
             self._say(
                 f"iter {event.index}: {event.bucket_count} buckets -> "
                 f"kept {event.kept}, best {event.best_distance:.3f}, "
-                f"{event.handlers_scored} handlers scored{cache}",
+                f"{event.handlers_scored} handlers scored",
                 t,
             )
         elif isinstance(event, BudgetExceeded):

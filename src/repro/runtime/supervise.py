@@ -125,14 +125,8 @@ class Supervisor:
     after ``max_pool_rebuilds`` strikes in a row.
     """
 
-    def __init__(
-        self,
-        policy: SupervisionPolicy | None = None,
-        *,
-        sleep=time.sleep,
-    ) -> None:
+    def __init__(self, policy: SupervisionPolicy | None = None) -> None:
         self.policy = policy or SupervisionPolicy()
-        self._sleep = sleep
         self.consecutive_failures = 0
         self.rebuilds = 0
 
@@ -155,5 +149,5 @@ class Supervisor:
         )
         self.rebuilds += 1
         if seconds > 0:
-            self._sleep(seconds)
+            time.sleep(seconds)
         return seconds

@@ -343,9 +343,7 @@ class FleetServer:
         fault_plan: ServiceFaultPlan | None = None,
         drain: Any = None,
         clock: Callable[[], float] = time.time,
-        sleep: Callable[[float], None] = time.sleep,
         store: ResultStore | None = None,
-        ledger: JobLedger | None = None,
     ) -> None:
         self.spool = spool
         self.server_id = server_id or f"serve-{os.getpid()}"
@@ -360,11 +358,8 @@ class FleetServer:
         self.fault_plan = fault_plan
         self.drain = drain  #: object with ``is_set()`` or zero-arg callable
         self.clock = clock
-        self.sleep = sleep
         self.store = store or ResultStore(_spool_dir(spool, "results"))
-        self.ledger = ledger or JobLedger(
-            _spool_dir(spool, "state"), clock=clock
-        )
+        self.ledger = JobLedger(_spool_dir(spool, "state"), clock=clock)
         #: A steal displaces only owners silent since this moment.
         self.started_at = clock()
         # Claim telemetry (takeovers and retries surface as events).
@@ -695,7 +690,7 @@ class FleetServer:
                 # backoff window is open).  Sleep one claim interval and
                 # rescan — this is also how concurrent submits and newly
                 # expired peer leases are picked up.
-                self.sleep(self.claim_interval_seconds)
+                time.sleep(self.claim_interval_seconds)
                 next_scan = float("-inf")
         finally:
             self._scheduler = None

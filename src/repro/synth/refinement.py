@@ -11,11 +11,9 @@ has already been exhausted; the lowest-distance handler seen anywhere is
 returned, so interrupting early still yields the best-so-far.
 
 Execution rides on :mod:`repro.runtime`: one scoring executor per run
-(a persistent process pool when ``workers > 1``), an optional
-cross-iteration score cache, and typed telemetry through a
-:class:`~repro.runtime.context.RunContext`.  With ``workers=1``, no
-sinks and the cache returning exact floats, results are bit-identical
-to the pre-runtime implementation.
+(a persistent process pool when ``workers > 1``) and typed telemetry
+through a :class:`~repro.runtime.context.RunContext`.  Neither changes
+results: any worker count, with or without sinks, ranks bit-identically.
 
 ``time_budget_seconds`` is enforced *inside* scoring waves, not just
 between iterations: the deadline is passed down to the executor, which
@@ -45,7 +43,6 @@ from repro.dsl.families import DslSpec
 from repro.dsl.parser import parse
 from repro.dsl.printer import to_text
 from repro.errors import SynthesisError
-from repro.runtime.cache import ScoreCache
 from repro.runtime.checkpoint import (
     CheckpointWriter,
     RefinementCheckpoint,
@@ -82,9 +79,9 @@ class SynthesisConfig:
     Defaults follow the paper's schedule (N=16, k=5, N×8, k/2, +2
     segments per iteration) with laptop-scale caps on completions and
     the final exhaustive pass.  Every iteration scores all live buckets
-    as one fused wave; the execution knobs (``workers``, the cache, the
-    watchdog, ``batch_scoring``) change wall clock, never results, and
-    stay out of :func:`_run_fingerprint`.
+    as one fused wave; the execution knobs (``workers``, the watchdog,
+    ``batch_scoring``) change wall clock, never results, and stay out of
+    :func:`_run_fingerprint`.
     """
 
     metric: str = "dtw"
@@ -103,10 +100,6 @@ class SynthesisConfig:
     max_replay_rows: int = 384
     #: Wall-clock budget; enforced inside scoring waves (best-so-far wins).
     time_budget_seconds: float | None = None
-    #: Cross-iteration (handler, segment) score memoization.  Cached
-    #: values are the exact floats a cold scorer computes, so disabling
-    #: this changes runtime, never results.
-    cache_scores: bool = True
     #: Per-sketch watchdog: a candidate scoring longer than this is
     #: quarantined (worst-case score) instead of wedging the run.
     #: ``None`` disables the watchdog (the bit-identical default).
@@ -158,7 +151,7 @@ def _run_fingerprint(
 
     Only inputs that shape the search's *decisions* belong here: the
     DSL, the schedule, the scoring knobs, and the trace corpus size.
-    Execution knobs (workers, cache, watchdog, budgets) change wall
+    Execution knobs (workers, watchdog, budgets) change wall
     clock, never results, so a run checkpointed with 4 workers can be
     resumed with 1 — or vice versa.
     """
@@ -212,7 +205,6 @@ def synthesize_core(
         seed=config.seed,
         series_budget=config.series_budget,
         max_replay_rows=config.max_replay_rows,
-        cache=ScoreCache() if config.cache_scores else None,
         batch=config.batch_scoring,
     )
     pool = BucketPool(dsl, context=ctx)
@@ -282,9 +274,8 @@ def synthesize_core(
     last = WaveReply(grouped=())
 
     def emit_counters() -> None:
-        for counters in (last.cache, last.scoring):
-            if counters is not None:
-                ctx.emit(counters)
+        if last.scoring is not None:
+            ctx.emit(last.scoring)
 
     n_samples = config.initial_samples
     keep = config.initial_keep
@@ -361,8 +352,7 @@ def synthesize_core(
             # enumeration pass feeds all buckets) and score everything
             # each bucket has drawn so far against the current working
             # set (old samples must be re-scored: the working set
-            # changed — that re-scoring is what the score cache
-            # deduplicates on the overlapping segments).
+            # changed).
             pool.draw(n_samples)
             state.sketches_drawn = pool.generated
             buckets = [bucket for bucket in pool.live if bucket.drawn]
@@ -579,14 +569,12 @@ def drive(
                 deadline=request.deadline,
                 min_results=request.min_results,
             )
-            cache, scoring = executor.stats()
             reply = WaveReply(
                 grouped=tuple(grouped),
                 quarantined=tuple(executor.quarantined),
                 pool_rebuilds=executor.pool_rebuilds,
                 degraded=executor.degraded,
-                cache=cache,
-                scoring=scoring,
+                scoring=executor.stats(),
             )
     finally:
         if executor is not None:

@@ -27,7 +27,7 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from repro.distance.dtw import band_width, dtw_distance_batch, inflate_bound
 from repro.distance.lb import keogh_envelope, keogh_envelope_batch
 from repro.distance.preprocess import downsample
 from repro.dsl.compiled import compile_handler, compile_sketch_vector
-from repro.dsl.printer import to_text
 from repro.errors import EvaluationError
 from repro.dsl import ast
 from repro.dsl.families import DEFAULT_CONSTANT_POOL
@@ -50,9 +49,6 @@ from repro.synth.sketch import Sketch
 from repro.trace.model import TraceSegment
 from repro.trace.signals import SignalTable, extract_signals
 
-if TYPE_CHECKING:  # type-only: repro.runtime is not imported at runtime
-    from repro.runtime.cache import ScoreCache
-
 __all__ = [
     "Scorer",
     "ScoredHandler",
@@ -64,11 +60,9 @@ __all__ = [
     "DEFAULT_TABLE_CACHE_ENTRIES",
 ]
 
-#: Default cap on the per-scorer signal-table LRU (satellite of the
-#: batched-scoring issue: the id()-keyed cache previously grew without
-#: bound across refinement iterations).  Sized like
-#: :data:`repro.runtime.cache.DEFAULT_CACHE_ENTRIES` relative to its
-#: entry weight: a coalesced table is ~40 KiB, so 256 tables ≈ 10 MiB.
+#: Default cap on the per-scorer signal-table LRU (an id()-keyed cache
+#: that would otherwise grow without bound across refinement
+#: iterations): a coalesced table is ~40 KiB, so 256 tables ≈ 10 MiB.
 DEFAULT_TABLE_CACHE_ENTRIES = 256
 
 
@@ -270,11 +264,6 @@ class Scorer:
     #: Distance cost control: series are down-sampled to this many points
     #: inside the metric.
     series_budget: int = 128
-    #: Optional cross-iteration memo of per-(handler, segment) distances
-    #: (:class:`repro.runtime.cache.ScoreCache`).  ``None`` disables
-    #: caching; cached values are the exact floats a cold scorer would
-    #: compute, so results are bit-identical either way.
-    cache: "ScoreCache | None" = None
     #: Score sketches through the vectorized batch path (identical
     #: rankings; ``--no-batch`` forces the scalar reference path).
     batch: bool = True
@@ -286,6 +275,16 @@ class Scorer:
         default_factory=OrderedDict, repr=False
     )
 
+    @property
+    def cache(self) -> None:
+        """Always ``None``: the scorer keeps no score memo.
+
+        Kept read-only for its one reader, the traced benchmark's
+        ``bench/layers.py``, which reads the memo's hit counters when a
+        scorer has one; it goes when that read does.
+        """
+        return None
+
     def _entry_for(self, segment: TraceSegment) -> _SegmentEntry:
         """The cached :class:`_SegmentEntry` for *segment* (LRU).
 
@@ -293,10 +292,9 @@ class Scorer:
         reference to its segment and verifies identity on lookup: without
         that, a freed segment's id can be reused by a new object and the
         lookup would silently return the *wrong* table.  The cache is
-        LRU-bounded by ``table_cache_entries``, mirroring
-        :mod:`repro.runtime.cache`'s discipline — refinement's working
-        set grows every iteration and previously kept every table ever
-        touched alive for the whole run.
+        LRU-bounded by ``table_cache_entries``: refinement's working set
+        grows every iteration, and an unbounded cache would keep every
+        table ever touched alive for the whole run.
         """
         key = id(segment)
         entry = self._tables.get(key)
@@ -339,14 +337,12 @@ class Scorer:
         return self._entry_for(segment).table
 
     def forget_segments(self, segments: Sequence[TraceSegment]) -> None:
-        """Drop every table entry and cached score that pins one of
-        *segments* (matched by identity, like every lookup here)."""
+        """Drop every table entry that pins one of *segments* (matched
+        by identity, like every lookup here)."""
         for segment in segments:
             entry = self._tables.get(id(segment))
             if entry is not None and entry.segment is segment:
                 del self._tables[id(segment)]
-        if self.cache is not None:
-            self.cache.forget_segments(segments)
 
     def prepare_segments(
         self, segments: Sequence[TraceSegment]
@@ -391,22 +387,8 @@ class Scorer:
             compiled = compile_handler(handler)
         except EvaluationError:
             return float("inf")
-        cache = self.cache
-        text = to_text(handler) if cache is not None else ""
         total = 0.0
         for segment in segments:
-            if cache is not None:
-                key = cache.key(
-                    text,
-                    segment,
-                    self.metric_name,
-                    self.max_replay_rows,
-                    self.series_budget,
-                )
-                cached = cache.get(key, segment)
-                if cached is not None:
-                    total += cached
-                    continue
             entry = self._entry_for(segment)
             table = entry.table
             try:
@@ -424,8 +406,6 @@ class Scorer:
                 # whole sketch (the executor-level quarantine is for
                 # faults this narrow guard cannot contain).
                 distance = float("inf")
-            if cache is not None:
-                cache.put(key, segment, distance)
             total += distance
         return total / len(segments) if segments else float("inf")
 
@@ -526,15 +506,11 @@ class Scorer:
             if bound is not None and math.isfinite(bound)
             else float("inf")
         )
-        handlers: dict[int, ast.NumExpr] = {}
 
         def handler_at(lane: int) -> ast.NumExpr:
-            handler = handlers.get(lane)
-            if handler is None:
-                handler = handlers[lane] = ast.fill_holes(
-                    sketch.expr, dict(zip(hole_ids, assignments[lane]))
-                )
-            return handler
+            return ast.fill_holes(
+                sketch.expr, dict(zip(hole_ids, assignments[lane]))
+            )
 
         if math.isfinite(warm):
             # Whole-sketch warm-start skip: when every lane's lower bound
@@ -562,12 +538,7 @@ class Scorer:
         probe = int(np.argmin(np.where(finite_lb, lb_totals, np.inf)))
         probe_distance = float(
             self._sweep(
-                np.array([probe]),
-                warm,
-                entries,
-                queries_by_segment,
-                lb_matrix,
-                handler_at,
+                np.array([probe]), warm, entries, queries_by_segment, lb_matrix
             )[0]
         )
         incumbent = min(warm, probe_distance)
@@ -589,12 +560,7 @@ class Scorer:
         rest = np.nonzero(present)[0]
         rest = rest[rest != probe]
         distances[rest] = self._sweep(
-            rest,
-            incumbent,
-            entries,
-            queries_by_segment,
-            lb_matrix,
-            handler_at,
+            rest, incumbent, entries, queries_by_segment, lb_matrix
         )
 
         # Stream order, strict ``<``: ties resolve to the first lane, as
@@ -614,22 +580,21 @@ class Scorer:
         entries: "list[_SegmentEntry]",
         queries_by_segment: "list[np.ndarray]",
         lb_matrix: np.ndarray,
-        handler_at: Callable[[int], ast.NumExpr],
     ) -> np.ndarray:
         """Mean distance of each of *lanes* over the working set, or
         ``inf`` where the lane provably cannot beat *incumbent*.
 
         Segment by segment, the live lanes run one
-        :func:`dtw_distance_batch` sweep.  A lane drops out when its
-        partial total plus the lower bounds of the segments still to go
-        tops the budget ``inflate_bound(incumbent * count)``, when its
-        lower bound on this segment tops what the budget leaves it, or
-        when its DP abandons at that bound.  Distances are non-negative,
-        rounded addition is monotone and every threshold carries slack,
-        so a dropped lane's mean is worse than *incumbent* for certain.
+        :func:`dtw_distance_batch` sweep, each lane's DP bounded by what
+        the budget ``inflate_bound(incumbent * count)`` leaves it after
+        its partial total and the lower bounds of the segments still to
+        go.  A lane drops out before a sweep when that partial total
+        plus those lower bounds tops the budget, and during one when its
+        DP abandons.  Distances are non-negative, rounded addition is
+        monotone and every threshold carries slack, so a dropped lane's
+        mean is worse than *incumbent* for certain.
         """
         count = len(entries)
-        cache = self.cache
         finite_budget = math.isfinite(incumbent)
         budget = (
             inflate_bound(incumbent * count) if finite_budget else math.inf
@@ -645,41 +610,12 @@ class Scorer:
             if finite_budget:
                 over = totals[live] + suffix[live, seg_index] > budget
                 alive[live[over]] = False
-                dropped = int(np.count_nonzero(over))
-                self.counters.candidates_pruned += dropped
+                self.counters.candidates_pruned += int(np.count_nonzero(over))
                 live = live[~over]
             if live.size == 0:
                 break
-            segment = entry.segment
-            keys: dict[int, tuple] = {}
-            if cache is not None:
-                need: list[int] = []
-                for index in live:
-                    key = keys[index] = cache.key(
-                        to_text(handler_at(int(lanes[index]))),
-                        segment,
-                        self.metric_name,
-                        self.max_replay_rows,
-                        self.series_budget,
-                    )
-                    cached = cache.get(key, segment)
-                    if cached is None:
-                        need.append(index)
-                    else:
-                        totals[index] += cached
-                live = np.array(need, dtype=int)
             with np.errstate(invalid="ignore"):
                 bounds = budget - totals[live] - suffix[live, seg_index + 1]
-                if finite_budget:
-                    # The lower bound alone tops what is left: no DP.
-                    pruned = lower[live, seg_index] > inflate_bound(bounds)
-                    alive[live[pruned]] = False
-                    dropped = int(np.count_nonzero(pruned))
-                    self.counters.lb_pruned += dropped
-                    self.counters.candidates_pruned += dropped
-                    live, bounds = live[~pruned], bounds[~pruned]
-            if live.size == 0:
-                continue
             distances = dtw_distance_batch(
                 queries_by_segment[seg_index][lanes[live]],
                 entry.downsampled,
@@ -693,11 +629,7 @@ class Scorer:
             dropped = int(np.count_nonzero(abandoned))
             self.counters.dp_abandoned += dropped
             self.counters.candidates_pruned += dropped
-            live, distances = live[~abandoned], distances[~abandoned]
-            totals[live] += distances
-            if cache is not None:
-                for index, distance in zip(live, distances):
-                    cache.put(keys[index], segment, float(distance))
+            totals[live[~abandoned]] += distances[~abandoned]
         return np.where(alive, totals / count, np.inf)
 
     def score_sketch(

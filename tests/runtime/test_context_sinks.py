@@ -6,7 +6,6 @@ import json
 from repro.runtime.context import RunContext
 from repro.runtime.events import (
     BudgetExceeded,
-    CacheStats,
     IterationFinished,
     PoolSpawned,
     RunFinished,
@@ -55,7 +54,7 @@ def test_collector_preserves_order_and_timestamps():
     times = [t for t, _ in collector.timeline]
     assert times == sorted(times)
     assert collector.last_of_kind("run_finished") is FINISHED
-    assert collector.last_of_kind("cache_stats") is None
+    assert collector.last_of_kind("pool_spawned") is None
     assert len(collector) == 3
 
 
@@ -106,7 +105,6 @@ def test_console_sink_mentions_the_essentials():
     ctx = RunContext([sink])
     ctx.emit(STARTED)
     ctx.emit(PoolSpawned(workers=2))
-    ctx.emit(CacheStats(hits=5, misses=5, entries=5))
     ctx.emit(ITERATION)
     ctx.emit(
         BudgetExceeded(phase="refinement", budget_seconds=1.0,
@@ -117,8 +115,6 @@ def test_console_sink_mentions_the_essentials():
     assert "run started" in out
     assert "pool spawned" in out
     assert "iter 1" in out
-    assert "cache 50% hit" in out
     assert "budget" in out
     assert "cwnd + mss" in out
-    # cache stats fold into the iteration line, not their own line
     assert len(out.strip().splitlines()) == 5

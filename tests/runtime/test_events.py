@@ -5,7 +5,6 @@ import json
 from repro.runtime.events import (
     BucketScored,
     BudgetExceeded,
-    CacheStats,
     IterationFinished,
     PoolSpawned,
     RunFinished,
@@ -52,7 +51,6 @@ ALL_EVENTS = [
         handlers_scored=800,
         elapsed_seconds=1.5,
     ),
-    CacheStats(hits=10, misses=30, entries=30),
     BudgetExceeded(
         phase="refinement", budget_seconds=5.0, elapsed_seconds=5.2
     ),
@@ -86,14 +84,6 @@ def test_bucket_label_sorts_and_joins():
     assert bucket_label("already-a-label") == "already-a-label"
 
 
-def test_cache_stats_rates():
-    stats = CacheStats(hits=3, misses=1, entries=1)
-    assert stats.lookups == 4
-    assert stats.hit_rate == 0.75
-    empty = CacheStats(hits=0, misses=0, entries=0)
-    assert empty.hit_rate == 0.0
-
-
 def test_frozenset_payloads_become_sorted_lists():
     payload = event_payload(
         RunFinished(
@@ -106,6 +96,3 @@ def test_frozenset_payloads_become_sorted_lists():
         )
     )
     assert payload["phase_seconds"] == {"a": 1.0}
-    assert event_payload(CacheStats(hits=1, misses=1, entries=1))[
-        "hit_rate"
-    ] == 0.5

@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.dsl.parser import parse
-from repro.runtime.cache import ScoreCache
 from repro.runtime.context import RunContext
 from repro.runtime.executors import (
     PooledExecutor,
@@ -31,10 +30,8 @@ def sketches():
     return [Sketch.from_expr(parse(text)) for text in SKETCH_TEXTS]
 
 
-def _scorer(cache=None, batch=True):
-    return Scorer(
-        constant_pool=(0.5, 1.0), completion_cap=8, cache=cache, batch=batch
-    )
+def _scorer(batch=True):
+    return Scorer(constant_pool=(0.5, 1.0), completion_cap=8, batch=batch)
 
 
 def _each(executor, sketches, segments, **kwargs):
@@ -71,7 +68,6 @@ def test_serial_matches_direct_scoring(sketches, reno_segments):
         assert fresh.score_sketch(sketch, working).distance == pytest.approx(
             result.distance
         )
-    assert executor.stats()[0] is None
 
 
 def test_serial_deadline_cuts_wave_short(sketches, reno_segments):
@@ -84,14 +80,6 @@ def test_serial_deadline_cuts_wave_short(sketches, reno_segments):
         [sketches], reno_segments[:1], deadline=expired, min_results=2
     )
     assert len(partial) == 2
-
-
-def test_serial_cache_stats_reported(sketches, reno_segments):
-    executor = SerialExecutor(_scorer(cache=ScoreCache()))
-    _each(executor, sketches, reno_segments[:1])
-    stats, _ = executor.stats()
-    assert stats is not None
-    assert stats.lookups > 0
 
 
 # ------------------------------------------------------------------- pooled
@@ -144,14 +132,6 @@ def test_pooled_deadline_respects_min_results(sketches, reno_segments):
     assert len(results) == 1
 
 
-def test_pooled_aggregates_worker_cache_stats(sketches, reno_segments):
-    with PooledExecutor(_scorer(cache=ScoreCache()), 2) as pooled:
-        _each(pooled, sketches, reno_segments[:2])
-        stats, _ = pooled.stats()
-    assert stats is not None
-    assert stats.lookups > 0
-
-
 def test_pooled_rejects_single_worker():
     with pytest.raises(ValueError):
         PooledExecutor(_scorer(), 1)
@@ -170,7 +150,7 @@ def test_make_executor_picks_by_workers():
 def test_serial_reports_scoring_stats(sketches, reno_segments):
     executor = SerialExecutor(_scorer())
     _each(executor, sketches, reno_segments[:2])
-    _, stats = executor.stats()
+    stats = executor.stats()
     assert stats.kind == "scoring_stats"
     assert stats.batched_waves > 0
 
@@ -196,10 +176,10 @@ def test_pooled_scoring_stats_match_serial(sketches, reno_segments):
     working = reno_segments[:2]
     serial = SerialExecutor(_scorer())
     _each(serial, sketches, working)
-    _, expected = serial.stats()
+    expected = serial.stats()
     with PooledExecutor(_scorer(), 2) as pooled:
         _each(pooled, sketches, working)
-        _, stats = pooled.stats()
+        stats = pooled.stats()
         assert stats.shm_bytes > 0  # the plane carried the working set
     assert _deterministic(stats) == _deterministic(expected)
     assert stats.batched_waves == len(sketches)
@@ -214,26 +194,25 @@ def test_pooled_stats_without_fork_match_serial(
     import multiprocessing
 
     working = reno_segments[:2]
-    serial = SerialExecutor(_scorer(cache=ScoreCache()))
+    serial = SerialExecutor(_scorer())
     _each(serial, sketches, working)
-    expected_cache, expected = serial.stats()
+    expected = serial.stats()
     monkeypatch.setattr(
         multiprocessing, "get_all_start_methods", lambda: ["spawn"]
     )
-    with PooledExecutor(_scorer(cache=ScoreCache()), 2) as pooled:
+    with PooledExecutor(_scorer(), 2) as pooled:
         _each(pooled, sketches, working)
-        cache, stats = pooled.stats()
+        stats = pooled.stats()
         assert pooled.pools_spawned == 1
         assert stats.shm_bytes == 0  # no plane without fork
     assert _deterministic(stats) == _deterministic(expected)
     assert stats.batched_waves == len(sketches)
-    assert cache.lookups == expected_cache.lookups > 0
 
 
 def test_pooled_batch_flag_reaches_workers(sketches, reno_segments):
     with PooledExecutor(_scorer(batch=False), 2) as pooled:
         _each(pooled, sketches, reno_segments[:2])
-        _, stats = pooled.stats()
+        stats = pooled.stats()
     assert stats.batched_waves == 0
 
 
@@ -384,7 +363,7 @@ def test_grouped_emits_wave_dispatched(sketches, reno_segments):
     assert waves[0].groups == 2
     assert waves[0].tasks == 5
     assert waves[0].workers == 1
-    _, stats = executor.stats()
+    stats = executor.stats()
     assert stats.fused_waves == 1
     assert stats.fused_tasks == 5
     assert stats.peak_in_flight >= 1
@@ -396,15 +375,14 @@ def test_pooled_stats_submits_no_pool_task(
 ):
     """Worker counters ride back on chunk results, so stats() reads
     them in the parent without a pool round trip."""
-    with PooledExecutor(_scorer(cache=ScoreCache()), 2) as pooled:
+    with PooledExecutor(_scorer(), 2) as pooled:
         _each(pooled, sketches, reno_segments[:2])
         submitted = []
         monkeypatch.setattr(
             pooled._pool, "submit", lambda fn, *args: submitted.append(fn)
         )
-        cache, scoring = pooled.stats()
+        scoring = pooled.stats()
     assert submitted == []
-    assert cache is not None and cache.lookups > 0
     assert scoring.batched_waves == len(sketches)
 
 
@@ -438,9 +416,7 @@ def test_pooled_adopt_scorer_switches_jobs(sketches, reno_segments):
     ctx = RunContext([collector])
     working = reno_segments[:2]
     first_scorer = _scorer()
-    second_scorer = Scorer(
-        constant_pool=(0.25, 2.0), completion_cap=4, cache=None
-    )
+    second_scorer = Scorer(constant_pool=(0.25, 2.0), completion_cap=4)
     with PooledExecutor(first_scorer, 2, context=ctx) as pooled:
         baseline = _each(pooled, sketches, working)
         pooled.adopt_scorer(second_scorer)
@@ -449,7 +425,7 @@ def test_pooled_adopt_scorer_switches_jobs(sketches, reno_segments):
         back = _each(pooled, sketches, working)
     expected = _each(
         SerialExecutor(
-            Scorer(constant_pool=(0.25, 2.0), completion_cap=4, cache=None)
+            Scorer(constant_pool=(0.25, 2.0), completion_cap=4)
         ),
         sketches,
         working,

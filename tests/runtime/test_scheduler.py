@@ -298,9 +298,7 @@ def test_sub_parallel_waves_never_spawn_a_pool(reno_segments):
     )
 
     def tiny_core():
-        scorer = Scorer(
-            constant_pool=(0.5, 1.0), completion_cap=4, cache=None
-        )
+        scorer = Scorer(constant_pool=(0.5, 1.0), completion_cap=4)
         reply = yield WaveRequest(
             scorer=scorer,
             groups=(sketches,),  # 2 tasks < MIN_PARALLEL_SKETCHES

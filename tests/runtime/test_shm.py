@@ -250,13 +250,12 @@ def test_coscheduled_working_sets_get_isolated_planes(
 def test_plane_switch_drops_views_of_the_closed_plane(
     sketches, reno_segments, monkeypatch
 ):
-    """A worker that switches planes A -> B -> A keeps no scorer entry
-    (signal table or cached score) pinning a segment of a plane it has
-    closed, and scores each plane exactly as a worker that only ever
-    saw that plane."""
+    """A worker that switches planes A -> B -> A keeps no signal-table
+    entry pinning a segment of a plane it has closed, and scores each
+    plane exactly as a worker that only ever saw that plane."""
     from repro.runtime import executors
 
-    config = ({"constant_pool": (0.5, 1.0), "completion_cap": 8}, 1_000)
+    config = {"constant_pool": (0.5, 1.0), "completion_cap": 8}
     tasks = list(enumerate(sketches))
     builder = _scorer()
     planes = {
@@ -298,9 +297,8 @@ def test_plane_switch_drops_views_of_the_closed_plane(
                 closed.extend(executors._worker_segments)
             assert chunk(name) == expected[name]
             scorer = executors._worker_scorer
-            assert scorer._tables and scorer.cache._entries, "both filled"
+            assert scorer._tables, "filled"
             pinned = [entry.segment for entry in scorer._tables.values()]
-            pinned += [pair[0] for pair in scorer.cache._entries.values()]
             assert not any(
                 segment is old for segment in pinned for old in closed
             )

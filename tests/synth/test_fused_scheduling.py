@@ -69,6 +69,6 @@ def test_fused_run_warm_starts_the_cascade(reno_segments):
     incumbent bounds (the whole point of fusing), not just match
     results."""
     collector = CollectorSink()
-    _run(reno_segments, _config(workers=1, cache_scores=False), collector)
+    _run(reno_segments, _config(workers=1), collector)
     stats = [e for e in collector.events if isinstance(e, ScoringStats)]
     assert stats[-1].warm_start_pruned > 0

@@ -1,9 +1,9 @@
 """Runtime-substrate acceptance tests for the refinement loop.
 
 These pin the contract the `repro.runtime` refactor makes: parallel and
-serial runs agree bit-for-bit, the score cache changes runtime but never
-results, one process pool serves a whole run, the event stream covers
-every iteration, and the time budget is enforced *inside* scoring waves.
+serial runs agree bit-for-bit, one process pool serves a whole run, the
+event stream covers every iteration, and the time budget is enforced
+*inside* scoring waves.
 """
 
 import pytest
@@ -46,44 +46,6 @@ def test_workers_two_matches_workers_one(reno_segments):
     serial = synthesize(reno_segments[:6], TINY, _config(workers=1))
     parallel = synthesize(reno_segments[:6], TINY, _config(workers=2))
     assert _essentials(serial) == _essentials(parallel)
-
-
-def test_cache_disabled_matches_cache_enabled(reno_segments):
-    cached = synthesize(
-        reno_segments[:6], TINY, _config(cache_scores=True)
-    )
-    uncached = synthesize(
-        reno_segments[:6], TINY, _config(cache_scores=False)
-    )
-    assert _essentials(cached) == _essentials(uncached)
-
-
-def test_refinement_schedule_produces_cache_hits(reno_segments):
-    """Iteration 2 re-scores iteration-1 sketches on an overlapping
-    working set; with only 3 segments the sets must overlap, so the
-    cache hit counter is provably nonzero.  (TINY's 42-sketch space is
-    exhausted in one draw, which ends the loop after iteration 1, so
-    this test needs a DSL deep enough to survive into iteration 2.)"""
-    deeper = with_budget(RENO_DSL, max_depth=4, max_nodes=7)
-    collector = CollectorSink()
-    result = synthesize(
-        reno_segments[:3],
-        deeper,
-        _config(
-            initial_samples=4,
-            initial_keep=2,
-            completion_cap=4,
-            max_iterations=2,
-            exhaustive_cap=40,
-            initial_segments=2,
-        ),
-        context=RunContext([collector]),
-    )
-    assert len(result.iterations) >= 2
-    stats = collector.last_of_kind("cache_stats")
-    assert stats is not None
-    assert stats.hits > 0
-    assert 0.0 < stats.hit_rate < 1.0
 
 
 def test_event_stream_covers_every_iteration(reno_segments):

@@ -126,7 +126,7 @@ def test_synthesize_run_log_and_json_report(tmp_path, capsys):
     assert report["dsl"] == "reno-3"
     assert report["handler"]
     assert report["iterations"]
-    assert report["cache"]["hits"] >= 0
+    assert "cache" not in report
     assert "phase_seconds" in report
 
     events = [
@@ -161,7 +161,6 @@ def test_synthesize_progress_and_summary_table(tmp_path, capsys):
             "--samples", "4",
             "--iterations", "1",
             "--progress",
-            "--no-cache",
         ]
     )
     assert code == 0
@@ -169,12 +168,16 @@ def test_synthesize_progress_and_summary_table(tmp_path, capsys):
     assert "handler:" in captured.out
     assert "run summary" in captured.out  # the telemetry table
     assert "iter 1" in captured.err  # --progress writes to stderr
-    assert "cache:" not in captured.out  # --no-cache drops cache stats
 
 
 def test_missing_input_errors():
     with pytest.raises(SystemExit):
         main(["synthesize", "--dsl", "reno"])
+
+
+def test_synthesize_rejects_removed_cache_flag():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["synthesize", "--cca", "reno", "--no-cache"])
 
 
 def test_unknown_cca_rejected_by_parser():

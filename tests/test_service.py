@@ -75,6 +75,7 @@ def test_submit_rejects_unknown_config_key(tmp_path):
         "batch_dtw",
         "checkpoint_every",
         "cache_max_entries",
+        "cache_scores",
         "workers",
         "max_pool_rebuilds",
         "watchdog_seconds",
