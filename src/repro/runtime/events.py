@@ -5,8 +5,8 @@ with a stable ``kind`` string.  Events carry *payload only*; the
 :class:`~repro.runtime.context.RunContext` stamps each one with the
 seconds elapsed since the run started when it fans the event out to the
 configured sinks.  :func:`event_payload` renders any event as a plain
-JSON-serializable dict (frozensets become sorted lists), which is the
-schema the JSONL run log writes one line per event.
+JSON-serializable dict (every field is a scalar or a dict of scalars),
+which is the schema the JSONL run log writes one line per event.
 """
 
 from __future__ import annotations
@@ -467,12 +467,10 @@ class RunFinished(Event):
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, (set, tuple)):
-        return [_jsonable(item) for item in value]
+    # Every field is a scalar or a dict of scalars (the event schema test
+    # checks); JSON wants string keys.
     if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
+        return {str(key): item for key, item in value.items()}
     return value
 
 

@@ -12,13 +12,16 @@ Two paths compute that minimum.  The scalar reference path
 each concretization in full.  The batched fast path (default) compiles
 the sketch once into a lane-vectorized numpy function
 (:func:`repro.dsl.compiled.compile_sketch_vector`), replays all
-concretizations in one pass (:func:`repro.synth.replay.replay_batch`),
-prescreens them with LB_Keogh (:mod:`repro.distance.lb`), and scores the
-rest segment by segment, one bounded :func:`dtw_distance_batch` sweep per
-segment.  Prunes only fire for candidates that provably cannot beat the
-incumbent (distances are non-negative and abandon thresholds carry
-float-safety slack), so both paths return the same
-:class:`ScoredHandler` — the equivalence the property suite enforces.
+concretizations in one pass per segment
+(:func:`repro.synth.replay.replay_batch`), prescreens them with one
+LB_Keogh pass over the whole working set (:mod:`repro.distance.lb`;
+segments whose replays share a length and a memory order are stacked
+into one envelope call), and scores the rest segment by segment, one
+bounded :func:`dtw_distance_batch` sweep per segment.  Prunes only
+fire for candidates that provably cannot beat the incumbent (distances
+are non-negative and abandon thresholds carry float-safety slack), so
+both paths return the same :class:`ScoredHandler` — the equivalence
+the property suite enforces.
 """
 
 from __future__ import annotations
@@ -250,6 +253,63 @@ class _SegmentEntry:
         return self.envelope_cache
 
 
+def _prescreen(
+    entries: "list[_SegmentEntry]", queries_by_segment: "list[np.ndarray]"
+) -> np.ndarray:
+    """LB_Keogh lower bounds of every lane's normalized distance on every
+    segment, as a ``(K, segments)`` matrix.
+
+    Both directions are bounded (the segment's envelope against each
+    replayed row, and each row's envelope against the observed series)
+    and the larger is kept.  Segments whose query matrices share a
+    length and a memory order are stacked, so one envelope call and one
+    set of numpy ops bound them all.  The excesses are laid out in the
+    blocks' memory order, because numpy sums the rows of an F-ordered
+    operand in another order than those of a C-ordered one: so every
+    bound is the float a per-segment prescreen computes.  A segment
+    whose query length is not its observed series' length gets no bound
+    (``0``).
+    """
+    lanes = queries_by_segment[0].shape[0]
+    lb_matrix = np.zeros((lanes, len(entries)))
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for index, queries in enumerate(queries_by_segment):
+        size = queries.shape[1]
+        if size == entries[index].downsampled.size:
+            groups.setdefault((size, queries.flags.fnc), []).append(index)
+    for (size, fortran), members in groups.items():
+        blocks = len(members)
+        shape = (blocks, lanes, size)
+        stacked = np.concatenate([queries_by_segment[i] for i in members])
+        q_lower, q_upper = keogh_envelope_batch(
+            stacked, band_width(size, size)
+        )
+        # Each segment's observed series and envelope, (blocks, 1, size)
+        # each, broadcast over its lanes.
+        observed, lower, upper = np.array(
+            [(entries[i].downsampled, *entries[i].envelope()) for i in members]
+        ).swapaxes(0, 1)[:, :, np.newaxis]
+        # The four one-sided excesses, laid out like the blocks: points
+        # along each row for C-ordered blocks, lanes first for F-ordered.
+        if fortran:
+            excess = np.empty((4, blocks, size, lanes)).swapaxes(2, 3)
+        else:
+            excess = np.empty((4, *shape))
+        queries = stacked.reshape(shape)
+        with np.errstate(invalid="ignore"):
+            np.subtract(queries, upper, out=excess[0])
+            np.subtract(lower, queries, out=excess[1])
+            np.subtract(observed, q_upper.reshape(shape), out=excess[2])
+            np.subtract(q_lower.reshape(shape), observed, out=excess[3])
+            sums = np.maximum(excess, 0.0, out=excess).sum(axis=3)
+            # Normalized like the metric; elementwise <= each lane's
+            # true distance, and summing preserves that (rounding is
+            # monotone), so accumulated sums stay lower bounds.
+            bounds = np.maximum(sums[0] + sums[1], sums[2] + sums[3])
+            lb_matrix[:, members] = (bounds / (2 * size)).T
+    return lb_matrix
+
+
 @dataclass
 class Scorer:
     """Caches signal tables and scores handlers/sketches against them."""
@@ -449,18 +509,17 @@ class Scorer:
 
         # Replay every concretization over every segment up front (one
         # K-wide vectorized pass per segment), then prescreen: a
-        # lane-vectorized LB_Keogh over the whole (K, n) matrix gives
-        # each candidate a lower bound on its *total* normalized
-        # distance for a few numpy ops — candidates whose bound already
-        # tops the incumbent mean are dropped with zero DTW calls.
-        lb_matrix = np.zeros((lanes, count))
+        # lane-vectorized LB_Keogh over the whole working set gives each
+        # candidate a lower bound on its *total* normalized distance for
+        # a few numpy ops — candidates whose bound already tops the
+        # incumbent mean are dropped with zero DTW calls.
         entries = [self._entry_for(segment) for segment in segments]
         #: Per segment, the (K, n) downsampled replay matrix — row
         #: ``lane`` holds the same floats ``downsample(matrix[lane])``
         #: yields, so the DTW sweeps score the very series the scalar
         #: reference would.
         queries_by_segment: list[np.ndarray] = []
-        for seg_index, entry in enumerate(entries):
+        for entry in entries:
             table = entry.table
             matrix = replay_batch(vector, assignments, table) / table.mss
             size = matrix.shape[1]
@@ -470,35 +529,11 @@ class Scorer:
                     .round()
                     .astype(int)
                 )
-                queries = matrix[:, picks]  # rows == downsample(row)
-            else:
-                queries = matrix
-            queries_by_segment.append(queries)
-            candidate = entry.downsampled
-            if queries.shape[1] != candidate.size:
-                continue  # no envelope information for this segment
-            lower, upper = entry.envelope()
-            with np.errstate(invalid="ignore"):
-                raw = np.maximum(queries - upper, 0.0).sum(
-                    axis=1
-                ) + np.maximum(lower - queries, 0.0).sum(axis=1)
-                # Reverse direction: envelope each candidate row and
-                # check the observed series against it; both directions
-                # lower-bound the banded DTW, so take the larger.
-                q_lower, q_upper = keogh_envelope_batch(
-                    queries, band_width(queries.shape[1], candidate.size)
-                )
-                raw = np.maximum(
-                    raw,
-                    np.maximum(candidate - q_upper, 0.0).sum(axis=1)
-                    + np.maximum(q_lower - candidate, 0.0).sum(axis=1),
-                )
-            # Normalized like the metric; elementwise <= each lane's
-            # true distance, and summing preserves that (rounding is
-            # monotone), so accumulated sums stay lower bounds.
-            lb_matrix[:, seg_index] = raw / (
-                queries.shape[1] + candidate.size
-            )
+                # rows == downsample(row); a column pick is F-ordered,
+                # which the prescreen's sums keep.
+                matrix = matrix[:, picks]
+            queries_by_segment.append(matrix)
+        lb_matrix = _prescreen(entries, queries_by_segment)
         with np.errstate(invalid="ignore"):
             lb_totals = lb_matrix.sum(axis=1)
         warm = (

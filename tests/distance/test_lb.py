@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.distance.dtw import (
     band_width,
@@ -79,20 +80,66 @@ def test_envelope_brackets_series(series, width):
     assert np.all(series <= upper)
 
 
-@given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=2, max_value=20),
-    st.integers(min_value=0, max_value=25),
-)
-@settings(max_examples=40, deadline=None)
-def test_envelope_batch_matches_per_row(lanes, length, width):
-    rng = np.random.default_rng(lanes * 1000 + length * 10 + width)
+def _sliding_envelope(queries, width):
+    """The plain sliding-window envelope, as an independent oracle: pad
+    each row with -inf (+inf) and take every window's max (min)."""
+    size = queries.shape[1]
+    reach = min(max(int(width), 0), size - 1)
+    window = 2 * reach + 1
+    pad = ((0, 0), (reach, reach))
+    upper = sliding_window_view(
+        np.pad(queries, pad, constant_values=-np.inf), window, axis=1
+    ).max(axis=2)
+    lower = sliding_window_view(
+        np.pad(queries, pad, constant_values=np.inf), window, axis=1
+    ).min(axis=2)
+    return lower, upper
+
+
+@st.composite
+def _envelope_inputs(draw):
+    """A ``(lanes, length)`` matrix, C- or F-ordered, with NaN and ±inf
+    planted, and a reach that may exceed the length."""
+    lanes = draw(st.integers(min_value=1, max_value=12))
+    length = draw(st.integers(min_value=1, max_value=130))
+    width = draw(st.integers(min_value=0, max_value=length + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     matrix = rng.normal(size=(lanes, length)) * 100.0
-    batch_lower, batch_upper = keogh_envelope_batch(matrix, width)
-    for lane in range(lanes):
-        lower, upper = keogh_envelope(matrix[lane], width)
-        np.testing.assert_array_equal(batch_lower[lane], lower)
-        np.testing.assert_array_equal(batch_upper[lane], upper)
+    if draw(st.booleans()):
+        matrix = matrix.round()  # ties within a window
+    planted = st.tuples(
+        st.integers(min_value=0, max_value=lanes - 1),
+        st.integers(min_value=0, max_value=length - 1),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    for lane, point, value in draw(st.lists(planted, max_size=8)):
+        matrix[lane, point] = value
+    if draw(st.booleans()):
+        matrix = np.asfortranarray(matrix)
+    return matrix, width
+
+
+@given(_envelope_inputs())
+@settings(max_examples=150, deadline=None)
+def test_envelope_batch_matches_sliding_window_oracle(inputs):
+    """The doubling kernel equals the sliding-window envelope element for
+    element, NaN and ±inf included, and keeps the rows' memory order,
+    which the scorer's LB_Keogh row sums depend on."""
+    matrix, width = inputs
+    got = keogh_envelope_batch(matrix, width)
+    want = _sliding_envelope(matrix, width)
+    for envelope, oracle in zip(got, want):
+        np.testing.assert_array_equal(envelope, oracle)  # NaN == NaN here
+        assert envelope.strides == oracle.strides
+        assert envelope.flags.fnc == matrix.flags.fnc
+
+
+def test_lb_keogh_nan_query_poisons_the_bound():
+    lower, upper = keogh_envelope(np.arange(8.0), 2)
+    query = np.arange(8.0)  # inside the envelope: the bound is 0 ...
+    assert lb_keogh(query, lower, upper) == 0.0
+    query[3] = np.nan  # ... and NaN once a point is
+    assert np.isnan(lb_keogh(query, lower, upper))
 
 
 @given(_series, _series, st.floats(min_value=0.0, max_value=2.0))

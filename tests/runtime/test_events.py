@@ -1,7 +1,11 @@
 """Event schema tests: payloads must stay JSON-serializable and stable."""
 
+import dataclasses
 import json
+import types
+import typing
 
+from repro.runtime import events
 from repro.runtime.events import (
     BucketScored,
     BudgetExceeded,
@@ -84,15 +88,37 @@ def test_bucket_label_sorts_and_joins():
     assert bucket_label("already-a-label") == "already-a-label"
 
 
-def test_frozenset_payloads_become_sorted_lists():
-    payload = event_payload(
-        RunFinished(
-            run="synthesis",
-            best_distance=1.0,
-            expression="cwnd",
-            handlers_scored=1,
-            elapsed_seconds=0.1,
-            phase_seconds={"a": 1.0},
-        )
-    )
-    assert payload["phase_seconds"] == {"a": 1.0}
+def test_event_fields_are_scalars_or_dicts_of_scalars():
+    """``event_payload`` writes each field as it is, a dict with string
+    keys: a set, tuple or nested field would need a conversion the run
+    log does not have, so a new one fails here, not in the JSONL sink."""
+
+    def scalar(hint) -> bool:
+        if typing.get_origin(hint) in (typing.Union, types.UnionType):
+            return all(
+                arg is type(None) or scalar(arg)
+                for arg in typing.get_args(hint)
+            )
+        return hint in (str, int, float, bool)
+
+    kinds = [
+        value
+        for value in vars(events).values()
+        if isinstance(value, type)
+        and issubclass(value, events.Event)
+        and value is not events.Event
+    ]
+    assert {kind.__name__ for kind in kinds} == set(events.__all__) - {
+        "Event",
+        "bucket_label",
+        "event_payload",
+    }
+    for kind in kinds:
+        hints = typing.get_type_hints(kind)
+        for field in dataclasses.fields(kind):
+            hint = hints[field.name]
+            if typing.get_origin(hint) is dict:
+                key, value = typing.get_args(hint)
+                assert key is str and scalar(value), (kind, field.name)
+            else:
+                assert scalar(hint), (kind, field.name)
