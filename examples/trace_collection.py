@@ -27,11 +27,11 @@ def main() -> None:
     for name in ("reno", "cubic", "bbr", "vegas", "westwood", "student2"):
         trace = simulate(make_cca(name), env, duration=20.0)
         traces.append(trace)
-        cwnd = [ack.cwnd_bytes for ack in trace.acks if not ack.dupack]
+        cwnd = trace.cwnd_bytes[~trace.dupack].tolist()
         segments = segment_trace(trace)
         print(format_series(f"{name} cwnd (B)", cwnd))
         print(
-            f"{'':24s} {len(trace.acks)} acks, {len(trace.losses)} losses, "
+            f"{'':24s} {len(trace)} acks, {len(trace.losses)} losses, "
             f"{len(segments)} segments"
         )
 

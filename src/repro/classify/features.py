@@ -29,16 +29,15 @@ _DELAY_WEIGHT = 0.5
 
 def trace_signature(trace: Trace) -> np.ndarray:
     """Compute the classification signature of *trace*."""
-    rows = [ack for ack in trace.acks if not ack.dupack]
-    if len(rows) < 8:
+    rows = ~trace.dupack
+    if np.count_nonzero(rows) < 8:
         raise ClassificationError(
             f"trace {trace.environment_label!r} too short to classify"
         )
-    times = np.array([ack.time for ack in rows])
-    cwnd = np.array([ack.cwnd_bytes for ack in rows])
-    rtts = np.array(
-        [ack.rtt_sample if ack.rtt_sample is not None else np.nan for ack in rows]
-    )
+    times = trace.time[rows]
+    cwnd = trace.cwnd_bytes[rows]
+    # A missing sample reads NaN, like a non-finite one.
+    rtts = trace.rtt_sample[rows]
     # Forward-fill missing RTT samples.
     mask = np.isnan(rtts)
     if mask.all():

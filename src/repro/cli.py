@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_collect(args: argparse.Namespace) -> int:
     traces = collect_traces(args.cca, _collection_from_args(args))
     save_traces(traces, args.out)
-    total_acks = sum(len(trace.acks) for trace in traces)
+    total_acks = sum(len(trace) for trace in traces)
     print(f"wrote {len(traces)} traces ({total_acks} acks) to {args.out}")
     if args.csv:
         export_csv(traces[0], args.csv)

@@ -28,7 +28,7 @@ from repro.cca.base import AckEvent, CongestionControl, LossEvent
 from repro.errors import SimulationError
 from repro.netsim.environments import Environment
 from repro.netsim.queues import DropTailQueue
-from repro.trace.model import AckRecord, LossRecord, Trace
+from repro.trace.model import AckLog, LossRecord, Trace
 
 __all__ = ["MultiFlowSimulator", "simulate_competition", "fairness_report"]
 
@@ -59,9 +59,10 @@ class _Event:
 class _FlowState:
     """Sender + receiver state for one flow."""
 
-    def __init__(self, cca: CongestionControl, trace: Trace):
+    def __init__(self, cca: CongestionControl):
         self.cca = cca
-        self.trace = trace
+        self.acks = AckLog()
+        self.losses: list[LossRecord] = []
         self.snd_una = 0
         self.snd_nxt = 0
         self.dupacks = 0
@@ -105,18 +106,7 @@ class MultiFlowSimulator:
         self._link_busy = False
         self._rate = env.bandwidth_bytes_per_sec
         self._one_way = env.base_rtt_sec / 2.0
-        self.flows = [
-            _FlowState(
-                cca,
-                Trace(
-                    cca_name=cca.name,
-                    environment_label=env.label,
-                    mss=env.mss,
-                    meta={"flow": float(index)},
-                ),
-            )
-            for index, cca in enumerate(ccas)
-        ]
+        self.flows = [_FlowState(cca) for cca in ccas]
 
     # -- event machinery ----------------------------------------------
 
@@ -134,7 +124,18 @@ class MultiFlowSimulator:
                 break
             self.now = event.time
             event.action()
-        return [flow.trace for flow in self.flows]
+        env = self.env
+        return [
+            Trace.from_columns(
+                flow.cca.name,
+                env.label,
+                env.mss,
+                flow.acks.columns(),
+                flow.losses,
+                {"flow": float(index)},
+            )
+            for index, flow in enumerate(self.flows)
+        ]
 
     def _start_flow(self, index: int) -> None:
         self._send_window(index)
@@ -230,31 +231,28 @@ class MultiFlowSimulator:
                 inflight_bytes=flow.snd_nxt - flow.snd_una,
             )
         )
-        flow.trace.acks.append(
-            AckRecord(
-                time=self.now,
-                ack_seq=ack,
-                acked_bytes=acked,
-                rtt_sample=rtt,
-                cwnd_bytes=min(flow.cca.cwnd, float(self.env.max_cwnd_bytes)),
-                inflight_bytes=flow.snd_nxt - flow.snd_una,
-            )
+        flow.acks.append(
+            self.now,
+            ack,
+            acked,
+            rtt,
+            min(flow.cca.cwnd, float(self.env.max_cwnd_bytes)),
+            flow.snd_nxt - flow.snd_una,
+            False,
         )
         self._arm_timer(index)
 
     def _dupack(self, index: int, ack: int) -> None:
         flow = self.flows[index]
         flow.dupacks += 1
-        flow.trace.acks.append(
-            AckRecord(
-                time=self.now,
-                ack_seq=ack,
-                acked_bytes=0,
-                rtt_sample=None,
-                cwnd_bytes=min(flow.cca.cwnd, float(self.env.max_cwnd_bytes)),
-                inflight_bytes=flow.snd_nxt - flow.snd_una,
-                dupack=True,
-            )
+        flow.acks.append(
+            self.now,
+            ack,
+            0,
+            None,
+            min(flow.cca.cwnd, float(self.env.max_cwnd_bytes)),
+            flow.snd_nxt - flow.snd_una,
+            True,
         )
         if flow.dupacks == 3 and not flow.in_recovery:
             flow.in_recovery = True
@@ -266,7 +264,7 @@ class MultiFlowSimulator:
                     inflight_bytes=flow.snd_nxt - flow.snd_una,
                 )
             )
-            flow.trace.losses.append(LossRecord(self.now, "dupack"))
+            flow.losses.append(LossRecord(self.now, "dupack"))
             self._retransmit_missing(index)
 
     def _retransmit_missing(self, index: int, limit: int = 64) -> None:
@@ -323,7 +321,7 @@ class MultiFlowSimulator:
                     inflight_bytes=flow.snd_nxt - flow.snd_una,
                 )
             )
-            flow.trace.losses.append(LossRecord(self.now, "timeout"))
+            flow.losses.append(LossRecord(self.now, "timeout"))
             flow.in_recovery = False
             flow.dupacks = 0
             flow.rtx_sent.clear()
@@ -360,15 +358,16 @@ def fairness_report(
     """
     rates: list[float] = []
     for trace in traces:
-        rows = [ack for ack in trace.acks if not ack.dupack]
+        rows = ~trace.dupack
         if window is not None:
             lo, hi = window
-            rows = [ack for ack in rows if lo <= ack.time <= hi]
-        if len(rows) < 2:
+            rows &= (lo <= trace.time) & (trace.time <= hi)
+        times, seqs = trace.time[rows], trace.ack_seq[rows]
+        if len(times) < 2:
             rates.append(0.0)
             continue
-        delivered = rows[-1].ack_seq - rows[0].ack_seq
-        elapsed = rows[-1].time - rows[0].time
+        delivered = float(seqs[-1] - seqs[0])
+        elapsed = float(times[-1] - times[0])
         rates.append(delivered / elapsed if elapsed > 0 else 0.0)
     total = sum(rates)
     shares = [rate / total if total > 0 else 0.0 for rate in rates]

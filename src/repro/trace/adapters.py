@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.errors import TraceError
-from repro.trace.model import AckRecord, Trace
+from repro.trace.model import AckLog, Trace
 
 __all__ = ["from_packet_log", "from_ack_log"]
 
@@ -49,7 +49,7 @@ def from_packet_log(
         raise TraceError("packet log needs both data and ack events")
 
     send_time_by_end: dict[int, float] = {}
-    records: list[AckRecord] = []
+    records = AckLog()
     data_index = 0
     highest_sent = 0
     last_ack = 0
@@ -68,20 +68,16 @@ def from_packet_log(
                 rtt = time - sent_at
         inflight = max(highest_sent - ack, 0)
         records.append(
-            AckRecord(
-                time=time,
-                ack_seq=ack,
-                acked_bytes=max(acked, 0),
-                rtt_sample=rtt,
-                cwnd_bytes=float(max(inflight, mss)),
-                inflight_bytes=inflight,
-                dupack=dupack,
-            )
+            time,
+            ack,
+            max(acked, 0),
+            rtt,
+            float(max(inflight, mss)),
+            inflight,
+            dupack,
         )
         last_ack = max(last_ack, ack)
-    return Trace(
-        cca_name=cca_name, environment_label=label, mss=mss, acks=records
-    )
+    return Trace.from_columns(cca_name, label, mss, records.columns())
 
 
 def from_ack_log(
@@ -102,7 +98,7 @@ def from_ack_log(
         raise TraceError("ack log is empty")
     if cwnd is not None and len(cwnd) != len(rows):
         raise TraceError("cwnd column length must match the rows")
-    records: list[AckRecord] = []
+    records = AckLog()
     last_ack = 0
     for index, (time, ack, rtt) in enumerate(rows):
         acked = ack - last_ack
@@ -112,20 +108,16 @@ def from_ack_log(
         else:
             window = _rate_window(rows, index, mss)
         records.append(
-            AckRecord(
-                time=time,
-                ack_seq=ack,
-                acked_bytes=max(acked, 0),
-                rtt_sample=rtt if not dupack else None,
-                cwnd_bytes=max(window, float(mss)),
-                inflight_bytes=int(max(window, mss)),
-                dupack=dupack,
-            )
+            time,
+            ack,
+            max(acked, 0),
+            rtt if not dupack else None,
+            max(window, float(mss)),
+            int(max(window, mss)),
+            dupack,
         )
         last_ack = max(last_ack, ack)
-    return Trace(
-        cca_name=cca_name, environment_label=label, mss=mss, acks=records
-    )
+    return Trace.from_columns(cca_name, label, mss, records.columns())
 
 
 def _rate_window(

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO
 
 from repro.errors import TraceError
-from repro.trace.model import AckRecord, LossRecord, Trace
+from repro.trace.model import ACK_FIELDS, LossRecord, Trace, row_values
 
 __all__ = [
     "trace_to_dict",
@@ -35,16 +35,13 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
-#: Cells of one serialized ack row, in order.
-_ACK_FIELDS = (
-    "time",
-    "ack_seq",
-    "acked_bytes",
-    "rtt_sample",
-    "cwnd_bytes",
-    "inflight_bytes",
-    "dupack",
-)
+
+
+def _row_cells(trace: Trace) -> list[list]:
+    """:func:`row_values` with ``dupack`` as the 0/1 a file holds."""
+    cells = row_values(trace)
+    cells[6] = trace.dupack.astype(int).tolist()
+    return cells
 
 
 def trace_to_dict(trace: Trace) -> dict:
@@ -55,18 +52,7 @@ def trace_to_dict(trace: Trace) -> dict:
         "environment_label": trace.environment_label,
         "mss": trace.mss,
         "meta": dict(trace.meta),
-        "acks": [
-            [
-                ack.time,
-                ack.ack_seq,
-                ack.acked_bytes,
-                ack.rtt_sample,
-                ack.cwnd_bytes,
-                ack.inflight_bytes,
-                int(ack.dupack),
-            ]
-            for ack in trace.acks
-        ],
+        "acks": [list(row) for row in zip(*_row_cells(trace))],
         "losses": [[loss.time, loss.kind] for loss in trace.losses],
     }
 
@@ -93,16 +79,17 @@ def _require_number(
     return value
 
 
-def _ack_from_row(row: object, index: int, source: str | None) -> AckRecord:
+def _check_ack_row(row: object, index: int, source: str | None) -> None:
+    """Raise the :class:`TraceError` that names *row*'s first bad cell."""
     if not isinstance(row, (list, tuple)):
         raise TraceError(
             f"{_where(source)}acks[{index}] must be an array of "
-            f"{len(_ACK_FIELDS)} cells, got {type(row).__name__}"
+            f"{len(ACK_FIELDS)} cells, got {type(row).__name__}"
         )
-    if len(row) != len(_ACK_FIELDS):
+    if len(row) != len(ACK_FIELDS):
         raise TraceError(
             f"{_where(source)}acks[{index}] has {len(row)} cell(s), "
-            f"expected {len(_ACK_FIELDS)} ({', '.join(_ACK_FIELDS)})"
+            f"expected {len(ACK_FIELDS)} ({', '.join(ACK_FIELDS)})"
         )
     cell = f"acks[{index}]"
     dupack = row[6]
@@ -110,28 +97,50 @@ def _ack_from_row(row: object, index: int, source: str | None) -> AckRecord:
         raise TraceError(
             f"{_where(source)}{cell}.dupack must be 0/1, got {dupack!r}"
         )
-    # Numeric cells are kept verbatim (no int() coercion): value repair
-    # is triage's job, and coercing a NaN would crash where a structured
-    # defect report is wanted.
-    return AckRecord(
-        time=_require_number(row[0], what=f"{cell}.time", source=source),
-        ack_seq=_require_number(
-            row[1], what=f"{cell}.ack_seq", source=source
-        ),
-        acked_bytes=_require_number(
-            row[2], what=f"{cell}.acked_bytes", source=source
-        ),
-        rtt_sample=_require_number(
-            row[3], what=f"{cell}.rtt_sample", source=source, nullable=True
-        ),
-        cwnd_bytes=_require_number(
-            row[4], what=f"{cell}.cwnd_bytes", source=source
-        ),
-        inflight_bytes=_require_number(
-            row[5], what=f"{cell}.inflight_bytes", source=source
-        ),
-        dupack=bool(dupack),
-    )
+    for position, name in enumerate(ACK_FIELDS[:6]):
+        _require_number(
+            row[position],
+            what=f"{cell}.{name}",
+            source=source,
+            nullable=name == "rtt_sample",
+        )
+
+
+#: The cell types each ack column admits without a per-cell check.
+_NUMBER_TYPES = frozenset({int, float})
+_CELL_TYPES = (
+    _NUMBER_TYPES,
+    _NUMBER_TYPES,
+    _NUMBER_TYPES,
+    _NUMBER_TYPES | {type(None)},
+    _NUMBER_TYPES,
+    _NUMBER_TYPES,
+    frozenset({bool, int}),
+)
+
+
+def _ack_columns(rows: list, source: str | None) -> dict[str, tuple]:
+    """The ack rows of a document as columns, each column checked once.
+
+    Row shapes come first, then the cell types of each column.  Numeric
+    cells are kept verbatim (no ``int()`` coercion): value repair is
+    triage's job.  A check that fails hands the rows to
+    :func:`_check_ack_row`, in order, so that the error names the first
+    bad cell as a row-by-row reader would.
+    """
+    width = len(ACK_FIELDS)
+    if all(type(row) is list and len(row) == width for row in rows):
+        columns = list(zip(*rows)) if rows else [()] * width
+        if all(
+            set(map(type, column)) <= allowed
+            for column, allowed in zip(columns, _CELL_TYPES)
+        ):
+            return dict(zip(ACK_FIELDS, columns))
+    for index, row in enumerate(rows):
+        _check_ack_row(row, index, source)
+    # Every row passed: the fast checks refused only tuples and
+    # subclasses of the admitted types, which rows may hold.
+    return dict(zip(ACK_FIELDS, zip(*rows)))
 
 
 def _loss_from_row(row: object, index: int, source: str | None) -> LossRecord:
@@ -191,19 +200,19 @@ def trace_from_dict(data: dict, *, source: str | None = None) -> Trace:
         raise TraceError(
             f"{_where(source)}'acks' and 'losses' must be arrays"
         )
-    return Trace(
-        cca_name=str(data["cca_name"]),
-        environment_label=str(data["environment_label"]),
-        mss=mss,
-        meta=dict(data.get("meta", {})),
-        acks=[
-            _ack_from_row(row, index, source)
-            for index, row in enumerate(acks_data)
-        ],
-        losses=[
-            _loss_from_row(row, index, source)
-            for index, row in enumerate(losses_data)
-        ],
+    meta = dict(data.get("meta", {}))
+    columns = _ack_columns(acks_data, source)
+    losses = [
+        _loss_from_row(row, index, source)
+        for index, row in enumerate(losses_data)
+    ]
+    return Trace.from_columns(
+        str(data["cca_name"]),
+        str(data["environment_label"]),
+        mss,
+        columns,
+        losses,
+        meta,
     )
 
 
@@ -298,17 +307,19 @@ def export_csv(trace: Trace, sink: IO[str] | str | Path) -> None:
     handle = open(sink, "w", newline="") if own else sink
     try:
         writer = csv.writer(handle)
-        writer.writerow(list(_ACK_FIELDS))
-        for ack in trace.acks:
+        writer.writerow(list(ACK_FIELDS))
+        for time, seq, acked, rtt, cwnd, inflight, dupack in zip(
+            *_row_cells(trace)
+        ):
             writer.writerow(
                 [
-                    f"{ack.time:.6f}",
-                    ack.ack_seq,
-                    ack.acked_bytes,
-                    "" if ack.rtt_sample is None else f"{ack.rtt_sample:.6f}",
-                    f"{ack.cwnd_bytes:.1f}",
-                    ack.inflight_bytes,
-                    int(ack.dupack),
+                    f"{time:.6f}",
+                    seq,
+                    acked,
+                    "" if rtt is None else f"{rtt:.6f}",
+                    f"{cwnd:.1f}",
+                    inflight,
+                    dupack,
                 ]
             )
     finally:

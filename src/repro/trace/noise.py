@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
-from repro.trace.model import AckRecord, LossRecord, Trace
+import numpy as np
+
+from repro.trace.model import LossRecord, Trace
 
 __all__ = ["NoiseModel", "apply_noise"]
 
@@ -65,21 +67,25 @@ def apply_noise(trace: Trace, model: NoiseModel) -> Trace:
     label_hash = zlib.crc32(trace.environment_label.encode())
     rng = random.Random(model.seed ^ (label_hash & 0xFFFF))
 
-    acks: list[AckRecord] = []
+    kept: list[int] = []
+    times: list[float] = []
+    windows: list[float] = []
     previous_time = float("-inf")
-    for record in trace.acks:
+    for row, (time, cwnd) in enumerate(
+        zip(trace.time.tolist(), trace.cwnd_bytes.tolist())
+    ):
         if model.dropout and rng.random() < model.dropout:
             continue
-        time = record.time
         if model.jitter_std:
             time += rng.gauss(0.0, model.jitter_std)
         # Jitter must not reorder the trace; clamp to be non-decreasing.
         time = max(time, previous_time)
         previous_time = time
-        cwnd = record.cwnd_bytes
         if model.cwnd_error:
             cwnd *= max(1.0 + rng.gauss(0.0, model.cwnd_error), 0.05)
-        acks.append(dc_replace(record, time=time, cwnd_bytes=cwnd))
+        kept.append(row)
+        times.append(time)
+        windows.append(cwnd)
 
     losses: list[LossRecord] = [
         loss
@@ -87,12 +93,14 @@ def apply_noise(trace: Trace, model: NoiseModel) -> Trace:
         if not (model.loss_dropout and rng.random() < model.loss_dropout)
     ]
 
-    noisy = Trace(
-        cca_name=trace.cca_name,
-        environment_label=trace.environment_label,
-        mss=trace.mss,
-        acks=acks,
-        losses=losses,
-        meta=dict(trace.meta, noisy=1.0),
+    columns = trace.columns(np.array(kept, dtype=np.intp))
+    columns["time"] = times
+    columns["cwnd_bytes"] = windows
+    return Trace.from_columns(
+        trace.cca_name,
+        trace.environment_label,
+        trace.mss,
+        columns,
+        losses,
+        dict(trace.meta, noisy=1.0),
     )
-    return noisy

@@ -10,8 +10,7 @@ the inferred ones.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
+import numpy as np
 
 from repro.errors import TraceError
 from repro.trace.model import Trace, TraceSegment
@@ -33,20 +32,17 @@ def infer_loss_times(trace: Trace) -> list[float]:
     Returns merged, deduplicated timestamps, combining inference with any
     loss records the trace already carries.
     """
-    inferred: list[float] = []
-    dup_count = 0
-    dup_seq: int | None = None
-    for ack in trace.acks:
-        if ack.dupack and ack.ack_seq == dup_seq:
-            dup_count += 1
-            if dup_count == DUPACK_THRESHOLD:
-                inferred.append(ack.time)
-        elif ack.dupack:
-            dup_seq = ack.ack_seq
-            dup_count = 1
-        else:
-            dup_seq = ack.ack_seq
-            dup_count = 0
+    # A dupack repeating the previous ack's sequence number extends a
+    # run; a dupack that does not starts one at 1, and a new-data ack
+    # resets it to 0.  The run's third duplicate signals the loss.
+    dupack, seq = trace.dupack, trace.ack_seq
+    extends = np.zeros(len(trace), dtype=bool)
+    extends[1:] = dupack[1:] & (seq[1:] == seq[:-1])
+    extended = np.cumsum(extends)
+    run = extended - np.maximum.accumulate(np.where(extends, 0, extended))
+    rows = np.arange(len(trace))
+    count = run + dupack[rows - run]
+    inferred = trace.time[extends & (count == DUPACK_THRESHOLD)].tolist()
 
     merged: list[float] = []
     for time in sorted(inferred + [loss.time for loss in trace.losses]):
@@ -70,46 +66,45 @@ def segment_trace(
     # NaN timestamp silently scatters ACKs across the wrong segments.
     # Refuse with an actionable error instead — repairable through
     # :mod:`repro.trace.triage`.
-    acks = trace.acks
-    times: list[float] = []
-    for index, ack in enumerate(acks):
-        time = ack.time
-        if not math.isfinite(time):
+    times = trace.time
+    nonfinite = ~np.isfinite(times)
+    backwards = np.zeros(len(trace), dtype=bool)
+    backwards[1:] = times[1:] < times[:-1]
+    if nonfinite.any() or backwards.any():
+        index = int(np.argmax(nonfinite | backwards))
+        if nonfinite[index]:
             raise TraceError(
                 f"ack[{index}] has non-finite timestamp; run trace "
                 "triage (or `repro validate`) before segmentation"
             )
-        if times and time < times[-1]:
-            raise TraceError(
-                f"ack[{index}] time {time:.6f} precedes its "
-                f"predecessor ({times[-1]:.6f}); run trace triage "
-                "(or `repro validate`) before segmentation"
-            )
-        times.append(time)
+        raise TraceError(
+            f"ack[{index}] time {times[index]:.6f} precedes its "
+            f"predecessor ({times[index - 1]:.6f}); run trace triage "
+            "(or `repro validate`) before segmentation"
+        )
 
     # The precheck proved the times sorted, so each epoch ``(lo, hi]``
-    # is one contiguous run of ACKs, found by binary search.
+    # is one contiguous run of ACKs, found by binary search; the
+    # new-data ACKs before each position count the ones inside.
     losses = infer_loss_times(trace)
     boundaries = [float("-inf")] + losses + [float("inf")]
+    edges = np.searchsorted(times, boundaries, side="right").tolist()
+    new_rows = np.flatnonzero(~trace.dupack).tolist()
+    new_before = np.concatenate(([0], np.cumsum(~trace.dupack))).tolist()
     segments: list[TraceSegment] = []
     for epoch_index in range(len(boundaries) - 1):
         lo, hi = boundaries[epoch_index], boundaries[epoch_index + 1]
         if not lo <= hi:
             continue  # a NaN loss time: no ACK time compares inside
-        indices = [
-            index
-            for index in range(
-                bisect_right(times, lo), bisect_right(times, hi)
-            )
-            if not acks[index].dupack
-        ]
-        if len(indices) < min_acks:
+        first = new_before[edges[epoch_index]]
+        last = new_before[edges[epoch_index + 1]]
+        if last - first < min_acks:
             continue
         segments.append(
             TraceSegment(
                 trace=trace,
-                start=indices[0],
-                stop=indices[-1] + 1,
+                start=new_rows[first],
+                stop=new_rows[last - 1] + 1,
                 preceding_loss_time=lo if lo != float("-inf") else 0.0,
             )
         )

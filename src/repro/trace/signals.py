@@ -7,20 +7,30 @@ time-since-loss, etc.  This module turns a :class:`TraceSegment` into a
 from information a sender-side vantage point has — cumulative running
 minima/maxima start fresh at the beginning of the *trace* (not segment),
 like a measurement tool that watched the whole flow.
+
+Extraction works on the trace's columns.  The running RTT statistics
+(min, max, EWMA, gradient and the latest sample) are computed once per
+trace, in one pass over its ACKs, and each table takes copies of its
+segment's rows; the ack rate and the time since loss are computed per
+segment.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.trace.model import AckRecord, TraceSegment
+from repro.trace.model import Trace, TraceSegment
 
-__all__ = ["SignalTable", "extract_signals", "window_columns", "SIGNAL_NAMES"]
+__all__ = [
+    "SignalTable",
+    "extract_signals",
+    "usable_rtt",
+    "window_columns",
+    "SIGNAL_NAMES",
+]
 
 #: Signals every table provides, aligned per new-data ACK.
 SIGNAL_NAMES: tuple[str, ...] = (
@@ -136,24 +146,67 @@ class SignalTable:
         return SignalTable(mss=self.mss, columns=merged)
 
 
-def _usable_rtt(ack) -> float | None:
-    """The record's RTT sample, or ``None`` when absent or garbage.
+def usable_rtt(trace: Trace) -> tuple[np.ndarray, int]:
+    """New-data acks with a usable RTT sample, and the first such row.
 
     Non-finite and non-positive samples are treated as missing rather
     than poisoning every running statistic downstream (min/max/EWMA and
     the gradients are all cumulative — one ``inf`` would stick for the
-    rest of the flow).
+    rest of the flow).  The first row is ``len(trace)`` when there is
+    none.
     """
-    sample = ack.rtt_sample
-    if sample is None or not math.isfinite(sample) or sample <= 0:
-        return None
-    return sample
+    rtt = trace.rtt_sample
+    usable = ~trace.dupack & trace.has_rtt & np.isfinite(rtt) & (rtt > 0)
+    return usable, int(np.argmax(usable)) if usable.any() else len(trace)
+
+
+def _rtt_state(trace: Trace) -> dict[str, np.ndarray]:
+    """The running RTT statistics after each ack of *trace*.
+
+    Computed once per trace and sliced per segment: each statistic
+    starts at the flow start, like a measurement tool that watched the
+    whole flow.  Rows before the first usable sample read that sample
+    (the way :meth:`Trace.rtt_series` back-fills), and a zero gradient.
+    """
+    usable, _ = trace.derived("usable_rtt", usable_rtt)
+    rows = np.flatnonzero(usable)
+    samples = trace.rtt_sample[rows]
+    # EWMA and gradient are sequential recurrences: one pass, with the
+    # arithmetic of a per-ACK walk (a closed form rounds differently).
+    ewma_values: list[float] = []
+    gradients: list[float] = []
+    ewma = prev_rtt = prev_time = None
+    gradient = 0.0
+    for sample, time in zip(samples.tolist(), trace.time[rows].tolist()):
+        ewma = sample if ewma is None else ewma + _EWMA_GAIN * (sample - ewma)
+        if prev_rtt is not None and time > prev_time:
+            slope = (sample - prev_rtt) / (time - prev_time)
+            gradient += _EWMA_GAIN * (slope - gradient)
+        prev_rtt, prev_time = sample, time
+        ewma_values.append(ewma)
+        gradients.append(gradient)
+    # Each row reads the state after the latest usable sample at or
+    # before it; rows before the first one read index -1, which is the
+    # entry ``running`` appends after the values.
+    latest = np.cumsum(usable) - 1
+    first = samples[:1] if samples.size else np.array([np.nan])
+
+    def running(values, before) -> np.ndarray:
+        return np.concatenate((values, before))[latest]
+
+    return {
+        "rtt": running(samples, first),
+        "min_rtt": running(np.minimum.accumulate(samples), first),
+        "max_rtt": running(np.maximum.accumulate(samples), first),
+        "ewma_rtt": running(np.array(ewma_values, dtype=float), first),
+        "rtt_gradient": running(np.array(gradients, dtype=float), [0.0]),
+    }
 
 
 def window_columns(
     segment: TraceSegment,
-) -> tuple[list[AckRecord], np.ndarray, np.ndarray]:
-    """The new-data ACKs of *segment* with their ``time`` and ``cwnd``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The new-data rows of *segment* with their ``time`` and ``cwnd``.
 
     The guards of :func:`extract_signals` live here, so a caller that
     needs only these two columns refuses exactly the segments a full
@@ -165,25 +218,20 @@ def window_columns(
     series the scorer matches against.
     """
     trace = segment.trace
-    inside = [
-        ack
-        for ack in trace.acks[segment.start : segment.stop]
-        if not ack.dupack
-    ]
-    if not inside:
+    rows = segment.start + np.flatnonzero(
+        ~trace.dupack[segment.start : segment.stop]
+    )
+    if not rows.size:
         raise TraceError(f"segment {segment.label} has no new-data ACKs")
-    if not all(math.isfinite(ack.time) for ack in inside):
+    times = trace.time[rows]
+    if not np.isfinite(times).all():
         raise TraceError(
             f"segment {segment.label} has non-finite timestamps; "
             "run trace triage before extraction"
         )
-    if not any(
-        not ack.dupack and _usable_rtt(ack) is not None
-        for ack in islice(trace.acks, segment.stop)
-    ):
+    if trace.derived("usable_rtt", usable_rtt)[1] >= segment.stop:
         raise TraceError(f"segment {segment.label} has no usable RTT samples")
-    times = np.array([ack.time for ack in inside], dtype=float)
-    cwnd = np.array([ack.cwnd_bytes for ack in inside], dtype=float)
+    cwnd = trace.cwnd_bytes[rows]
     finite = np.isfinite(cwnd)
     if not finite.all():
         if not finite.any():
@@ -194,7 +242,22 @@ def window_columns(
         # before the first finite one read that one.
         source = np.where(finite, np.arange(len(cwnd)), finite.argmax())
         cwnd = cwnd[np.maximum.accumulate(source)]
-    return inside, times, cwnd
+    return rows, times, cwnd
+
+
+def _rate_fronts(times: list[float]) -> list[int]:
+    """Per row, the oldest row still in its ack-rate window.
+
+    The window keeps at least the last two rows and drops older rows
+    while they lie more than :data:`_RATE_WINDOW` before the current one.
+    """
+    fronts: list[int] = []
+    front = 0
+    for row, time in enumerate(times):
+        while row - front > 1 and time - times[front] > _RATE_WINDOW:
+            front += 1
+        fronts.append(front)
+    return fronts
 
 
 def extract_signals(segment: TraceSegment) -> SignalTable:
@@ -207,110 +270,51 @@ def extract_signals(segment: TraceSegment) -> SignalTable:
     sample (instead of fabricating a 1 ms RTT), and the window guards
     and refusals of :func:`window_columns` apply — a segment it refuses
     needs :mod:`repro.trace.triage` first.
+
+    The running RTT statistics come from one per-trace pass; the ack
+    rate restarts at each segment, and ``time_since_loss`` reads the
+    latest loss record at or before each row.
     """
-    inside, times, cwnd = window_columns(segment)
+    rows, times, cwnd = window_columns(segment)
     trace = segment.trace
-    prefix = [ack for ack in trace.acks[: segment.start] if not ack.dupack]
+    state = trace.derived("rtt_state", _rtt_state)
+    rtt = state["rtt"][rows]
 
-    loss_times = trace.loss_times()
+    acked = trace.acked_bytes[rows]
+    acked[~np.isfinite(acked)] = 0.0
+    cumulative = np.cumsum(np.concatenate(([0.0], acked)))[1:]
+    front = np.array(_rate_fronts(times.tolist()), dtype=np.intp)
+    span = times - times[front]
+    ack_rate = acked / np.maximum(rtt, 1e-6)
+    moving = span > 0
+    ack_rate[moving] = (
+        cumulative[moving] - cumulative[front[moving]]
+    ) / span[moving]
 
-    # Warm the running statistics over the trace prefix, so min/max RTT and
-    # the EWMA reflect the whole flow up to the segment, as a real vantage
-    # point's would.
-    min_rtt = float("inf")
-    max_rtt = 0.0
-    ewma = None
-    prev_rtt = None
-    prev_time = None
-    gradient = 0.0
-    for ack in prefix:
-        rtt_sample = _usable_rtt(ack)
-        if rtt_sample is not None:
-            min_rtt = min(min_rtt, rtt_sample)
-            max_rtt = max(max_rtt, rtt_sample)
-            ewma = (
-                rtt_sample
-                if ewma is None
-                else ewma + _EWMA_GAIN * (rtt_sample - ewma)
-            )
-            if prev_rtt is not None and ack.time > prev_time:
-                sample = (rtt_sample - prev_rtt) / (ack.time - prev_time)
-                gradient += _EWMA_GAIN * (sample - gradient)
-            prev_rtt, prev_time = rtt_sample, ack.time
+    losses = np.sort(trace.loss_times())
+    earlier = np.searchsorted(losses, times, side="right")
+    since_loss = times.copy()
+    after = earlier > 0
+    since_loss[after] = times[after] - losses[earlier[after] - 1]
 
-    n = len(inside)
-    out = {name: np.zeros(n) for name in SIGNAL_NAMES}
-    out["time"] = times
-    out["cwnd"] = cwnd
-    delivered: list[tuple[float, float]] = []  # (time, cumulative bytes)
-    cumulative = 0.0
-    last_rtt = prev_rtt
-    if last_rtt is None:
-        # A missing-sample run at the trace head: back-fill from the
-        # first real sample in the segment (the way
-        # :meth:`Trace.rtt_series` does) rather than fabricating a 1 ms
-        # RTT that would poison min_rtt for the whole flow.
-        # :func:`window_columns` refused a segment without one.
-        last_rtt = next(
-            sample
-            for sample in map(_usable_rtt, inside)
-            if sample is not None
-        )
+    inflight = trace.inflight_bytes[rows]
+    inflight[~np.isfinite(inflight)] = 0.0
 
-    for row, ack in enumerate(inside):
-        time = ack.time
-        rtt_sample = _usable_rtt(ack)
-        if rtt_sample is not None:
-            last_rtt = rtt_sample
-            min_rtt = min(min_rtt, rtt_sample)
-            max_rtt = max(max_rtt, rtt_sample)
-            ewma = (
-                rtt_sample
-                if ewma is None
-                else ewma + _EWMA_GAIN * (rtt_sample - ewma)
-            )
-            if prev_rtt is not None and time > prev_time:
-                sample = (rtt_sample - prev_rtt) / (time - prev_time)
-                gradient += _EWMA_GAIN * (sample - gradient)
-            prev_rtt, prev_time = rtt_sample, time
-        rtt = last_rtt
-
-        acked = (
-            float(ack.acked_bytes)
-            if math.isfinite(ack.acked_bytes)
-            else 0.0
-        )
-        cumulative += acked
-        delivered.append((time, cumulative))
-        while len(delivered) > 2 and time - delivered[0][0] > _RATE_WINDOW:
-            delivered.pop(0)
-        span = time - delivered[0][0]
-        if span > 0:
-            rate = (cumulative - delivered[0][1]) / span
-        else:
-            rate = acked / max(rtt, 1e-6)
-
-        earlier_losses = loss_times[loss_times <= time]
-        since_loss = (
-            time - earlier_losses[-1] if earlier_losses.size else time
-        )
-
-        out["acked_bytes"][row] = acked
-        out["rtt"][row] = rtt
-        out["min_rtt"][row] = min_rtt if min_rtt != float("inf") else rtt
-        out["max_rtt"][row] = max_rtt if max_rtt > 0 else rtt
-        out["ewma_rtt"][row] = ewma if ewma is not None else rtt
-        out["ack_rate"][row] = rate
-        out["rtt_gradient"][row] = gradient
-        out["delay_gradient"][row] = gradient
-        out["time_since_loss"][row] = max(since_loss, 1e-6)
-        out["inflight"][row] = (
-            ack.inflight_bytes if math.isfinite(ack.inflight_bytes) else 0.0
-        )
-
-    table = SignalTable(mss=float(trace.mss), columns=out)
+    columns = {
+        "time": times,
+        "cwnd": cwnd,
+        "acked_bytes": acked,
+        "rtt": rtt,
+        "min_rtt": state["min_rtt"][rows],
+        "max_rtt": state["max_rtt"][rows],
+        "ewma_rtt": state["ewma_rtt"][rows],
+        "ack_rate": ack_rate,
+        "rtt_gradient": state["rtt_gradient"][rows],
+        "delay_gradient": state["rtt_gradient"][rows],
+        "time_since_loss": np.maximum(since_loss, 1e-6),
+        "inflight": inflight,
+    }
     # W_max estimate: the window at segment start, undone by a canonical
     # 0.7 beta when the segment opens right after a loss.
-    first_cwnd = out["cwnd"][0]
-    table.columns["wmax"] = np.full(n, first_cwnd / 0.7)
-    return table
+    columns["wmax"] = np.full(len(rows), cwnd[0] / 0.7)
+    return SignalTable(mss=float(trace.mss), columns=columns)

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.trace.model import Trace
+from repro.trace.signals import usable_rtt
 
 __all__ = ["TraceStats", "summarize"]
 
@@ -50,21 +51,21 @@ class TraceStats:
 
 def summarize(trace: Trace) -> TraceStats:
     """Compute :class:`TraceStats` for *trace*."""
-    if not trace.acks:
+    if not len(trace):
         raise TraceError("cannot summarize an empty trace")
-    new_acks = [ack for ack in trace.acks if not ack.dupack]
-    if not new_acks:
+    new = ~trace.dupack
+    if not new.any():
         raise TraceError("trace has no new-data ACKs")
-    times = np.array([ack.time for ack in new_acks])
+    times = trace.time[new]
+    seqs = trace.ack_seq[new]
     duration = float(times[-1] - times[0]) if len(times) > 1 else 0.0
-    delivered = new_acks[-1].ack_seq - (new_acks[0].ack_seq - new_acks[0].acked_bytes)
+    delivered = float(seqs[-1] - (seqs[0] - trace.acked_bytes[new][0]))
     goodput = 8.0 * delivered / duration if duration > 0 else 0.0
-    rtts = np.array(
-        [ack.rtt_sample for ack in new_acks if ack.rtt_sample is not None]
-    )
+    # The samples signal extraction uses: finite and positive.
+    rtts = trace.rtt_sample[usable_rtt(trace)[0]]
     if rtts.size == 0:
         raise TraceError("trace carries no RTT samples")
-    cwnd = np.array([ack.cwnd_bytes for ack in new_acks])
+    cwnd = trace.cwnd_bytes[new]
     return TraceStats(
         duration=duration,
         delivered_bytes=int(delivered),
@@ -78,6 +79,6 @@ def summarize(trace: Trace) -> TraceStats:
         cwnd_mean=float(cwnd.mean()),
         cwnd_p10=float(np.percentile(cwnd, 10)),
         cwnd_p90=float(np.percentile(cwnd, 90)),
-        ack_count=len(trace.acks),
-        dupack_fraction=1.0 - len(new_acks) / len(trace.acks),
+        ack_count=len(trace),
+        dupack_fraction=1.0 - len(times) / len(trace),
     )

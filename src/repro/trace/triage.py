@@ -7,9 +7,12 @@ hostile trace — non-monotonic timestamps, duplicated ACKs, NaN windows,
 clock jumps — must never silently poison segmentation, signal tables, or
 the final ranking.  Triage runs in three stages:
 
-1. **Validate** — a declarative invariant checker walks the trace and
-   produces structured :class:`TraceDefect` records (one per offending
-   record, capped per class) instead of raising on the first error.
+1. **Validate** — a declarative table of invariant checks produces
+   structured :class:`TraceDefect` records (one per offending record,
+   capped per class) instead of raising on the first error.  Each check
+   is a column operation: one mask per defect class over the trace's
+   columns gives the exact count, and only the first few hits of each
+   class are formatted into records, in row order.
 2. **Repair** — pure, deterministic repair passes fix what can be fixed
    (timestamp de-skew and stable re-sort, duplicate-ACK dedup, NaN/inf
    interpolation or excision, trailing-garbage truncation, loss-record
@@ -31,17 +34,22 @@ differential harness in ``tests/integration`` enforces this).
 
 All repairs are pure (the input trace is never mutated) and
 deterministic: no randomness is involved, so the same hostile trace
-always repairs to the same bytes.
+always repairs to the same bytes.  They run row by row, over the
+trace's ``acks`` view, on the dirty path only, and pack the repaired
+rows back into a columnar trace.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Iterator
 
+import numpy as np
+
 from repro.errors import TraceError
-from repro.trace.model import AckRecord, LossRecord, Trace
+from repro.trace.model import ACK_FIELDS, AckRecord, LossRecord, Trace, counter
 
 __all__ = [
     "TraceDefect",
@@ -153,185 +161,222 @@ class RepairAction:
 
 # ---------------------------------------------------------------------------
 # Stage 1: validation
+#
+# Each check computes one mask per defect class over the trace's columns
+# and returns ``(counts, defects)``: exact per-class counts, and the
+# defect records in the order a row-by-row walk would meet them, built
+# lazily so that only the first few per class are ever formatted.
+
+Check = Callable[[Trace], "tuple[dict[str, int], Iterator[TraceDefect]]"]
 
 
-def _finite(value: float | int | None) -> bool:
-    return value is not None and math.isfinite(value)
+def _flagged(
+    code: str, rows: np.ndarray, describe: Callable[[int, int], str]
+) -> tuple[dict[str, int], Iterator[TraceDefect]]:
+    """The hits of one class at *rows*, the k-th described as
+    ``describe(k, row)``."""
+    return {code: len(rows)}, (
+        TraceDefect(code, describe(k, row), row)
+        for k, row in enumerate(rows[:MAX_DEFECTS_PER_CLASS].tolist())
+    )
 
 
-def _check_nonfinite_fields(trace: Trace) -> Iterator[TraceDefect]:
-    for index, ack in enumerate(trace.acks):
-        bad = [
-            name
-            for name, value in (
-                ("time", ack.time),
-                ("acked_bytes", ack.acked_bytes),
-                ("cwnd_bytes", ack.cwnd_bytes),
-                ("inflight_bytes", ack.inflight_bytes),
-            )
-            if not _finite(value)
-        ]
-        if ack.rtt_sample is not None and not math.isfinite(ack.rtt_sample):
-            bad.append("rtt_sample")
-        if bad:
-            yield TraceDefect(
-                "nonfinite_field",
-                f"ack[{index}] has non-finite {'/'.join(bad)}",
-                index,
-            )
-    for index, loss in enumerate(trace.losses):
-        if not _finite(loss.time):
-            yield TraceDefect(
+def _whole_trace(
+    code: str, hit: bool, message: str
+) -> tuple[dict[str, int], Iterator[TraceDefect]]:
+    """A defect of the trace as a whole: no record index."""
+    return {code: int(hit)}, iter([TraceDefect(code, message)] if hit else [])
+
+
+def _check_empty(trace: Trace):
+    return _whole_trace(
+        "empty_trace", not len(trace), "trace carries no ack records"
+    )
+
+
+def _check_rtt_samples(trace: Trace):
+    rtt = trace.rtt_sample
+    usable = trace.has_rtt & np.isfinite(rtt) & (rtt > 0)
+    return _whole_trace(
+        "no_rtt_samples",
+        bool(len(trace)) and not usable.any(),
+        "trace carries no finite positive RTT sample",
+    )
+
+
+def _check_nonfinite_fields(trace: Trace):
+    fields = {
+        name: ~np.isfinite(getattr(trace, name))
+        for name in ("time", "acked_bytes", "cwnd_bytes", "inflight_bytes")
+    }
+    fields["rtt_sample"] = trace.has_rtt & ~np.isfinite(trace.rtt_sample)
+    counts, acks = _flagged(
+        "nonfinite_field",
+        np.flatnonzero(np.logical_or.reduce(list(fields.values()))),
+        lambda k, row: f"ack[{row}] has non-finite "
+        + "/".join(name for name, mask in fields.items() if mask[row]),
+    )
+    losses = np.flatnonzero(~np.isfinite(trace.loss_times()))
+    counts["nonfinite_field"] += len(losses)
+    return counts, itertools.chain(
+        acks,
+        (
+            TraceDefect(
                 "nonfinite_field", f"loss[{index}] has non-finite time", index
             )
+            for index in losses[:MAX_DEFECTS_PER_CLASS].tolist()
+        ),
+    )
 
 
-def _check_negative_fields(trace: Trace) -> Iterator[TraceDefect]:
-    for index, ack in enumerate(trace.acks):
-        bad = [
-            name
-            for name, value in (
-                ("acked_bytes", ack.acked_bytes),
-                ("cwnd_bytes", ack.cwnd_bytes),
-                ("inflight_bytes", ack.inflight_bytes),
-            )
-            if _finite(value) and value < 0
-        ]
-        if (
-            ack.rtt_sample is not None
-            and math.isfinite(ack.rtt_sample)
-            and ack.rtt_sample <= 0
-        ):
-            bad.append("rtt_sample")
-        if bad:
-            yield TraceDefect(
-                "negative_field",
-                f"ack[{index}] has negative {'/'.join(bad)}",
-                index,
-            )
+def _check_negative_fields(trace: Trace):
+    fields = {}
+    for name in ("acked_bytes", "cwnd_bytes", "inflight_bytes"):
+        column = getattr(trace, name)
+        fields[name] = np.isfinite(column) & (column < 0)
+    rtt = trace.rtt_sample
+    fields["rtt_sample"] = trace.has_rtt & np.isfinite(rtt) & (rtt <= 0)
+    return _flagged(
+        "negative_field",
+        np.flatnonzero(np.logical_or.reduce(list(fields.values()))),
+        lambda k, row: f"ack[{row}] has negative "
+        + "/".join(name for name, mask in fields.items() if mask[row]),
+    )
 
 
-def _check_monotonic_time(trace: Trace) -> Iterator[TraceDefect]:
-    previous = float("-inf")
-    for index, ack in enumerate(trace.acks):
-        if not _finite(ack.time):
-            continue  # reported by nonfinite_field
-        if ack.time < previous:
-            yield TraceDefect(
-                "non_monotonic_time",
-                f"ack[{index}] time {ack.time:.6f} precedes "
-                f"{previous:.6f}",
-                index,
-            )
-        else:
-            previous = ack.time
+def _check_monotonic_time(trace: Trace):
+    # A finite time behind the latest finite time before it regresses.
+    time = trace.time
+    finite = np.isfinite(time)
+    latest = np.maximum.accumulate(np.where(finite, time, -np.inf))
+    previous = np.concatenate(([-np.inf], latest[:-1]))
+    return _flagged(
+        "non_monotonic_time",
+        np.flatnonzero(finite & (time < previous)),
+        lambda k, row: f"ack[{row}] time {time[row]:.6f} precedes "
+        f"{previous[row]:.6f}",
+    )
 
 
-def _check_clock_jump(trace: Trace) -> Iterator[TraceDefect]:
-    previous: float | None = None
-    for index, ack in enumerate(trace.acks):
-        if not _finite(ack.time):
-            continue
-        if previous is not None and ack.time - previous > CLOCK_JUMP_SECONDS:
-            yield TraceDefect(
-                "clock_jump",
-                f"ack[{index}] jumps {ack.time - previous:.1f}s forward",
-                index,
-            )
-        previous = ack.time
+def _check_clock_jump(trace: Trace):
+    # The gap to the previous finite time.
+    rows = np.flatnonzero(np.isfinite(trace.time))
+    gaps = np.diff(trace.time[rows])
+    jumps = gaps > CLOCK_JUMP_SECONDS
+    jump_gaps = gaps[jumps]
+    return _flagged(
+        "clock_jump",
+        rows[1:][jumps],
+        lambda k, row: f"ack[{row}] jumps {jump_gaps[k]:.1f}s forward",
+    )
 
 
-def _check_duplicate_acks(trace: Trace) -> Iterator[TraceDefect]:
-    seen: set[tuple] = set()
-    for index, ack in enumerate(trace.acks):
-        key = (
-            ack.time,
-            ack.ack_seq,
-            ack.acked_bytes,
-            ack.rtt_sample,
-            ack.cwnd_bytes,
-            ack.inflight_bytes,
-            ack.dupack,
-        )
-        if key in seen:
-            yield TraceDefect(
-                "duplicate_ack",
-                f"ack[{index}] duplicates an earlier record "
-                f"(seq {ack.ack_seq} at t={ack.time:.6f})",
-                index,
-            )
-        else:
+def _cell_bits(trace: Trace) -> list[np.ndarray]:
+    """Each column as uint64 bit patterns, equal exactly when the cells
+    are: ``-0.0`` reads as ``0.0``, and every NaN as one NaN."""
+    columns = []
+    for name in ACK_FIELDS[:-1]:
+        values = getattr(trace, name) + 0.0
+        values[np.isnan(values)] = np.nan
+        columns.append(values.view(np.uint64))
+    return columns + [
+        trace.dupack.astype(np.uint64),
+        trace.has_rtt.astype(np.uint64),
+    ]
+
+
+def _check_duplicate_acks(trace: Trace):
+    # Only acks that share a row hash can be exact duplicates, so the
+    # full-row comparison runs over those alone, in row order.
+    columns = _cell_bits(trace)
+    mixed = np.zeros(len(trace), dtype=np.uint64)
+    for bits in columns:
+        mixed ^= bits
+        mixed *= np.uint64(0x9E3779B97F4A7C15)
+    ordered = np.sort(mixed)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    duplicates = np.zeros(len(trace), dtype=bool)
+    if shared.size:
+        seen: set[tuple] = set()
+        for row in np.flatnonzero(np.isin(mixed, shared)).tolist():
+            key = tuple(int(bits[row]) for bits in columns)
+            duplicates[row] = key in seen
             seen.add(key)
+    return _flagged(
+        "duplicate_ack",
+        np.flatnonzero(duplicates),
+        lambda k, row: f"ack[{row}] duplicates an earlier record "
+        f"(seq {counter(float(trace.ack_seq[row]))} "
+        f"at t={trace.time[row]:.6f})",
+    )
 
 
-def _check_ack_seq_regression(trace: Trace) -> Iterator[TraceDefect]:
-    highest: int | None = None
-    for index, ack in enumerate(trace.acks):
-        if ack.dupack:
-            continue
-        if highest is not None and ack.ack_seq < highest:
-            yield TraceDefect(
-                "ack_seq_regression",
-                f"ack[{index}] cumulative seq {ack.ack_seq} regresses "
-                f"below {highest}",
-                index,
+def _check_ack_seq_regression(trace: Trace):
+    # A new-data ack regresses below the highest earlier one.  A NaN
+    # compares false both ways, so it restarts the running highest.
+    rows = np.flatnonzero(~trace.dupack)
+    seq = trace.ack_seq[rows]
+    nan = np.isnan(seq)
+    values = np.where(nan, -np.inf, seq)
+    highest = np.full(len(seq), -np.inf)
+    restarts = np.flatnonzero(nan).tolist()
+    for start, stop in zip([0, *restarts], [*restarts, len(seq)]):
+        if stop - start > 1:
+            highest[start + 1 : stop] = np.maximum.accumulate(
+                values[start : stop - 1]
             )
-        else:
-            highest = ack.ack_seq
+    regressed = seq < highest
+    found, below = seq[regressed].tolist(), highest[regressed].tolist()
+    return _flagged(
+        "ack_seq_regression",
+        rows[regressed],
+        lambda k, row: f"ack[{row}] cumulative seq {counter(found[k])} "
+        f"regresses below {counter(below[k])}",
+    )
 
 
-def _ack_span(trace: Trace) -> tuple[float, float] | None:
-    times = [ack.time for ack in trace.acks if _finite(ack.time)]
-    if not times:
-        return None
-    return min(times), max(times)
-
-
-def _check_loss_records(trace: Trace) -> Iterator[TraceDefect]:
-    span = _ack_span(trace)
-    previous: float | None = None
-    for index, loss in enumerate(sorted(
-        (l for l in trace.losses if _finite(l.time)), key=lambda l: l.time
-    )):
-        if span is not None and not (
-            span[0] - LOSS_SPAN_MARGIN
-            <= loss.time
-            <= span[1] + LOSS_SPAN_MARGIN
-        ):
-            yield TraceDefect(
-                "loss_outside_span",
-                f"loss at t={loss.time:.6f} outside ack span "
-                f"[{span[0]:.6f}, {span[1]:.6f}]",
-                index,
-            )
-        if previous is not None and loss.time - previous <= LOSS_EPOCH_EPSILON:
-            yield TraceDefect(
-                "duplicate_loss",
-                f"loss epoch at t={loss.time:.6f} duplicated",
-                index,
-            )
-        previous = loss.time
-
-
-def _check_empty(trace: Trace) -> Iterator[TraceDefect]:
-    if not trace.acks:
-        yield TraceDefect("empty_trace", "trace carries no ack records")
-
-
-def _check_rtt_samples(trace: Trace) -> Iterator[TraceDefect]:
-    if trace.acks and not any(
-        ack.rtt_sample is not None and _finite(ack.rtt_sample)
-        and ack.rtt_sample > 0
-        for ack in trace.acks
-    ):
-        yield TraceDefect(
-            "no_rtt_samples", "trace carries no finite positive RTT sample"
+def _check_loss_records(trace: Trace):
+    # Finite loss times in time order; ``index`` is the sorted position.
+    times = trace.loss_times()
+    times = np.sort(times[np.isfinite(times)], kind="stable")
+    finite_acks = trace.time[np.isfinite(trace.time)]
+    outside = np.zeros(len(times), dtype=bool)
+    if finite_acks.size:
+        # The first extreme in row order, as a walk finds it (which
+        # tells -0.0 from 0.0 in the message).
+        first = float(finite_acks[np.argmin(finite_acks)])
+        last = float(finite_acks[np.argmax(finite_acks)])
+        outside = (times < first - LOSS_SPAN_MARGIN) | (
+            times > last + LOSS_SPAN_MARGIN
         )
+    repeated = np.concatenate(([False], np.diff(times) <= LOSS_EPOCH_EPSILON))
+
+    def defects() -> Iterator[TraceDefect]:
+        for index in np.flatnonzero(outside | repeated).tolist():
+            time = float(times[index])
+            if outside[index]:
+                yield TraceDefect(
+                    "loss_outside_span",
+                    f"loss at t={time:.6f} outside ack span "
+                    f"[{first:.6f}, {last:.6f}]",
+                    index,
+                )
+            if repeated[index]:
+                yield TraceDefect(
+                    "duplicate_loss",
+                    f"loss epoch at t={time:.6f} duplicated",
+                    index,
+                )
+
+    return {
+        "loss_outside_span": int(outside.sum()),
+        "duplicate_loss": int(repeated.sum()),
+    }, defects()
 
 
-#: The declarative checker table: defect class → validator.  Order is
-#: the report's presentation order; each validator is independent.
-DEFECT_CLASSES: dict[str, Callable[[Trace], Iterator[TraceDefect]]] = {
+#: The declarative checker table: defect class → check.  Order is the
+#: report's presentation order; one check may count several classes.
+DEFECT_CLASSES: dict[str, Check] = {
     "empty_trace": _check_empty,
     "no_rtt_samples": _check_rtt_samples,
     "nonfinite_field": _check_nonfinite_fields,
@@ -363,19 +408,28 @@ REPAIRABLE_DEFECTS = frozenset(
 
 
 def validate_trace(trace: Trace) -> DefectReport:
-    """Run every invariant check; never raises on a defective trace."""
+    """Run every invariant check; never raises on a defective trace.
+
+    Counts are exact.  At most :data:`MAX_DEFECTS_PER_CLASS` defect
+    records are kept per class, the first ones in row order, and a class
+    enters ``counts`` when its first record is met.
+    """
     report = DefectReport(
         trace_label=f"{trace.cca_name}/{trace.environment_label}"
     )
-    seen_validators: set[Callable] = set()
-    for code, check in DEFECT_CLASSES.items():
-        if check in seen_validators:
-            continue  # one validator may emit several classes
-        seen_validators.add(check)
-        for defect in check(trace):
-            count = report.counts.get(defect.code, 0)
-            report.counts[defect.code] = count + 1
-            if count < MAX_DEFECTS_PER_CLASS:
+    for check in dict.fromkeys(DEFECT_CLASSES.values()):
+        counts, defects = check(trace)
+        wanted = {
+            code: min(count, MAX_DEFECTS_PER_CLASS)
+            for code, count in counts.items()
+            if count
+        }
+        for defect in defects:
+            if not any(wanted.values()):
+                break
+            report.counts.setdefault(defect.code, counts[defect.code])
+            if wanted[defect.code]:
+                wanted[defect.code] -= 1
                 report.defects.append(defect)
     return report
 
@@ -386,7 +440,7 @@ def validate_trace(trace: Trace) -> DefectReport:
 
 def _repair_excise_unusable(acks: list[AckRecord]) -> tuple[list, int]:
     """Drop records whose time cannot be trusted at all (NaN/inf)."""
-    kept = [ack for ack in acks if _finite(ack.time)]
+    kept = [ack for ack in acks if math.isfinite(ack.time)]
     return kept, len(acks) - len(kept)
 
 
@@ -402,7 +456,9 @@ def _repair_nonfinite_values(acks: list[AckRecord]) -> tuple[list, int]:
     touched = 0
     kept: list[AckRecord] = []
     for ack in acks:
-        if not _finite(ack.acked_bytes) or not _finite(ack.inflight_bytes):
+        if not (
+            math.isfinite(ack.acked_bytes) and math.isfinite(ack.inflight_bytes)
+        ):
             touched += 1
             continue
         if ack.rtt_sample is not None and not math.isfinite(ack.rtt_sample):
@@ -411,11 +467,11 @@ def _repair_nonfinite_values(acks: list[AckRecord]) -> tuple[list, int]:
         kept.append(ack)
     # Interpolate non-finite cwnd from finite neighbors.
     finite_indices = [
-        i for i, ack in enumerate(kept) if _finite(ack.cwnd_bytes)
+        i for i, ack in enumerate(kept) if math.isfinite(ack.cwnd_bytes)
     ]
     if finite_indices and len(finite_indices) < len(kept):
         for i, ack in enumerate(kept):
-            if _finite(ack.cwnd_bytes):
+            if math.isfinite(ack.cwnd_bytes):
                 continue
             before = max(
                 (j for j in finite_indices if j < i), default=None
@@ -519,13 +575,18 @@ def _repair_resort_time(acks: list[AckRecord]) -> tuple[list, int]:
 
 
 def _repair_duplicate_acks(acks: list[AckRecord]) -> tuple[list, int]:
-    """Drop exact-duplicate ack records, keeping first occurrences."""
+    """Drop exact-duplicate ack records, keeping first occurrences.
+
+    As in validation, a NaN cell equals a NaN cell.  The earlier passes
+    left a NaN only in ``ack_seq``, which no pass repairs.
+    """
     seen: set[tuple] = set()
     kept: list[AckRecord] = []
     for ack in acks:
+        seq = ack.ack_seq
         key = (
             ack.time,
-            ack.ack_seq,
+            math.nan if seq != seq else seq,
             ack.acked_bytes,
             ack.rtt_sample,
             ack.cwnd_bytes,
@@ -557,7 +618,7 @@ def _repair_losses(
 ) -> tuple[list, int]:
     """Sort losses, drop non-finite/out-of-span times, dedup epochs."""
     finite = sorted(
-        (loss for loss in losses if _finite(loss.time)),
+        (loss for loss in losses if math.isfinite(loss.time)),
         key=lambda loss: loss.time,
     )
     kept: list[LossRecord] = []
@@ -649,7 +710,7 @@ def trace_quality(
     original: Trace, actions: list[RepairAction]
 ) -> float:
     """Quality score: fraction of original records left untouched."""
-    total = len(original.acks) + len(original.losses)
+    total = len(original) + len(original.losses)
     if total == 0:
         return 0.0
     touched = min(sum(action.touched for action in actions), total)

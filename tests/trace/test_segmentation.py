@@ -44,10 +44,11 @@ def test_explicit_records_merged():
 
 def test_two_dupacks_not_a_loss():
     trace = _dupack_trace()
-    # Strip one dupack so the run is below threshold.
-    dupack_rows = [a for a in trace.acks if a.dupack]
-    trace.acks.remove(dupack_rows[0])
-    trace.acks.remove(dupack_rows[1])
+    # Strip two dupacks so the run is below threshold.
+    rows = list(trace.acks)
+    dupack_rows = [index for index, a in enumerate(rows) if a.dupack]
+    del rows[dupack_rows[1]], rows[dupack_rows[0]]
+    trace.acks = rows
     assert infer_loss_times(trace) == []
 
 
@@ -87,7 +88,9 @@ def test_non_monotonic_time_raises_with_index():
     from repro.errors import TraceError
 
     trace = _dupack_trace()
-    trace.acks[5], trace.acks[10] = trace.acks[10], trace.acks[5]
+    rows = list(trace.acks)
+    rows[5], rows[10] = rows[10], rows[5]
+    trace.acks = rows
     with pytest.raises(TraceError, match="triage"):
         segment_trace(trace)
 
@@ -98,9 +101,11 @@ def test_nonfinite_time_raises():
     from repro.errors import TraceError
 
     trace = _dupack_trace()
-    trace.acks[5] = AckRecord(
-        float("nan"), trace.acks[5].ack_seq, 1500, 0.05, 30_000.0, 30_000
+    rows = list(trace.acks)
+    rows[5] = AckRecord(
+        float("nan"), rows[5].ack_seq, 1500, 0.05, 30_000.0, 30_000
     )
+    trace.acks = rows
     with pytest.raises(TraceError, match="non-finite"):
         segment_trace(trace)
 

@@ -161,3 +161,33 @@ def test_nonfinite_time_raises():
     acks[3] = _ack(float("nan"), 1460 * 4, 0.05)
     with pytest.raises(TraceError, match="non-finite timestamps"):
         extract_signals(_segment(acks))
+
+
+def test_time_since_loss_reads_latest_loss_whatever_the_record_order(small_env):
+    """Triage sorts loss records before checking them, so a trace that
+    lists its losses out of time order is clean; its signal tables must
+    not depend on that order."""
+    from repro.cca import make_cca
+    from repro.netsim import simulate
+    from repro.trace.triage import validate_trace
+
+    forward = simulate(make_cca("reno"), small_env, duration=10.0)
+    assert len(forward.losses) > 2
+    backward = Trace(
+        forward.cca_name,
+        forward.environment_label,
+        forward.mss,
+        acks=forward.acks,
+        losses=forward.losses[::-1],
+    )
+    assert validate_trace(backward).is_clean
+    segments = segment_trace(forward)
+    reordered = segment_trace(backward)
+    assert [(s.start, s.stop) for s in reordered] == [
+        (s.start, s.stop) for s in segments
+    ]
+    for mine, theirs in zip(segments, reordered):
+        expected = extract_signals(mine).columns
+        found = extract_signals(theirs).columns
+        for name, column in expected.items():
+            assert found[name].tobytes() == column.tobytes(), name

@@ -1,5 +1,7 @@
 """Trace-statistics tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import TraceError
@@ -69,3 +71,18 @@ def test_vegas_lower_inflation_than_reno(reno_trace, vegas_trace):
 def test_delivered_bytes_positive(stats):
     assert stats.delivered_bytes > 0
     assert stats.ack_count > 0
+
+
+@pytest.mark.parametrize("garbage", [float("nan"), float("inf"), -0.05, 0.0])
+def test_garbage_rtt_samples_are_ignored(reno_trace, garbage):
+    """A sample signal extraction would not use (non-finite or not
+    positive) counts as missing here too."""
+    rows = list(reno_trace.acks)
+    index = next(i for i, ack in enumerate(rows) if ack.rtt_sample is not None)
+
+    def with_sample(value):
+        changed = list(rows)
+        changed[index] = replace(rows[index], rtt_sample=value)
+        return Trace("x", "y", reno_trace.mss, acks=changed)
+
+    assert summarize(with_sample(garbage)) == summarize(with_sample(None))

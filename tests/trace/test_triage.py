@@ -43,10 +43,12 @@ def make_trace(acks, losses=(), mss=1460):
     )
 
 
+def well_formed_rows(n=20):
+    return [ack(time=0.05 * i, seq=1460 * (i + 1)) for i in range(n)]
+
+
 def well_formed(n=20):
-    return make_trace(
-        [ack(time=0.05 * i, seq=1460 * (i + 1)) for i in range(n)]
-    )
+    return make_trace(well_formed_rows(n))
 
 
 # ---------------------------------------------------------------------------
@@ -61,53 +63,53 @@ def test_clean_trace_reports_clean():
 
 
 def test_detects_non_monotonic_time():
-    trace = well_formed()
-    trace.acks[3], trace.acks[7] = trace.acks[7], trace.acks[3]
-    report = validate_trace(trace)
+    rows = well_formed_rows()
+    rows[3], rows[7] = rows[7], rows[3]
+    report = validate_trace(make_trace(rows))
     assert report.has("non_monotonic_time")
     assert report.defects[0].index is not None
 
 
 def test_detects_nonfinite_fields():
-    trace = well_formed()
-    trace.acks[4] = ack(0.2, seq=1460 * 5, cwnd=float("nan"))
-    trace.acks[5] = ack(0.25, seq=1460 * 6, rtt=float("inf"))
-    report = validate_trace(trace)
+    rows = well_formed_rows()
+    rows[4] = ack(0.2, seq=1460 * 5, cwnd=float("nan"))
+    rows[5] = ack(0.25, seq=1460 * 6, rtt=float("inf"))
+    report = validate_trace(make_trace(rows))
     assert report.counts["nonfinite_field"] == 2
 
 
 def test_detects_negative_fields():
-    trace = well_formed()
-    trace.acks[2] = ack(0.1, seq=1460 * 3, cwnd=-10.0)
-    report = validate_trace(trace)
+    rows = well_formed_rows()
+    rows[2] = ack(0.1, seq=1460 * 3, cwnd=-10.0)
+    report = validate_trace(make_trace(rows))
     assert report.has("negative_field")
 
 
 def test_detects_duplicate_acks():
-    trace = well_formed()
-    trace.acks.insert(5, trace.acks[5])
-    report = validate_trace(trace)
+    rows = well_formed_rows()
+    rows.insert(5, rows[5])
+    report = validate_trace(make_trace(rows))
     assert report.counts["duplicate_ack"] == 1
 
 
 def test_detects_ack_seq_regression():
-    trace = well_formed()
-    trace.acks[6] = ack(0.3, seq=1)  # cumulative ack goes backwards
-    report = validate_trace(trace)
+    rows = well_formed_rows()
+    rows[6] = ack(0.3, seq=1)  # cumulative ack goes backwards
+    report = validate_trace(make_trace(rows))
     assert report.has("ack_seq_regression")
 
 
 def test_dupacks_do_not_count_as_regression():
-    trace = well_formed()
-    trace.acks.insert(6, ack(0.28, seq=1460, acked=0, dupack=True))
-    report = validate_trace(trace)
+    rows = well_formed_rows()
+    rows.insert(6, ack(0.28, seq=1460, acked=0, dupack=True))
+    report = validate_trace(make_trace(rows))
     assert not report.has("ack_seq_regression")
 
 
 def test_detects_clock_jump():
-    trace = well_formed()
-    trace.acks.append(ack(500.0, seq=1460 * 21))
-    report = validate_trace(trace)
+    rows = well_formed_rows()
+    rows.append(ack(500.0, seq=1460 * 21))
+    report = validate_trace(make_trace(rows))
     assert report.has("clock_jump")
 
 
@@ -164,9 +166,9 @@ def test_repair_is_pure_and_clean_trace_untouched():
 
 
 def test_repair_resorts_shuffled_records():
-    trace = well_formed()
-    trace.acks[3], trace.acks[7] = trace.acks[7], trace.acks[3]
-    repaired, actions = repair_trace(trace)
+    rows = well_formed_rows()
+    rows[3], rows[7] = rows[7], rows[3]
+    repaired, actions = repair_trace(make_trace(rows))
     times = [a.time for a in repaired.acks]
     assert times == sorted(times)
     assert any(a.repair == "resort_time" for a in actions)
@@ -174,39 +176,39 @@ def test_repair_resorts_shuffled_records():
 
 
 def test_repair_dedups_duplicate_acks():
-    trace = well_formed()
-    trace.acks.insert(5, trace.acks[5])
-    repaired, actions = repair_trace(trace)
+    rows = well_formed_rows()
+    rows.insert(5, rows[5])
+    repaired, actions = repair_trace(make_trace(rows))
     assert len(repaired.acks) == 20
     assert any(a.repair == "duplicate_acks" for a in actions)
 
 
 def test_repair_interpolates_nan_cwnd():
-    trace = well_formed()
-    trace.acks[4] = ack(0.2, seq=1460 * 5, cwnd=float("nan"))
-    repaired, _ = repair_trace(trace)
+    rows = well_formed_rows()
+    rows[4] = ack(0.2, seq=1460 * 5, cwnd=float("nan"))
+    repaired, _ = repair_trace(make_trace(rows))
     value = repaired.acks[4].cwnd_bytes
     assert math.isfinite(value)
     assert value == pytest.approx(14600.0)
 
 
 def test_repair_excises_nonfinite_times_and_counters():
-    trace = well_formed()
-    trace.acks[4] = ack(float("nan"), seq=1460 * 5)
-    trace.acks[6] = ack(0.3, seq=1460 * 7, acked=float("inf"))
-    repaired, _ = repair_trace(trace)
+    rows = well_formed_rows()
+    rows[4] = ack(float("nan"), seq=1460 * 5)
+    rows[6] = ack(0.3, seq=1460 * 7, acked=float("inf"))
+    repaired, _ = repair_trace(make_trace(rows))
     assert len(repaired.acks) == 18
     assert validate_trace(repaired).is_clean
 
 
 def test_repair_deskews_large_clock_jump():
-    trace = well_formed(40)
+    rows = well_formed_rows(40)
     # Inject a +300 s skew over the second half: too long to truncate.
     for index in range(20, 40):
-        trace.acks[index] = ack(
-            trace.acks[index].time + 300.0, seq=trace.acks[index].ack_seq
+        rows[index] = ack(
+            rows[index].time + 300.0, seq=rows[index].ack_seq
         )
-    repaired, actions = repair_trace(trace)
+    repaired, actions = repair_trace(make_trace(rows))
     assert len(repaired.acks) == 40  # de-skewed, not dropped
     gaps = [
         b.time - a.time
@@ -217,9 +219,9 @@ def test_repair_deskews_large_clock_jump():
 
 
 def test_repair_truncates_trailing_garbage():
-    trace = well_formed(40)
-    trace.acks.append(ack(1e5, seq=1460 * 41))
-    repaired, actions = repair_trace(trace)
+    rows = well_formed_rows(40)
+    rows.append(ack(1e5, seq=1460 * 41))
+    repaired, actions = repair_trace(make_trace(rows))
     assert len(repaired.acks) == 40
     action = next(a for a in actions if a.repair == "clock_jump")
     assert "truncated" in action.detail
@@ -240,8 +242,9 @@ def test_repair_cleans_loss_records():
 
 
 def test_quality_reflects_touched_fraction():
-    trace = well_formed(10)
-    trace.acks.insert(5, trace.acks[5])
+    rows = well_formed_rows(10)
+    rows.insert(5, rows[5])
+    trace = make_trace(rows)
     repaired, actions = repair_trace(trace)
     quality = trace_quality(trace, actions)
     assert 0.0 < quality < 1.0
@@ -269,17 +272,18 @@ def test_clean_trace_is_same_object():
 
 
 def test_strict_refuses_any_defect():
-    trace = well_formed()
-    trace.acks.insert(5, trace.acks[5])
-    result = triage_trace(trace, TriagePolicy(mode="strict"))
+    rows = well_formed_rows()
+    rows.insert(5, rows[5])
+    result = triage_trace(make_trace(rows), TriagePolicy(mode="strict"))
     assert result.action == "rejected"
     assert not result.accepted
     assert "strict" in result.reason
 
 
 def test_repair_mode_admits_repaired_trace_with_meta():
-    trace = well_formed()
-    trace.acks.insert(5, trace.acks[5])
+    rows = well_formed_rows()
+    rows.insert(5, rows[5])
+    trace = make_trace(rows)
     result = triage_trace(trace, TriagePolicy(mode="repair"))
     assert result.action == "repaired"
     assert result.trace is not trace
@@ -296,12 +300,10 @@ def test_fatal_defects_refused_under_every_policy():
 
 
 def test_quality_floor_refuses_mangled_trace():
-    trace = well_formed(10)
+    rows = well_formed_rows(10)
     for index in range(7):
-        trace.acks[index] = ack(
-            float("nan"), seq=trace.acks[index].ack_seq
-        )
-    result = triage_trace(trace, TriagePolicy(min_quality=0.9))
+        rows[index] = ack(float("nan"), seq=rows[index].ack_seq)
+    result = triage_trace(make_trace(rows), TriagePolicy(min_quality=0.9))
     assert result.action == "rejected"
     assert "below policy floor" in result.reason
 
@@ -310,8 +312,9 @@ def test_triage_traces_emits_telemetry():
     sink = CollectorSink()
     ctx = RunContext(sinks=[sink])
     clean = well_formed()
-    dirty = well_formed()
-    dirty.acks.insert(5, dirty.acks[5])
+    rows = well_formed_rows()
+    rows.insert(5, rows[5])
+    dirty = make_trace(rows)
     summary = triage_traces([clean, dirty], TriagePolicy(), context=ctx)
     assert summary.accepted == 2
     assert summary.repaired == 1
@@ -328,11 +331,11 @@ def test_triage_traces_raises_when_all_refused():
 
 def test_repair_is_deterministic():
     def dirty():
-        trace = well_formed(30)
-        trace.acks[3], trace.acks[11] = trace.acks[11], trace.acks[3]
-        trace.acks.insert(5, trace.acks[5])
-        trace.acks[20] = ack(1.0, seq=1460 * 21, cwnd=float("nan"))
-        return trace
+        rows = well_formed_rows(30)
+        rows[3], rows[11] = rows[11], rows[3]
+        rows.insert(5, rows[5])
+        rows[20] = ack(1.0, seq=1460 * 21, cwnd=float("nan"))
+        return make_trace(rows)
 
     first, _ = repair_trace(dirty())
     second, _ = repair_trace(dirty())
