@@ -200,7 +200,12 @@ def trace_from_dict(data: dict, *, source: str | None = None) -> Trace:
         raise TraceError(
             f"{_where(source)}'acks' and 'losses' must be arrays"
         )
-    meta = dict(data.get("meta", {}))
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise TraceError(
+            f"{_where(source)}'meta' must be an object, "
+            f"got {type(meta).__name__}"
+        )
     columns = _ack_columns(acks_data, source)
     losses = [
         _loss_from_row(row, index, source)
@@ -212,7 +217,7 @@ def trace_from_dict(data: dict, *, source: str | None = None) -> Trace:
         mss,
         columns,
         losses,
-        meta,
+        dict(meta),
     )
 
 

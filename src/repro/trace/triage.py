@@ -207,7 +207,8 @@ def _check_rtt_samples(trace: Trace):
 def _check_nonfinite_fields(trace: Trace):
     fields = {
         name: ~np.isfinite(getattr(trace, name))
-        for name in ("time", "acked_bytes", "cwnd_bytes", "inflight_bytes")
+        for name in ACK_FIELDS[:-1]
+        if name != "rtt_sample"
     }
     fields["rtt_sample"] = trace.has_rtt & ~np.isfinite(trace.rtt_sample)
     counts, acks = _flagged(
@@ -450,14 +451,16 @@ def _repair_nonfinite_values(acks: list[AckRecord]) -> tuple[list, int]:
     ``cwnd_bytes`` interpolates linearly between the nearest finite
     neighbors (window evolution is piecewise-smooth between losses);
     non-finite RTT samples become ``None`` (no sample); records whose
-    byte counters are non-finite are dropped — there is nothing to
-    interpolate a *count* from.
+    counters (``ack_seq`` or a byte count) are non-finite are dropped —
+    there is nothing to interpolate a *count* from.
     """
     touched = 0
     kept: list[AckRecord] = []
     for ack in acks:
         if not (
-            math.isfinite(ack.acked_bytes) and math.isfinite(ack.inflight_bytes)
+            math.isfinite(ack.ack_seq)
+            and math.isfinite(ack.acked_bytes)
+            and math.isfinite(ack.inflight_bytes)
         ):
             touched += 1
             continue
@@ -577,16 +580,15 @@ def _repair_resort_time(acks: list[AckRecord]) -> tuple[list, int]:
 def _repair_duplicate_acks(acks: list[AckRecord]) -> tuple[list, int]:
     """Drop exact-duplicate ack records, keeping first occurrences.
 
-    As in validation, a NaN cell equals a NaN cell.  The earlier passes
-    left a NaN only in ``ack_seq``, which no pass repairs.
+    The earlier passes leave no NaN cell, so tuple equality is the
+    validation's cell equality.
     """
     seen: set[tuple] = set()
     kept: list[AckRecord] = []
     for ack in acks:
-        seq = ack.ack_seq
         key = (
             ack.time,
-            math.nan if seq != seq else seq,
+            ack.ack_seq,
             ack.acked_bytes,
             ack.rtt_sample,
             ack.cwnd_bytes,

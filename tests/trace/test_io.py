@@ -133,6 +133,21 @@ def test_bad_mss_rejected(reno_trace):
         trace_from_dict(data)
 
 
+def test_list_meta_rejected(reno_trace):
+    data = trace_to_dict(reno_trace)
+    data["meta"] = [1, 2]
+    with pytest.raises(TraceError, match="'meta' must be an object"):
+        trace_from_dict(data, source="odd.json")
+
+
+def test_pair_list_meta_not_read_as_object(reno_trace):
+    """A list of pairs would pass ``dict()``; the loader refuses it."""
+    data = trace_to_dict(reno_trace)
+    data["meta"] = [["k", 1]]
+    with pytest.raises(TraceError, match="got list"):
+        trace_from_dict(data)
+
+
 def test_bundle_error_names_item_index(reno_trace, tmp_path):
     path = tmp_path / "bundle.json"
     save_traces([reno_trace, reno_trace], path)

@@ -78,6 +78,29 @@ def test_detects_nonfinite_fields():
     assert report.counts["nonfinite_field"] == 2
 
 
+def test_nonfinite_ack_seq_is_flagged_and_dropped():
+    """A NaN cumulative ACK is a non-finite field.  It also restarts the
+    regression check's running highest, which hides the regression
+    right after it, so only this check can report the trace.  Repair
+    drops the row, then the regression it hid."""
+    rows = well_formed_rows(10)
+    rows[4] = ack(0.2, seq=float("nan"))
+    rows[5] = ack(0.25, seq=1460)  # below the 5840 of row 3
+    trace = make_trace(rows)
+    report = validate_trace(trace)
+    assert report.counts["nonfinite_field"] == 1
+    assert report.defects[0].message == "ack[4] has non-finite ack_seq"
+    repaired, actions = repair_trace(trace)
+    assert [(a.repair, a.touched) for a in actions] == [
+        ("nonfinite_values", 1),
+        ("ack_seq_regression", 1),
+    ]
+    assert [a.ack_seq for a in repaired.acks] == [
+        1460 * (i + 1) for i in (0, 1, 2, 3, 6, 7, 8, 9)
+    ]
+    assert validate_trace(repaired).is_clean
+
+
 def test_detects_negative_fields():
     rows = well_formed_rows()
     rows[2] = ack(0.1, seq=1460 * 3, cwnd=-10.0)

@@ -49,6 +49,7 @@ def _check_nonfinite_fields(trace):
             name
             for name, value in (
                 ("time", ack.time),
+                ("ack_seq", ack.ack_seq),
                 ("acked_bytes", ack.acked_bytes),
                 ("cwnd_bytes", ack.cwnd_bytes),
                 ("inflight_bytes", ack.inflight_bytes),
