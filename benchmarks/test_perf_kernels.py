@@ -118,17 +118,18 @@ SCORING_MIN_SPEEDUP = 5.0
 
 
 def test_perf_scoring_throughput(benchmark, store, report):
-    """Batched sketch scoring is >= 5x the scalar reference path at
-    ``completion_cap=64`` — the tentpole speedup claim.
+    """Batched sketch scoring is >= 5x the scalar reference
+    (``reference_score_sketch``) at ``completion_cap=64`` — the tentpole
+    speedup claim.
 
-    Both paths score the same sketches over the same segments with
+    Both sides score the same sketches over the same segments with
     fresh scorers (each builds its own table cache), results are
     asserted bit-identical, and the run emits ``BENCH_scoring.json``
     for the CI regression gate (``check_scoring_regression.py``).
     """
     from repro.dsl.parser import parse as parse_expr
     from repro.dsl.printer import to_text
-    from repro.synth.scoring import Scorer
+    from repro.synth.scoring import Scorer, reference_score_sketch
     from repro.synth.sketch import Sketch
 
     segments = store.segments("reno", limit=4)
@@ -137,7 +138,7 @@ def test_perf_scoring_throughput(benchmark, store, report):
     ]
     candidates = len(SCORING_POOL) ** 2 * len(sketches)
 
-    def run(batch: bool):
+    def run(score):
         best = float("inf")
         results = counters = None
         for _ in range(3):  # best-of-3 damps scheduler noise
@@ -145,19 +146,15 @@ def test_perf_scoring_throughput(benchmark, store, report):
                 constant_pool=SCORING_POOL,
                 completion_cap=64,
                 seed=0,
-                batch=batch,
             )
             start = time.perf_counter()
-            results = [
-                scorer.score_sketch(sketch, segments)
-                for sketch in sketches
-            ]
+            results = [score(scorer, sketch, segments) for sketch in sketches]
             best = min(best, time.perf_counter() - start)
             counters = scorer.counters
         return results, candidates / best, counters
 
-    scalar_results, scalar_rate, _ = run(batch=False)
-    batched_results, batched_rate, counters = run(batch=True)
+    scalar_results, scalar_rate, _ = run(reference_score_sketch)
+    batched_results, batched_rate, counters = run(Scorer.score_sketch)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     # The fast path never changes the answer, only the work:

@@ -187,12 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result format: human-readable summary or a JSON document",
     )
     synthesize.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="score candidates one at a time through the scalar reference "
-        "path instead of the batched fast path (identical results, slower)",
-    )
-    synthesize.add_argument(
         "--checkpoint",
         metavar="PATH",
         help="write atomic JSONL refinement checkpoints to PATH at "
@@ -503,7 +497,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         max_iterations=args.iterations,
         workers=args.workers,
         time_budget_seconds=args.time_budget,
-        batch_scoring=not args.no_batch,
         checkpoint_path=args.checkpoint,
         resume_path=args.resume,
         max_pool_rebuilds=args.max_pool_rebuilds,

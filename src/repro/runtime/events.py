@@ -91,7 +91,7 @@ class PoolSpawned(Event):
 @dataclass(frozen=True)
 class SegmentsPrimed(Event):
     """The pool's working set changed (epoch bumped): its chunks now
-    name another plane, or it was respawned with new segments."""
+    name another plane."""
 
     kind: ClassVar[str] = "segments_primed"
     epoch: int

@@ -21,10 +21,10 @@ substrate is explicit, and every wave goes through one call,
     it holds, and attaches a plane only when the handle names a new one.
     Each result carries the chunk's counter deltas beside its outcomes;
     the parent adds them to one running total, so ``stats()`` costs no
-    round trip.  Without ``fork``, or when no plane can be built, the
-    executor respawns the pool with the segments in its initializer
-    instead (its chunks then carry no handle) — still at most one pool
-    per *working set* rather than per wave.
+    round trip.  The plane is the only way segments reach workers, which
+    start by ``fork`` where the host has it and by ``spawn`` otherwise.
+    When no plane can be built for a working set, the executor degrades
+    to in-process scoring, as it does for a pool it cannot keep alive.
 
 Both run the same task routine, :func:`_score_tasks`: a pool worker runs
 it over one chunk of a wave, and every in-process wave (the serial
@@ -55,9 +55,10 @@ Fault tolerance (``docs/RESILIENCE.md``) is layered on top:
   the not-yet-completed suffix, blames (and, on a second strike,
   quarantines) the sketch at the head of the suffix, and degrades
   gracefully to serial scoring after ``max_pool_rebuilds`` consecutive
-  failures.  A chunk that raises outside the task guard (a plane the
-  worker cannot attach, say) is supervised like a crash that blames no
-  sketch — a wedged pool never propagates out of the executor.
+  failures, or at once when the working set gets no plane.  A chunk
+  that raises outside the task guard (a plane the worker cannot attach,
+  say) is supervised like a crash that blames no sketch — a wedged pool
+  never propagates out of the executor.
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ class SerialExecutor:
     """In-process scoring; the deterministic default and the base class
     every executor shares."""
 
-    #: Pools spawned beyond what the lifecycle planned (none in-process).
+    #: Crash-driven pool rebuilds (none in-process).
     pool_rebuilds = 0
     #: True once supervision has fallen back to serial scoring.
     degraded = False
@@ -515,6 +516,7 @@ class SerialExecutor:
 _worker_scorer: "Scorer | None" = None
 #: The config the worker's scorer was built from.
 _worker_config: dict | None = None
+#: The working set, as views into the attached plane.
 _worker_segments: "Sequence[TraceSegment] | None" = None
 _worker_faults: FaultPlan | None = None
 _worker_generation = 0
@@ -546,14 +548,11 @@ def _attach_plane_segments(handle: PlaneHandle) -> "list":
 
 
 def _init_worker(
-    segments: "Sequence[TraceSegment] | None",
     fault_plan: FaultPlan | None,
     generation: int,
     watchdog_seconds: float | None,
 ) -> None:
-    global _worker_segments, _worker_faults, _worker_generation
-    global _worker_watchdog
-    _worker_segments = segments
+    global _worker_faults, _worker_generation, _worker_watchdog
     _worker_faults = fault_plan
     _worker_generation = generation
     _worker_watchdog = watchdog_seconds
@@ -563,7 +562,7 @@ def _score_chunk(
     tasks: "list[tuple[int, Sketch]]",
     incumbents: dict[int, float],
     config: dict,
-    handle: PlaneHandle | None,
+    handle: PlaneHandle,
 ) -> "tuple[list[ScoredHandler | _WorkerFailure], float, tuple]":
     """A worker's share of a pooled wave: one chunk through
     :func:`_score_tasks`, the only task a pool worker runs.
@@ -571,8 +570,7 @@ def _score_chunk(
     *config* is the wave's scorer config (:class:`Scorer` keywords); the
     worker rebuilds its scorer only when it differs from the one it
     holds.  *handle* names the wave's plane, attached (and its views
-    rebuilt) only when it differs from the attached one; ``None`` means
-    the segments came in through the pool initializer.
+    rebuilt) only when it differs from the attached one.
 
     *incumbents* is the parent's snapshot of the chunk's group bounds —
     possibly stale, which is always sound (a stale bound is looser and
@@ -591,9 +589,7 @@ def _score_chunk(
         _worker_scorer = Scorer(**config)
         _worker_config = config
     before = _scorer_counts(_worker_scorer)
-    if handle is not None and (
-        _worker_plane is None or _worker_plane[0] != handle.name
-    ):
+    if _worker_plane is None or _worker_plane[0] != handle.name:
         _worker_segments = _attach_plane_segments(handle)
     assert _worker_scorer is not None and _worker_segments is not None
     outcomes, seconds = _score_tasks(
@@ -658,21 +654,17 @@ class PooledExecutor(SerialExecutor):
         self.supervisor = Supervisor(policy)
         self._pool: ProcessPoolExecutor | None = None
         #: Plane key of the working set the live pool is primed with,
-        #: and the handle its chunks carry (``None``: the segments rode
-        #: the pool initializer).
+        #: and the handle its chunks carry.
         self._primed: tuple | None = None
         self._handle: PlaneHandle | None = None
         self._epoch = -1
         self._crash_strikes: dict[str, int] = {}
         self.pools_spawned = 0
-        #: Spawns the lifecycle asked for (first spawn, respawn after an
-        #: explicit ``close()``, per-working-set respawns without a
-        #: plane).  Everything beyond these is a crash-driven rebuild.
-        self._planned_spawns = 0
-        self._expect_spawn = True
+        # Workers read the working set from the plane, never from the
+        # parent's memory, so ``spawn`` serves hosts without ``fork``.
         methods = multiprocessing.get_all_start_methods()
-        self._mp_context = (
-            multiprocessing.get_context("fork") if "fork" in methods else None
+        self._mp_context = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
         )
         #: Planes this executor owns, LRU by working-set/data-knob key.
         #: A scheduler multiplexing N jobs alternates working sets, so a
@@ -683,9 +675,8 @@ class PooledExecutor(SerialExecutor):
 
     @property
     def pool_rebuilds(self) -> int:
-        """Pools spawned beyond what the lifecycle planned (the run's
-        crash-driven rebuild count)."""
-        return max(0, self.pools_spawned - self._planned_spawns)
+        """The run's crash-driven pool rebuilds."""
+        return self.supervisor.rebuilds
 
     def _scorer_config(self) -> dict:
         """What a worker builds the current scorer from: its knobs."""
@@ -697,26 +688,20 @@ class PooledExecutor(SerialExecutor):
             seed=scorer.seed,
             max_replay_rows=scorer.max_replay_rows,
             series_budget=scorer.series_budget,
-            batch=scorer.batch,
-            table_cache_entries=scorer.table_cache_entries,
         )
 
-    def _spawn_pool(self, segments: Sequence[TraceSegment] | None) -> None:
+    def _spawn_pool(self) -> None:
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=self._mp_context,
             initializer=_init_worker,
             initargs=(
-                list(segments) if segments is not None else None,
                 self.fault_plan,
                 self.pools_spawned + 1,  # pool generation, 1-based
                 self.watchdog_seconds,
             ),
         )
         self.pools_spawned += 1
-        if self._expect_spawn:
-            self._planned_spawns += 1
-            self._expect_spawn = False
         self._emit(PoolSpawned(workers=self.workers))
 
     def _shutdown_pool(self, *, wait: bool = False) -> None:
@@ -759,11 +744,8 @@ class PooledExecutor(SerialExecutor):
         self, key: tuple, segments: Sequence[TraceSegment]
     ) -> SegmentPlane | None:
         """The plane for *key*, building (and LRU-evicting) as needed;
-        ``None`` when there is no plane — no ``fork``, or input
-        :meth:`SegmentPlane.build` cannot pack — and the segments must
-        ride a pool respawn instead."""
-        if self._mp_context is None:
-            return None
+        ``None`` when :meth:`SegmentPlane.build` cannot pack the input
+        or create a block."""
         plane = self._planes.get(key)
         if plane is not None:
             self._planes.move_to_end(key)
@@ -787,28 +769,23 @@ class PooledExecutor(SerialExecutor):
 
     def _prime(self, segments: Sequence[TraceSegment]) -> PlaneHandle | None:
         """Ready the pool for *segments*; returns the plane handle the
-        wave's chunks carry.
+        wave's chunks carry, or ``None`` when the working set gets no
+        plane (and so cannot reach the workers).
 
         Keep the pool when it already holds this working set; otherwise
-        build or reuse the working set's plane (spawning a pool if none
-        is live), or — with no plane — respawn the pool with the
-        segments in its initializer, a planned spawn rather than a
-        rebuild, and return ``None``.
+        build or reuse the working set's plane, spawning a pool if none
+        is live.
         """
         key = self._plane_key(segments)
         if self._pool is not None and key == self._primed:
             return self._handle
         plane = self._plane_for(key, segments)
         if plane is None:
-            if self._pool is not None:
-                # Replacing a healthy pool is planned, not a rebuild.
-                self._shutdown_pool()
-                self._expect_spawn = True
-            self._spawn_pool(segments)
-        elif self._pool is None:
-            self._spawn_pool(None)
+            return None
+        if self._pool is None:
+            self._spawn_pool()
         self._primed = key
-        self._handle = plane.handle if plane is not None else None
+        self._handle = plane.handle
         self._epoch += 1
         self._emit(
             SegmentsPrimed(epoch=self._epoch, segment_count=len(segments))
@@ -858,7 +835,7 @@ class PooledExecutor(SerialExecutor):
         deadline: float | None,
         exempt: int,
         incumbents: list[float],
-        handle: PlaneHandle | None,
+        handle: PlaneHandle,
     ) -> list[ScoredHandler]:
         """One fused wave on the live pool, pipelined through a bounded
         in-flight window; every chunk carries the scorer config and
@@ -1063,6 +1040,9 @@ class PooledExecutor(SerialExecutor):
                 )
                 break
             handle = self._prime(segments)
+            if handle is None:
+                self._degrade("no shared-memory plane for the working set")
+                continue
             try:
                 flat.extend(
                     self._pool_wave(
@@ -1119,8 +1099,8 @@ class PooledExecutor(SerialExecutor):
         """Shut the pool down; safe to call any number of times.
 
         The executor stays usable: the next wave respawns the pool, and
-        that respawn is a *planned* spawn, not a rebuild — sequential
-        runs sharing one executor don't inflate ``pool_rebuilds``.
+        that respawn is not a rebuild — sequential runs sharing one
+        executor don't inflate ``pool_rebuilds``.
 
         ``wait=True`` blocks until the worker processes have exited —
         callers that own a healthy pool (the scheduler after a fleet
@@ -1134,7 +1114,6 @@ class PooledExecutor(SerialExecutor):
         """
         self._shutdown_pool(wait=wait)
         self._release_planes()
-        self._expect_spawn = True
 
 
 def make_executor(

@@ -21,13 +21,13 @@ Workers attach read-only views and never unlink;
 (which fires on *attach* before 3.13) so a worker exit never unlinks a
 plane out from under the parent or its siblings.
 
-Fallback contract: the plane is the only way segments reach live
-workers.  :meth:`SegmentPlane.build` returns ``None`` for inputs it
-cannot pack (no segments, an empty series) or when ``/dev/shm`` is
-unusable; the executor then respawns its pool with the segments in the
-pool initializer — the same path hosts without ``fork`` always take,
-and a planned spawn, not a crash rebuild.  Results are bit-identical
-either way: the plane only changes how bytes travel.
+Fallback contract: the plane is the only way segments reach pool
+workers, whether they were started by ``fork`` or by ``spawn``.
+:meth:`SegmentPlane.build` returns ``None`` for inputs it cannot pack
+(no segments, an empty series) or when ``/dev/shm`` is unusable; the
+executor then degrades to in-process scoring for the rest of the run.
+Results are bit-identical either way: the plane only changes how bytes
+travel.
 """
 
 from __future__ import annotations
@@ -174,8 +174,7 @@ class SegmentPlane:
     ) -> "SegmentPlane | None":
         """Pack *entries* into a fresh plane, or ``None`` when the input
         cannot be packed (no segments, or an empty table/series) or no
-        block can be created — the caller then respawns its pool with
-        the segments instead."""
+        block can be created — the caller then scores in-process."""
         if not entries:
             return None
         staged: list[tuple[_ArraySpec, np.ndarray]] = []

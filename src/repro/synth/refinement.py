@@ -79,8 +79,8 @@ class SynthesisConfig:
     Defaults follow the paper's schedule (N=16, k=5, N×8, k/2, +2
     segments per iteration) with laptop-scale caps on completions and
     the final exhaustive pass.  Every iteration scores all live buckets
-    as one fused wave; the execution knobs (``workers``, the watchdog,
-    ``batch_scoring``) change wall clock, never results, and stay out of
+    as one fused wave; the execution knobs (``workers``, the watchdog)
+    change wall clock, never results, and stay out of
     :func:`_run_fingerprint`.
     """
 
@@ -113,12 +113,6 @@ class SynthesisConfig:
     checkpoint_path: str | None = None
     #: Restore refinement state from this checkpoint file before looping.
     resume_path: str | None = None
-    #: Score each sketch's concretizations through the batched fast path
-    #: (vectorized replay + lower-bound distance cascade).  Final rankings
-    #: are bit-identical either way, so this is an execution knob — it
-    #: MUST stay excluded from :func:`_run_fingerprint` (a run started
-    #: batched can be resumed scalar, and vice versa).
-    batch_scoring: bool = True
     #: Deterministic fault injection (tests only; ``None`` in production).
     fault_plan: FaultPlan | None = None
 
@@ -205,7 +199,6 @@ def synthesize_core(
         seed=config.seed,
         series_budget=config.series_budget,
         max_replay_rows=config.max_replay_rows,
-        batch=config.batch_scoring,
     )
     pool = BucketPool(dsl, context=ctx)
     initial_bucket_count = len(pool.buckets)

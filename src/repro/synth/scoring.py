@@ -7,21 +7,21 @@ values are comparable across environments).  The score of a *sketch* is
 the minimum score over its sampled concretizations — the best behavior
 the sketch can exhibit with pool constants (§4.2, §4.4).
 
-Two paths compute that minimum.  The scalar reference path
-(:meth:`Scorer.score_handler` per concretization) replays and scores
-each concretization in full.  The batched fast path (default) compiles
-the sketch once into a lane-vectorized numpy function
-(:func:`repro.dsl.compiled.compile_sketch_vector`), replays all
-concretizations in one pass per segment
-(:func:`repro.synth.replay.replay_batch`), prescreens them with one
-LB_Keogh pass over the whole working set (:mod:`repro.distance.lb`;
-segments whose replays share a length and a memory order are stacked
-into one envelope call), and scores the rest segment by segment, one
-bounded :func:`dtw_distance_batch` sweep per segment.  Prunes only
-fire for candidates that provably cannot beat the incumbent (distances
-are non-negative and abandon thresholds carry float-safety slack), so
-both paths return the same :class:`ScoredHandler` — the equivalence
-the property suite enforces.
+One route computes that minimum for every metric,
+:meth:`Scorer.score_sketch`.  It compiles the sketch once into a
+lane-vectorized function (:func:`repro.dsl.compiled.compile_sketch_vector`)
+and replays all concretizations in one pass per segment
+(:func:`repro.synth.replay.replay_batch`).  Under DTW it prescreens them
+with one LB_Keogh pass over the whole working set
+(:mod:`repro.distance.lb`; segments whose replays share a length and a
+memory order are stacked into one envelope call) and scores the rest
+segment by segment, one bounded :func:`dtw_distance_batch` sweep per
+segment.  Prunes only fire for candidates that provably cannot beat the
+incumbent (distances are non-negative and abandon thresholds carry
+float-safety slack).  Under any other metric each lane's replayed row
+is measured in full, segment by segment.  Either way the result is the
+:class:`ScoredHandler` of :func:`reference_score_sketch`, the scalar
+loop over :meth:`Scorer.score_handler` kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,12 +60,13 @@ __all__ = [
     "QuorumDecision",
     "segment_quality",
     "quorum_filter",
+    "reference_score_sketch",
     "DEFAULT_TABLE_CACHE_ENTRIES",
 ]
 
-#: Default cap on the per-scorer signal-table LRU (an id()-keyed cache
-#: that would otherwise grow without bound across refinement
-#: iterations): a coalesced table is ~40 KiB, so 256 tables ≈ 10 MiB.
+#: Cap on each scorer's signal-table LRU (an id()-keyed cache that would
+#: otherwise grow without bound across refinement iterations): a
+#: coalesced table is ~40 KiB, so 256 tables ≈ 10 MiB.
 DEFAULT_TABLE_CACHE_ENTRIES = 256
 
 
@@ -324,11 +325,6 @@ class Scorer:
     #: Distance cost control: series are down-sampled to this many points
     #: inside the metric.
     series_budget: int = 128
-    #: Score sketches through the vectorized batch path (identical
-    #: rankings; ``--no-batch`` forces the scalar reference path).
-    batch: bool = True
-    #: LRU cap on the per-segment table cache below.
-    table_cache_entries: int = DEFAULT_TABLE_CACHE_ENTRIES
     #: Prune telemetry, aggregated across the scorer's lifetime.
     counters: ScoringCounters = field(default_factory=ScoringCounters)
     _tables: "OrderedDict[int, _SegmentEntry]" = field(
@@ -352,9 +348,9 @@ class Scorer:
         reference to its segment and verifies identity on lookup: without
         that, a freed segment's id can be reused by a new object and the
         lookup would silently return the *wrong* table.  The cache is
-        LRU-bounded by ``table_cache_entries``: refinement's working set
-        grows every iteration, and an unbounded cache would keep every
-        table ever touched alive for the whole run.
+        LRU-bounded by :data:`DEFAULT_TABLE_CACHE_ENTRIES`: refinement's
+        working set grows every iteration, and an unbounded cache would
+        keep every table ever touched alive for the whole run.
         """
         key = id(segment)
         entry = self._tables.get(key)
@@ -368,27 +364,14 @@ class Scorer:
             # prepare_segments); rebuild the entry from those instead of
             # re-extracting signals it does not have.
             table, observed, downsampled, envelope = plane_entry()
-            entry = _SegmentEntry(
-                segment=segment,
-                table=table,
-                observed=observed,
-                downsampled=downsampled,
-                envelope_cache=envelope,
-            )
-            self._tables[key] = entry
-            while len(self._tables) > max(self.table_cache_entries, 1):
-                self._tables.popitem(last=False)
-            return entry
-        table = extract_signals(segment).coalesce(self.max_replay_rows)
-        observed = table.observed_cwnd() / table.mss
-        entry = _SegmentEntry(
-            segment=segment,
-            table=table,
-            observed=observed,
-            downsampled=downsample(observed, self.series_budget),
-        )
+        else:
+            table = extract_signals(segment).coalesce(self.max_replay_rows)
+            observed = table.observed_cwnd() / table.mss
+            downsampled = downsample(observed, self.series_budget)
+            envelope = None
+        entry = _SegmentEntry(segment, table, observed, downsampled, envelope)
         self._tables[key] = entry
-        while len(self._tables) > max(self.table_cache_entries, 1):
+        while len(self._tables) > DEFAULT_TABLE_CACHE_ENTRIES:
             self._tables.popitem(last=False)
         return entry
 
@@ -469,29 +452,24 @@ class Scorer:
             total += distance
         return total / len(segments) if segments else float("inf")
 
-    def _score_sketch_batched(
+    def score_sketch(
         self,
         sketch: Sketch,
         segments: Sequence[TraceSegment],
+        *,
         bound: float | None = None,
-    ) -> ScoredHandler | None:
-        """Batched minimum over concretizations, or ``None`` to fall
-        back to the scalar path (non-DTW metric, empty working set, or a
-        sketch the vector backend cannot compile).
+    ) -> ScoredHandler:
+        """Best (minimum-distance) concretization of *sketch*: the
+        first minimum over :func:`concretization_assignments` in stream
+        order, bit for bit that of :func:`reference_score_sketch`.
 
-        A finite *bound* (an incumbent distance some *other* sketch
-        already achieved) warm-starts the pruning: candidates provably
-        unable to beat it are pruned before any DTW runs, and when the
-        lower bounds rule out every lane the sketch is dismissed with
-        zero distance computations.  The returned distance is then
-        ``inf`` — callers only compare it against the incumbent, and the
-        true minimum is provably worse, so rankings are unchanged."""
-        if self.metric_name != "dtw" or not segments:
-            return None
-        try:
-            vector = compile_sketch_vector(sketch.expr)
-        except EvaluationError:
-            return None
+        *bound* is an external incumbent (the fused scheduler's
+        per-bucket warm start): when finite, a DTW score may be ``inf``
+        for a sketch whose true minimum provably exceeds it.  Callers
+        only compare such a score against the incumbent, so rankings
+        are unchanged.
+        """
+        metric = get_metric(self.metric_name)
         assignments = list(
             concretization_assignments(
                 sketch,
@@ -500,28 +478,83 @@ class Scorer:
                 seed=self.seed,
             )
         )
-        if not assignments:
-            return None
-        self.counters.batched_waves += 1
+        if not assignments:  # a sketch always has >= 1 concretization
+            raise AssertionError("sketch produced no concretizations")
         hole_ids = [hole.hole_id for hole in ast.holes(sketch.expr)]
-        count = len(segments)
-        lanes = len(assignments)
 
-        # Replay every concretization over every segment up front (one
-        # K-wide vectorized pass per segment), then prescreen: a
-        # lane-vectorized LB_Keogh over the whole working set gives each
-        # candidate a lower bound on its *total* normalized distance for
-        # a few numpy ops — candidates whose bound already tops the
-        # incumbent mean are dropped with zero DTW calls.
+        def handler_at(lane: int) -> ast.NumExpr:
+            return ast.fill_holes(
+                sketch.expr, dict(zip(hole_ids, assignments[lane]))
+            )
+
+        try:
+            vector = compile_sketch_vector(sketch.expr) if segments else None
+        except EvaluationError:
+            vector = None
+        if vector is None:
+            # Nothing to measure: the working set is empty, or no
+            # concretization compiles (score_handler charges each one
+            # ``inf``).  Every lane ties at ``inf`` and the first wins.
+            return ScoredHandler(handler_at(0), float("inf"))
+        self.counters.batched_waves += 1
         entries = [self._entry_for(segment) for segment in segments]
+        replays = [
+            replay_batch(vector, assignments, entry.table) / entry.table.mss
+            for entry in entries
+        ]
+        if self.metric_name == "dtw":
+            lane, distance = self._best_dtw_lane(entries, replays, bound)
+            return ScoredHandler(handler_at(lane), distance)
+        means = self._metric_means(metric, entries, replays)
+        # ``min`` keeps the first of equal keys and replaces only on
+        # ``<``, the reference's selection (a leading NaN is never
+        # displaced).
+        lane = min(range(len(means)), key=means.__getitem__)
+        return ScoredHandler(handler_at(lane), means[lane])
+
+    def _metric_means(
+        self,
+        metric: Callable[..., float],
+        entries: "list[_SegmentEntry]",
+        replays: "list[np.ndarray]",
+    ) -> list[float]:
+        """Each lane's mean distance under a metric with no bound,
+        summed segment by segment as :meth:`score_handler` sums it (a
+        segment the metric cannot measure costs ``inf``)."""
+        totals = [0.0] * replays[0].shape[0]
+        for entry, matrix in zip(entries, replays):
+            for lane, row in enumerate(matrix):
+                try:
+                    distance = metric(
+                        row, entry.observed, budget=self.series_budget
+                    )
+                except (EvaluationError, ArithmeticError, ValueError):
+                    distance = float("inf")
+                totals[lane] += distance
+        return [total / len(entries) for total in totals]
+
+    def _best_dtw_lane(
+        self,
+        entries: "list[_SegmentEntry]",
+        replays: "list[np.ndarray]",
+        bound: float | None,
+    ) -> tuple[int, float]:
+        """The winning lane and its mean DTW distance.
+
+        A finite *bound* (an incumbent distance some *other* sketch
+        already achieved) warm-starts the pruning: candidates provably
+        unable to beat it are pruned before any DTW runs, and when the
+        lower bounds rule out every lane the sketch is dismissed with
+        zero distance computations, as lane 0 at ``inf``.
+        """
+        count = len(entries)
+        lanes = replays[0].shape[0]
         #: Per segment, the (K, n) downsampled replay matrix — row
-        #: ``lane`` holds the same floats ``downsample(matrix[lane])``
+        #: ``lane`` holds the same floats ``downsample(replay[lane])``
         #: yields, so the DTW sweeps score the very series the scalar
         #: reference would.
         queries_by_segment: list[np.ndarray] = []
-        for entry in entries:
-            table = entry.table
-            matrix = replay_batch(vector, assignments, table) / table.mss
+        for matrix in replays:
             size = matrix.shape[1]
             if size > self.series_budget:
                 picks = (
@@ -533,6 +566,10 @@ class Scorer:
                 # which the prescreen's sums keep.
                 matrix = matrix[:, picks]
             queries_by_segment.append(matrix)
+        # A lane-vectorized LB_Keogh over the whole working set gives
+        # each candidate a lower bound on its *total* normalized distance
+        # for a few numpy ops: candidates whose bound already tops the
+        # incumbent mean are dropped with zero DTW calls.
         lb_matrix = _prescreen(entries, queries_by_segment)
         with np.errstate(invalid="ignore"):
             lb_totals = lb_matrix.sum(axis=1)
@@ -541,11 +578,6 @@ class Scorer:
             if bound is not None and math.isfinite(bound)
             else float("inf")
         )
-
-        def handler_at(lane: int) -> ast.NumExpr:
-            return ast.fill_holes(
-                sketch.expr, dict(zip(hole_ids, assignments[lane]))
-            )
 
         if math.isfinite(warm):
             # Whole-sketch warm-start skip: when every lane's lower bound
@@ -559,7 +591,7 @@ class Scorer:
                 self.counters.lb_pruned += count * lanes
                 self.counters.candidates_pruned += lanes
                 self.counters.warm_start_pruned += lanes
-                return ScoredHandler(handler_at(0), float("inf"))
+                return 0, float("inf")
 
         # Probe: score the candidate the lower bounds like most against
         # the warm start alone, and sweep the other lanes against
@@ -597,16 +629,12 @@ class Scorer:
         distances[rest] = self._sweep(
             rest, incumbent, entries, queries_by_segment, lb_matrix
         )
-
-        # Stream order, strict ``<``: ties resolve to the first lane, as
-        # in the scalar reference.  The incumbent is never tighter than
-        # the final minimum, so the winning lane is always scored exactly.
-        best: int | None = None
-        for lane in np.nonzero(present)[0]:
-            if best is None or distances[lane] < distances[best]:
-                best = int(lane)
-        assert best is not None  # the probe lane always takes part
-        return ScoredHandler(handler_at(best), float(distances[best]))
+        # Stream order, strict ``<`` (``min`` keeps the first of equal
+        # keys): ties resolve to the first lane, as in the reference.
+        # The incumbent is never tighter than the final minimum, so the
+        # winning lane is always scored exactly.
+        best = min(np.nonzero(present)[0].tolist(), key=distances.__getitem__)
+        return best, float(distances[best])
 
     def _sweep(
         self,
@@ -667,40 +695,32 @@ class Scorer:
             totals[live[~abandoned]] += distances[~abandoned]
         return np.where(alive, totals / count, np.inf)
 
-    def score_sketch(
-        self,
-        sketch: Sketch,
-        segments: Sequence[TraceSegment],
-        *,
-        bound: float | None = None,
-    ) -> ScoredHandler:
-        """Best (minimum-distance) concretization of *sketch*.
 
-        Candidate order is shared between the paths
-        (:func:`concretization_assignments`), bounds only discard
-        candidates strictly worse than the incumbent, and best-so-far
-        updates are strict ``<`` — so ties resolve to the same
-        first-seen handler and both paths return the same result.
+def reference_score_sketch(
+    scorer: Scorer,
+    sketch: Sketch,
+    segments: Sequence[TraceSegment],
+    *,
+    bound: float | None = None,
+) -> ScoredHandler:
+    """The scalar reference for :meth:`Scorer.score_sketch`.
 
-        *bound* is an external incumbent (the fused scheduler's
-        per-bucket warm start): when finite, the batched path may return
-        ``inf`` for a sketch whose true minimum provably exceeds it.
-        The scalar path stays the bound-free reference and ignores it.
-        """
-        if self.batch:
-            best = self._score_sketch_batched(sketch, segments, bound)
-            if best is not None:
-                return best
-        best = None
-        for handler in concretizations(
-            sketch,
-            self.constant_pool,
-            cap=self.completion_cap,
-            seed=self.seed,
-        ):
-            distance = self.score_handler(handler, segments)
-            if best is None or distance < best.distance:
-                best = ScoredHandler(handler, distance)
-        if best is None:  # a sketch always has >= 1 concretization
-            raise AssertionError("sketch produced no concretizations")
-        return best
+    Every concretization, in stream order, is scored in full by
+    :meth:`Scorer.score_handler`, and the first minimum wins (strict
+    ``<``).  *bound* is accepted and ignored, so the function can stand
+    in for the method.  A test oracle: only the differential tests and
+    the scoring-throughput benchmark call it.
+    """
+    best: ScoredHandler | None = None
+    for handler in concretizations(
+        sketch,
+        scorer.constant_pool,
+        cap=scorer.completion_cap,
+        seed=scorer.seed,
+    ):
+        distance = scorer.score_handler(handler, segments)
+        if best is None or distance < best.distance:
+            best = ScoredHandler(handler, distance)
+    if best is None:  # a sketch always has >= 1 concretization
+        raise AssertionError("sketch produced no concretizations")
+    return best

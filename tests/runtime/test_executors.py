@@ -30,8 +30,8 @@ def sketches():
     return [Sketch.from_expr(parse(text)) for text in SKETCH_TEXTS]
 
 
-def _scorer(batch=True):
-    return Scorer(constant_pool=(0.5, 1.0), completion_cap=8, batch=batch)
+def _scorer():
+    return Scorer(constant_pool=(0.5, 1.0), completion_cap=8)
 
 
 def _each(executor, sketches, segments, **kwargs):
@@ -188,9 +188,9 @@ def test_pooled_scoring_stats_match_serial(sketches, reno_segments):
 def test_pooled_stats_without_fork_match_serial(
     sketches, reno_segments, monkeypatch
 ):
-    """A pool built without ``fork`` (no plane: the segments ride the
-    initializer) still reports its workers' counters, because they come
-    back with the chunk results."""
+    """A pool built without ``fork`` (``spawn`` workers attach the same
+    plane) reports its workers' counters, because they come back with
+    the chunk results."""
     import multiprocessing
 
     working = reno_segments[:2]
@@ -204,16 +204,10 @@ def test_pooled_stats_without_fork_match_serial(
         _each(pooled, sketches, working)
         stats = pooled.stats()
         assert pooled.pools_spawned == 1
-        assert stats.shm_bytes == 0  # no plane without fork
+        assert pooled._mp_context.get_start_method() == "spawn"
+        assert stats.shm_bytes > 0  # the plane serves spawned workers too
     assert _deterministic(stats) == _deterministic(expected)
     assert stats.batched_waves == len(sketches)
-
-
-def test_pooled_batch_flag_reaches_workers(sketches, reno_segments):
-    with PooledExecutor(_scorer(batch=False), 2) as pooled:
-        _each(pooled, sketches, reno_segments[:2])
-        stats = pooled.stats()
-    assert stats.batched_waves == 0
 
 
 # ------------------------------------------------------------- fused waves

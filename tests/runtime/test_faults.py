@@ -26,7 +26,7 @@ from repro.runtime.supervise import (
     watchdog_available,
 )
 from repro.synth.refinement import SynthesisConfig, synthesize
-from repro.synth.scoring import Scorer
+from repro.synth.scoring import Scorer, reference_score_sketch
 from repro.synth.sketch import Sketch
 
 SKETCH_TEXTS = [
@@ -262,7 +262,7 @@ def test_pooled_close_is_idempotent(sketches, reno_segments):
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="planes (and inheriting the patch) need fork",
+    reason="workers inherit the patched attach only by fork",
 )
 
 
@@ -311,13 +311,10 @@ def test_persistent_attach_failure_degrades_to_serial(
     sketches, reno_segments, monkeypatch
 ):
     working = reno_segments[:1]
-    oracle = _each(
-        SerialExecutor(
-            Scorer(constant_pool=(0.5, 1.0), completion_cap=8, batch=False)
-        ),
-        sketches,
-        working,
-    )
+    oracle = [
+        reference_score_sketch(_scorer(), sketch, working)
+        for sketch in sketches
+    ]
     _failing_attach(monkeypatch)
     collector, ctx = _collected()
     policy = SupervisionPolicy(max_pool_rebuilds=1, backoff_base_seconds=0.0)

@@ -2,11 +2,12 @@
 
 The plane is pure transport: scores, rankings, and checkpoints at one
 worker and at four must be bit-identical to the scalar serial oracle
-(``Scorer(batch=False)``, ``workers=1``).  Around that differential core
-sit the lifecycle guarantees — crash-mid-wave pool rebuilds re-attach
-the same plane, co-scheduled jobs get isolated planes, a host without a
-plane respawns the pool instead, and no ``/dev/shm`` segment survives an
-executor close or a fleet drain.
+(``reference_score_sketch``, ``workers=1``).  Around that differential
+core sit the lifecycle guarantees — crash-mid-wave pool rebuilds
+re-attach the same plane, co-scheduled jobs get isolated planes,
+``spawn`` workers attach it like forked ones, a working set with no
+plane degrades to in-process scoring, and no ``/dev/shm`` segment
+survives an executor close or a fleet drain.
 """
 
 import multiprocessing
@@ -35,7 +36,7 @@ from repro.runtime.shm import (
 from repro.runtime.sinks import CollectorSink
 from repro.service import FleetServer, submit_job
 from repro.synth.refinement import SynthesisConfig, synthesize
-from repro.synth.scoring import Scorer
+from repro.synth.scoring import Scorer, reference_score_sketch
 from repro.synth.sketch import Sketch
 from repro.trace.io import save_traces
 
@@ -67,6 +68,15 @@ def sketches():
 
 def _scorer(**kwargs):
     return Scorer(constant_pool=(0.5, 1.0), completion_cap=8, **kwargs)
+
+
+def _oracle(sketches, segments):
+    """The scalar reference's score of every sketch, as :func:`_each`
+    returns them."""
+    return [
+        reference_score_sketch(_scorer(), sketch, segments)
+        for sketch in sketches
+    ]
 
 
 def _each(executor, sketches, segments):
@@ -147,7 +157,7 @@ def test_wave_bit_identity_across_transport_and_kernel(
     """The batched kernel, in-process or through the plane, returns the
     exact floats of the scalar serial oracle — not approximately."""
     working = reno_segments[:2]
-    reference = _each(SerialExecutor(_scorer(batch=False)), sketches, working)
+    reference = _oracle(sketches, working)
     executor = make_executor(_scorer(), workers)
     try:
         results = _each(executor, sketches, working)
@@ -162,24 +172,21 @@ def test_wave_bit_identity_across_transport_and_kernel(
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_synthesis_checkpoints_byte_identical(
-    reno_segments, tmp_path, workers
+    reno_segments, tmp_path, workers, monkeypatch
 ):
     """Full batched refinement runs checkpoint byte-identically to the
     scalar oracle at ``workers=1`` — the resume contract behind keeping
-    workers and ``batch_scoring`` out of the run fingerprint."""
+    workers out of the run fingerprint."""
     segments = reno_segments[:4]
     baseline_path = tmp_path / "baseline.jsonl"
     variant_path = tmp_path / "variant.jsonl"
-    baseline = synthesize(
-        segments,
-        TINY,
-        replace(
-            FAST,
-            workers=1,
-            batch_scoring=False,
-            checkpoint_path=str(baseline_path),
-        ),
-    )
+    with monkeypatch.context() as patched:
+        patched.setattr(Scorer, "score_sketch", reference_score_sketch)
+        baseline = synthesize(
+            segments,
+            TINY,
+            replace(FAST, workers=1, checkpoint_path=str(baseline_path)),
+        )
     variant = synthesize(
         segments,
         TINY,
@@ -309,19 +316,33 @@ def test_plane_switch_drops_views_of_the_closed_plane(
     assert _live_planes() == []
 
 
-# ---------------------------------------------------------- no-plane hosts
+# ------------------------------------------------------ spawn and no plane
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="hosts without fork never build a plane",
-)
-def test_no_plane_respawns_pool_with_segments(
-    sketches, reno_segments, monkeypatch
-):
-    """When no plane can be built the segments ride a pool respawn, a
-    planned spawn: the scalar oracle's floats, no rebuild counted, no
-    block in ``/dev/shm``, and each new working set respawns again."""
+def test_spawn_pool_attaches_the_plane(sketches, reno_segments, monkeypatch):
+    """A host without ``fork`` starts its workers by ``spawn``; they
+    attach the same plane and return the serial floats, and closing the
+    executor leaves no plane behind."""
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
+    working = reno_segments[:2]
+    with PooledExecutor(_scorer(), 2) as pooled:
+        assert pooled._mp_context.get_start_method() == "spawn"
+        results = _each(pooled, sketches, working)
+        assert pooled.shm_bytes > 0
+        assert pooled.pools_spawned == 1
+        assert not pooled.degraded
+    serial = _each(SerialExecutor(_scorer()), sketches, working)
+    assert [r.distance for r in results] == [r.distance for r in serial]
+    assert [r.handler for r in results] == [r.handler for r in serial]
+    assert _live_planes() == []
+
+
+def test_no_plane_degrades_to_in_process(sketches, reno_segments, monkeypatch):
+    """When no plane can be built the executor scores in-process for
+    the rest of the run, with one ``degraded_to_serial`` event, no pool
+    and no block in ``/dev/shm``: the scalar oracle's floats."""
     monkeypatch.setattr(SegmentPlane, "build", lambda entries: None)
     collector = CollectorSink()
     first = reno_segments[:2]
@@ -330,22 +351,18 @@ def test_no_plane_respawns_pool_with_segments(
         _scorer(), 2, context=RunContext([collector])
     ) as pooled:
         results = _each(pooled, sketches, first)
-        assert _live_planes() == []
-        assert pooled.pools_spawned == 1
-        _each(pooled, sketches, first)  # same working set: no respawn
-        assert pooled.pools_spawned == 1
         again = _each(pooled, sketches, second)
-        assert pooled.pools_spawned == 2
+        assert pooled.degraded
+        assert pooled.pools_spawned == 0
         assert pooled.pool_rebuilds == 0
         assert pooled.shm_bytes == 0
     for working, scored in ((first, results), (second, again)):
-        oracle = _each(SerialExecutor(_scorer(batch=False)), sketches, working)
+        oracle = _oracle(sketches, working)
         assert [r.distance for r in scored] == [r.distance for r in oracle]
         assert [r.handler for r in scored] == [r.handler for r in oracle]
-    assert len(collector.of_kind("pool_spawned")) == 2
-    assert collector.of_kind("pool_rebuilt") == []
-    primes = collector.of_kind("segments_primed")
-    assert [p.segment_count for p in primes] == [2, 2]
+    assert len(collector.of_kind("degraded_to_serial")) == 1
+    assert collector.of_kind("pool_spawned") == []
+    assert collector.of_kind("worker_crashed") == []
     assert _live_planes() == []
 
 

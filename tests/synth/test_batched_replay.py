@@ -1,13 +1,12 @@
 """Batched-scoring equivalence suite.
 
-The batched fast path must be *bit-identical* to the scalar reference
-path, not merely close: refinement rankings compare exact floats, and the
-score cache stores them.  These tests pin that equivalence at both
-levels — ``replay_batch`` row-for-row against ``replay_handler``
-(including NaN/inf signal values and the clamp-to-cap divergence
-handling), and ``Scorer.score_sketch`` with the cascade on against the
-scalar loop — plus the satellite behaviors (table-cache LRU bound,
-telemetry counters, non-DTW fallback).
+The one scoring route must be *bit-identical* to the scalar reference,
+not merely close: refinement rankings compare exact floats.  These
+tests pin that equivalence at both levels — ``replay_batch``
+row-for-row against ``replay_handler`` (including NaN/inf signal values
+and the clamp-to-cap divergence handling), and ``Scorer.score_sketch``
+against ``reference_score_sketch`` under every metric — plus the
+satellite behaviors (table-cache LRU bound, telemetry counters).
 """
 
 import struct
@@ -17,13 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.distance.base import METRICS
 from repro.dsl import ast
 from repro.dsl.compiled import compile_sketch_vector
 from repro.dsl.parser import parse
 from repro.dsl.printer import to_text
 from repro.synth.concretize import concretization_assignments
 from repro.synth.replay import replay_batch, replay_handler
-from repro.synth.scoring import Scorer
+from repro.synth import scoring
+from repro.synth.scoring import Scorer, reference_score_sketch
 from repro.synth.sketch import Sketch
 from repro.trace.signals import SIGNAL_NAMES, SignalTable
 
@@ -186,11 +187,19 @@ def _scorer(**overrides):
     return Scorer(**defaults)
 
 
+def _same(scored, reference):
+    """Bit-identical distances (NaN payloads included) and handlers."""
+    assert struct.pack("<d", scored.distance) == struct.pack(
+        "<d", reference.distance
+    )
+    assert to_text(scored.handler) == to_text(reference.handler)
+
+
 @pytest.mark.parametrize("text", SKETCH_TEXTS)
 def test_score_sketch_batch_matches_scalar(text, working):
     sketch = Sketch.from_expr(parse(text))
-    batched = _scorer(batch=True).score_sketch(sketch, working)
-    scalar = _scorer(batch=False).score_sketch(sketch, working)
+    batched = _scorer().score_sketch(sketch, working)
+    scalar = reference_score_sketch(_scorer(), sketch, working)
     assert batched.distance == scalar.distance  # bit-identical, not approx
     assert to_text(batched.handler) == to_text(scalar.handler)
 
@@ -199,7 +208,7 @@ def test_score_sketch_batch_matches_scalar(text, working):
 def unbounded_working(working):
     """*working* plus a segment whose observed series holds an ``inf``:
     LB_Keogh against it is infinite, so no lane of any sketch has a
-    finite lower bound and the batched path probes lane 0."""
+    finite lower bound and the DTW route probes lane 0."""
     from repro.distance.preprocess import downsample
     from repro.runtime.shm import PlaneSegment
 
@@ -218,18 +227,61 @@ def test_score_sketch_without_finite_lower_bound_matches_scalar(
     text, unbounded_working
 ):
     sketch = Sketch.from_expr(parse(text))
-    scorer = _scorer(batch=True)
+    scorer = _scorer()
     batched = scorer.score_sketch(sketch, unbounded_working)
-    scalar = _scorer(batch=False).score_sketch(sketch, unbounded_working)
-    assert scorer.counters.batched_waves == 1  # the batched path ran
-    assert struct.pack("<d", batched.distance) == struct.pack(
-        "<d", scalar.distance
+    scalar = reference_score_sketch(_scorer(), sketch, unbounded_working)
+    assert scorer.counters.batched_waves == 1  # the batched route ran
+    _same(batched, scalar)
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_score_sketch_matches_reference_every_metric(
+    metric, working, unbounded_working
+):
+    """Every metric scores through the one route, bit for bit the
+    reference on every sketch shape, on a clean working set and on one
+    with an ``inf`` in an observed series (where a metric may return
+    ``inf`` or NaN, and a NaN that comes first must win)."""
+    for segments in (working, unbounded_working):
+        for text in SKETCH_TEXTS:
+            sketch = Sketch.from_expr(parse(text))
+            scorer = _scorer(metric_name=metric)
+            scored = scorer.score_sketch(sketch, segments)
+            assert scorer.counters.batched_waves == 1
+            _same(
+                scored,
+                reference_score_sketch(
+                    _scorer(metric_name=metric), sketch, segments
+                ),
+            )
+
+
+def test_score_sketch_without_segments_or_compilation_matches_reference(
+    working, monkeypatch
+):
+    """No working set, or a sketch the backend cannot compile: every
+    concretization scores ``inf`` and the first one is the answer."""
+    from repro.errors import EvaluationError
+
+    sketch = Sketch.from_expr(parse("cwnd + c0 * mss"))
+    _same(
+        _scorer().score_sketch(sketch, []),
+        reference_score_sketch(_scorer(), sketch, []),
     )
-    assert to_text(batched.handler) == to_text(scalar.handler)
+
+    def uncompilable(expr):
+        raise EvaluationError("no backend")
+
+    monkeypatch.setattr(scoring, "compile_handler", uncompilable)
+    monkeypatch.setattr(scoring, "compile_sketch_vector", uncompilable)
+    scored = _scorer().score_sketch(sketch, working)
+    assert scored.distance == float("inf")
+    _same(scored, reference_score_sketch(_scorer(), sketch, working))
 
 
 def test_batched_counters_advance(working):
-    scorer = _scorer(batch=True)
+    scorer = _scorer()
     sketch = Sketch.from_expr(parse("c0 * cwnd + c1 * mss"))
     scorer.score_sketch(sketch, working)
     counters = scorer.counters
@@ -251,26 +303,16 @@ def test_batched_counters_advance(working):
 
 
 def test_scalar_path_leaves_counters_untouched(working):
-    scorer = _scorer(batch=False)
-    scorer.score_sketch(
-        Sketch.from_expr(parse("c0 * cwnd + c1 * mss")), working
+    scorer = _scorer()
+    reference_score_sketch(
+        scorer, Sketch.from_expr(parse("c0 * cwnd + c1 * mss")), working
     )
     assert scorer.counters.as_tuple() == (0, 0, 0, 0, 0, 0, 0.0)
 
 
-def test_non_dtw_metric_falls_back_to_scalar(working):
-    sketch = Sketch.from_expr(parse("cwnd + c0 * mss"))
-    batched = _scorer(metric_name="euclidean", batch=True)
-    scored = batched.score_sketch(sketch, working)
-    assert batched.counters.batched_waves == 0  # fell back
-    reference = _scorer(metric_name="euclidean", batch=False).score_sketch(
-        sketch, working
-    )
-    assert scored.distance == reference.distance
-
-
-def test_table_cache_is_lru_capped(reno_segments):
-    scorer = _scorer(table_cache_entries=2)
+def test_table_cache_is_lru_capped(reno_segments, monkeypatch):
+    monkeypatch.setattr(scoring, "DEFAULT_TABLE_CACHE_ENTRIES", 2)
+    scorer = _scorer()
     assert len(reno_segments) >= 4
     for segment in reno_segments[:4]:
         scorer.table_for(segment)

@@ -1,5 +1,7 @@
 """Refinement-loop tests (Algorithm 1) on a tiny DSL so they stay fast."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dsl import RENO_DSL, with_budget
@@ -155,14 +157,16 @@ def test_custom_seed_changes_nothing_structural(reno_segments):
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-def test_batch_scoring_off_is_bit_identical(reno_segments, workers):
-    """The batched fast path is an execution detail: at any worker count
-    its rankings, survivors and final handler match the scalar oracle at
+def test_refinement_matches_scalar_oracle(reno_segments, workers, monkeypatch):
+    """The batched route is an execution detail: at any worker count
+    its rankings, survivors and final handler match the scalar oracle
+    (``reference_score_sketch`` in place of ``Scorer.score_sketch``) at
     ``workers=1`` exactly, while the telemetry shows the batched run
     actually pruned work."""
     from repro.runtime import CollectorSink, RunContext, ScoringStats
+    from repro.synth.scoring import Scorer, reference_score_sketch
 
-    config = dict(
+    config = SynthesisConfig(
         initial_samples=6,
         initial_keep=3,
         completion_cap=8,
@@ -170,23 +174,23 @@ def test_batch_scoring_off_is_bit_identical(reno_segments, workers):
         exhaustive_cap=120,
     )
 
-    def run(batch: bool, workers: int):
+    def run(workers: int):
         collector = CollectorSink()
         with RunContext([collector]) as context:
             result = synthesize(
                 reno_segments[:6],
                 TINY,
-                SynthesisConfig(
-                    batch_scoring=batch, workers=workers, **config
-                ),
+                replace(config, workers=workers),
                 context=context,
             )
         return result, [
             e for e in collector.events if isinstance(e, ScoringStats)
         ]
 
-    batched, batched_stats = run(True, workers)
-    scalar, scalar_stats = run(False, 1)
+    batched, batched_stats = run(workers)
+    with monkeypatch.context() as patched:
+        patched.setattr(Scorer, "score_sketch", reference_score_sketch)
+        scalar, scalar_stats = run(1)
     assert batched.expression == scalar.expression
     assert batched.best.distance == scalar.best.distance
     assert batched.iterations == scalar.iterations  # full ranking identity

@@ -99,3 +99,16 @@ def test_table_cache_is_identity_safe(scorer, reno_trace):
         lengths.add(len(table))
         del segment
     assert len(lengths) == 1  # always the same segment's table
+
+
+def test_scoring_route_has_no_switches():
+    """Every sketch scores through one route: the scorer takes no batch
+    switch or cache size, and the synthesis config no batch knob."""
+    from repro.synth.refinement import SynthesisConfig
+
+    with pytest.raises(TypeError):
+        Scorer(batch=False)
+    with pytest.raises(TypeError):
+        Scorer(table_cache_entries=2)
+    with pytest.raises(TypeError):
+        SynthesisConfig(batch_scoring=False)

@@ -263,9 +263,10 @@ def test_synthesize_parser_accepts_resilience_flags():
 
 
 def test_synthesize_no_batch_and_scoring_report(tmp_path, capsys):
-    """--report json carries the batched-scoring counters, --no-batch
-    zeroes them without changing the result, and the text summary names
-    the prune counters."""
+    """--report json carries the batched-scoring counters, the text
+    summary names the prune counters, and the removed --no-batch flag
+    is refused with exit status 2 (every sketch scores through one
+    route)."""
     archive = tmp_path / "reno.json"
     main(
         [
@@ -284,11 +285,10 @@ def test_synthesize_no_batch_and_scoring_report(tmp_path, capsys):
     assert batched["scoring"]["batched_waves"] > 0
     assert batched["scoring"]["lb_pruned"] > 0
 
-    assert main(base + ["--no-batch", "--report", "json"]) == 0
-    scalar = json.loads(capsys.readouterr().out)
-    assert scalar["scoring"]["batched_waves"] == 0
-    assert scalar["handler"] == batched["handler"]
-    assert scalar["distance"] == batched["distance"]
+    with pytest.raises(SystemExit) as refused:
+        main(base + ["--no-batch", "--report", "json"])
+    assert refused.value.code == 2
+    assert "--no-batch" in capsys.readouterr().err
 
     assert main(base) == 0
     text = capsys.readouterr().out

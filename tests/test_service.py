@@ -76,6 +76,7 @@ def test_submit_rejects_unknown_config_key(tmp_path):
         "checkpoint_every",
         "cache_max_entries",
         "cache_scores",
+        "batch_scoring",
         "workers",
         "max_pool_rebuilds",
         "watchdog_seconds",
