@@ -123,6 +123,14 @@ def _load_or_collect(args: argparse.Namespace) -> list[Trace]:
     raise SystemExit("error: provide --traces FILE or --cca NAME")
 
 
+_TIME_BUDGET_HELP = (
+    "wall-clock budget, checked between iterations and before the "
+    "exhaustive pass; the run stops there with its best-so-far answer, "
+    "so it can overrun the budget by one iteration or by the exhaustive "
+    "pass"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -168,7 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="scoring processes (1 = serial; >1 spawns one pool per run)",
     )
     synthesize.add_argument(
-        "--time-budget", type=float, default=None, help="seconds"
+        "--time-budget",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help=_TIME_BUDGET_HELP,
     )
     synthesize.add_argument(
         "--progress",
@@ -278,7 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--keep", type=int, default=5, help="initial k")
     submit.add_argument("--iterations", type=int, default=3)
     submit.add_argument(
-        "--time-budget", type=float, default=None, help="seconds"
+        "--time-budget",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help=_TIME_BUDGET_HELP + " (counted from when a server first "
+        "services the job, other jobs' slices included; a takeover "
+        "restarts it)",
     )
     submit.add_argument(
         "--priority",
@@ -551,6 +569,7 @@ def _json_report(report, collector: CollectorSink, context: RunContext) -> dict:
         "handlers_scored": report.result.total_handlers_scored,
         "sketches_drawn": report.result.total_sketches_drawn,
         "elapsed_seconds": report.result.elapsed_seconds,
+        "budget_exceeded": report.result.budget_exceeded,
         "faults": {
             "quarantined": [
                 {"sketch": q.sketch, "reason": q.reason, "detail": q.detail}

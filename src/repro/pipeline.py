@@ -81,6 +81,11 @@ class PipelineReport:
             if result.degraded:
                 notes.append("degraded to serial")
             text += f"\nfaults:     {', '.join(notes)}"
+        if result.budget_exceeded:
+            text += (
+                f"\nbudget:     stopped by the time budget after "
+                f"{len(result.iterations)} iteration(s); best so far"
+            )
         if self.triage is not None:
             summary = self.triage
             notes = [f"{summary.accepted} trace(s) accepted"]

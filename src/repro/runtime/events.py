@@ -190,7 +190,10 @@ class WaveDispatched(Event):
 
 @dataclass(frozen=True)
 class BudgetExceeded(Event):
-    """The wall-clock budget tripped (possibly mid-wave)."""
+    """The wall-clock budget expired at a boundary: after an iteration
+    (*phase* ``"refinement"``: the loop stops there) or before the
+    exhaustive pass (``"exhaustive"``: the pass is skipped).  Emitted at
+    most once per run."""
 
     kind: ClassVar[str] = "budget_exceeded"
     phase: str

@@ -32,13 +32,12 @@ executor, a pooled executor's sub-:data:`MIN_PARALLEL_SKETCHES` waves,
 and a degraded pool) runs it over the whole wave.  ``workers=1`` is the
 code a pool worker runs, only in-process.
 
-Both enforce a wall-clock ``deadline`` *inside* a scoring wave: the
-in-process loop checks it between sketches, the pooled path bounds how
-long it waits on each future and cancels the rest, so a single large
-bucket can no longer overshoot ``time_budget_seconds`` unboundedly.
-``min_results`` sketches per group are always scored even past the
-deadline (the refinement loop needs every live bucket to receive at
-least one score to produce a ranking).
+A wave always scores every sketch it holds: neither executor reads the
+clock to decide what to score.  The run's wall-clock budget is checked
+by the refinement loop between iterations, never inside a wave, so a
+ranking cannot depend on where the clock fell.  Only hangs bound a
+wave's wait, through the per-sketch watchdog and the parent's backstop
+(below).
 
 Fault tolerance (``docs/RESILIENCE.md``) is layered on top:
 
@@ -135,35 +134,27 @@ _PLANE_LRU_ENTRIES = 8
 
 
 def wave_order(
-    sizes: Sequence[int], min_results: int, run_length: int = 1
+    sizes: Sequence[int], run_length: int = 1
 ) -> list[tuple[int, int]]:
     """Flat dispatch order for one fused wave, as ``(group, member)``
     pairs.
 
-    The first ``max(1, min_results)`` rounds are strict round-robin —
-    every group's leaders up front, covering the deadline-mandatory
-    prefix (the first ``sum(min(size, m))`` tasks hold every group's
-    first ``m`` members) and seeding each group's incumbent bound as
-    early as possible — then the remainder round-robins in *runs* of
-    ``run_length`` consecutive same-group members.  With
+    Every group's leader comes first, in one round-robin round, seeding
+    each group's incumbent bound as early as possible (the pooled leader
+    primer waits on exactly these tasks); then the remainder round-robins
+    in *runs* of ``run_length`` consecutive same-group members.  With
     ``run_length=1`` this is plain round-robin (the serial executor's
     choice: incumbents refresh every task); pooled waves set it to their
     submission chunk size, so each chunk is a same-group run that
     tightens its bound internally at in-process freshness, while
     round-robin over runs keeps every group's pipeline shallow enough
     that the parent's cross-chunk updates stay warm too.  Any prefix of
-    the flat order still maps to per-group prefixes, which is what
-    positional scatter and crash-retry prefix retention need.
+    the flat order maps to per-group prefixes, which is what positional
+    scatter and crash-retry prefix retention need.
     """
-    rounds = max(1, min_results)
-    order = [
-        (group, rank)
-        for rank in range(rounds)
-        for group, size in enumerate(sizes)
-        if rank < size
-    ]
+    order = [(group, 0) for group, size in enumerate(sizes) if size]
     step = max(1, run_length)
-    cursors = [min(rounds, size) for size in sizes]
+    cursors = [min(1, size) for size in sizes]
     remaining = sum(size - cursor for size, cursor in zip(sizes, cursors))
     while remaining:
         for group, size in enumerate(sizes):
@@ -180,11 +171,11 @@ def _scatter(
     flat: Sequence["ScoredHandler"],
     group_count: int,
 ) -> list[list["ScoredHandler"]]:
-    """Route a flat (possibly cut-short) result prefix back per group.
+    """Route a wave's flat results back per group.
 
     The wave order preserves member order within each group, so
-    appending in flat order rebuilds positionally-aligned result
-    prefixes, one per group.
+    appending in flat order rebuilds positionally-aligned result lists,
+    one per group.
     """
     grouped: list[list[ScoredHandler]] = [[] for _ in range(group_count)]
     for (group, _), scored in zip(order, flat):
@@ -264,8 +255,6 @@ def _score_tasks(
     fault_plan: FaultPlan | None,
     in_worker: bool,
     generation: int = 0,
-    deadline: float | None = None,
-    exempt: int = 0,
 ) -> "tuple[list[ScoredHandler | _WorkerFailure], float]":
     """Score a run of ``(group, sketch)`` tasks against one scorer.
 
@@ -274,19 +263,12 @@ def _score_tasks(
     the incumbent only ever holds a distance an earlier group member
     achieved, so group minima stay exact.  Every task runs under the
     watchdog and the fault guard, and a failure comes back as a
-    :class:`_WorkerFailure` marker.  Only in-process callers pass a
-    *deadline*; the first *exempt* tasks (the mandatory prefix) are
-    scored past it.  Returns the outcomes and the seconds spent.
+    :class:`_WorkerFailure` marker.  Returns the outcomes and the
+    seconds spent.
     """
     started = time.perf_counter()
     outcomes: list[ScoredHandler | _WorkerFailure] = []
-    for index, (group, sketch) in enumerate(tasks):
-        if (
-            deadline is not None
-            and index >= exempt
-            and time.perf_counter() >= deadline
-        ):
-            break
+    for group, sketch in tasks:
         incumbent = incumbents[group]
         text = str(sketch)
         try:
@@ -393,18 +375,14 @@ class SerialExecutor:
     def _open_wave(
         self,
         groups: Sequence[Sequence[Sketch]],
-        min_results: int,
         *,
         workers: int,
         run_length: int = 1,
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, Sketch]], int]:
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, Sketch]]]:
         """Flatten *groups* into one wave's dispatch order, then count
-        and announce the wave.  Returns the order, its tasks, and the
-        deadline-exempt prefix length (``min_results`` per group)."""
+        and announce the wave.  Returns the order and its tasks."""
         groups = [list(group) for group in groups]
-        order = wave_order(
-            [len(group) for group in groups], min_results, run_length
-        )
+        order = wave_order([len(group) for group in groups], run_length)
         tasks = [(group, groups[group][rank]) for group, rank in order]
         if tasks:
             self._waves.fused_waves += 1
@@ -414,8 +392,7 @@ class SerialExecutor:
                     groups=len(groups), tasks=len(tasks), workers=workers
                 )
             )
-        mandatory = sum(min(len(group), min_results) for group in groups)
-        return order, tasks, mandatory
+        return order, tasks
 
     def _note_inline_wave(self, occupancy: float) -> None:
         self._waves.peak_in_flight = max(self._waves.peak_in_flight, 1)
@@ -425,8 +402,6 @@ class SerialExecutor:
         self,
         tasks: Sequence[tuple[int, Sketch]],
         segments: Sequence[TraceSegment],
-        deadline: float | None,
-        exempt: int,
         incumbents: list[float],
     ) -> list[ScoredHandler]:
         """Run the task routine over *tasks* in this process."""
@@ -439,8 +414,6 @@ class SerialExecutor:
             watchdog_seconds=self.watchdog_seconds,
             fault_plan=self.fault_plan,
             in_worker=False,
-            deadline=deadline,
-            exempt=exempt,
         )
         return [
             self._resolve_outcome(sketch, outcome)
@@ -451,25 +424,16 @@ class SerialExecutor:
         self,
         groups: Sequence[Sequence[Sketch]],
         segments: Sequence[TraceSegment],
-        *,
-        deadline: float | None = None,
-        min_results: int = 0,
     ) -> list[list[ScoredHandler]]:
         """Score all *groups* as one fused wave; one result list per
-        group, each positionally aligned with a prefix of its group
-        (*min_results* members guaranteed **per group**, as far as each
-        group's size allows).  Group minima are exact; individual
-        distances may be ``inf`` when the group's incumbent bound proved
-        them non-minimal."""
-        order, tasks, mandatory = self._open_wave(
-            groups, min_results, workers=1
-        )
+        group, positionally aligned with its group.  Group minima are
+        exact; individual distances may be ``inf`` when the group's
+        incumbent bound proved them non-minimal."""
+        order, tasks = self._open_wave(groups, workers=1)
         if tasks:
             self._note_inline_wave(1.0)
         incumbents = [math.inf] * len(groups)
-        flat = self._score_inline(
-            tasks, segments, deadline, mandatory, incumbents
-        )
+        flat = self._score_inline(tasks, segments, incumbents)
         return _scatter(order, flat, len(groups))
 
     # ------------------------------------------------------------------
@@ -807,33 +771,9 @@ class PooledExecutor(SerialExecutor):
             return None
         return self.watchdog_seconds * 4.0 + 10.0
 
-    def _wait_bound(
-        self,
-        index: int,
-        exempt: int,
-        deadline: float | None,
-        backstop: float | None,
-    ) -> tuple[float | None, str | None]:
-        """``(timeout, binding)`` for one future; binding names which
-        limit would fire ("deadline" cuts the wave, "backstop" means a
-        wedged worker)."""
-        if index < exempt:
-            # The mandatory prefix must be scored even past the deadline,
-            # but a configured watchdog still bounds the wait — this is
-            # the path that used to block forever on a hung worker.
-            return (backstop, "backstop" if backstop is not None else None)
-        if deadline is not None:
-            remaining = deadline - time.perf_counter()
-            if backstop is None or remaining <= backstop:
-                return (remaining, "deadline")
-            return (backstop, "backstop")
-        return (backstop, "backstop" if backstop is not None else None)
-
     def _pool_wave(
         self,
         tasks: Sequence[tuple[int, Sketch]],
-        deadline: float | None,
-        exempt: int,
         incumbents: list[float],
         handle: PlaneHandle,
     ) -> list[ScoredHandler]:
@@ -853,13 +793,13 @@ class PooledExecutor(SerialExecutor):
 
         The wave opens with a *leader primer*: while any group still has
         an infinite incumbent, only the chunks holding the first
-        ``primer`` tasks — the round-robin prefix with each fresh
-        group's first member, the mandatory prefix the deadline contract
-        already pins — are in flight.  Their exact distances seed the
-        incumbents before the window floods, so the bulk of the wave is
-        submitted with real bounds instead of the stale infinities a
-        full-depth pipeline would freeze in (crash-retry suffixes arrive
-        with warm incumbents and skip the primer entirely).
+        ``primer`` tasks — the leaders round of :func:`wave_order`,
+        which holds each fresh group's first member — are in flight.
+        Their exact distances seed the incumbents before the window
+        floods, so the bulk of the wave is submitted with real bounds
+        instead of the stale infinities a full-depth pipeline would
+        freeze in (crash-retry suffixes arrive with warm incumbents and
+        skip the primer entirely).
         """
         assert self._pool is not None
         completed: list[ScoredHandler] = []
@@ -940,29 +880,13 @@ class PooledExecutor(SerialExecutor):
             )
 
         top_up()
-        cut_short = False
         while pending:
             chunk, future = pending.popleft()
-            if cut_short:
-                future.cancel()
-                continue
-            timeout, binding = self._wait_bound(
-                len(completed), exempt, deadline, backstop
-            )
-            if timeout is not None and binding == "backstop":
-                # One future now carries len(chunk) tasks of work.
-                timeout = timeout * len(chunk)
-            if timeout is not None and timeout <= 0 and binding == "deadline":
-                cut_short = True
-                future.cancel()
-                continue
+            # One future carries len(chunk) tasks of work.
+            timeout = backstop * len(chunk) if backstop is not None else None
             try:
                 outcomes, seconds, counts = future.result(timeout=timeout)
             except FutureTimeoutError:
-                if binding == "deadline":
-                    cut_short = True
-                    future.cancel()
-                    continue
                 # The worker-side watchdog attributes per-task hangs; the
                 # parent backstop cannot see inside the chunk, so blame
                 # falls on its head (exact when chunks are single-task,
@@ -1004,15 +928,11 @@ class PooledExecutor(SerialExecutor):
         self,
         groups: Sequence[Sequence[Sketch]],
         segments: Sequence[TraceSegment],
-        *,
-        deadline: float | None = None,
-        min_results: int = 0,
     ) -> list[list[ScoredHandler]]:
         """Score all *groups* as one fused wave on the pool (same
         contract as :meth:`SerialExecutor.score_grouped`)."""
-        order, tasks, mandatory = self._open_wave(
+        order, tasks = self._open_wave(
             groups,
-            min_results,
             workers=self.workers,
             run_length=derive_chunksize(
                 sum(len(group) for group in groups), self.workers
@@ -1024,19 +944,14 @@ class PooledExecutor(SerialExecutor):
             # buckets ride the fused dispatch with everything else.
             if tasks:
                 self._note_inline_wave(1.0 / self.workers)
-            flat = self._score_inline(
-                tasks, segments, deadline, mandatory, incumbents
-            )
+            flat = self._score_inline(tasks, segments, incumbents)
             return _scatter(order, flat, len(groups))
         flat: list[ScoredHandler] = []
         while len(flat) < len(tasks):
             remaining = tasks[len(flat):]
-            exempt = max(0, mandatory - len(flat))
             if self.degraded:
                 flat.extend(
-                    self._score_inline(
-                        remaining, segments, deadline, exempt, incumbents
-                    )
+                    self._score_inline(remaining, segments, incumbents)
                 )
                 break
             handle = self._prime(segments)
@@ -1045,9 +960,7 @@ class PooledExecutor(SerialExecutor):
                 continue
             try:
                 flat.extend(
-                    self._pool_wave(
-                        remaining, deadline, exempt, incumbents, handle
-                    )
+                    self._pool_wave(remaining, incumbents, handle)
                 )
                 self.supervisor.record_success()
                 break

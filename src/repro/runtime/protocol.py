@@ -47,21 +47,20 @@ class WaveRequest:
     may split it into several ``score_grouped`` calls at group
     boundaries — warm-start incumbents are per-group and group minima
     are exact, so any group-aligned slicing returns bit-identical
-    rankings, checkpoints, and best handlers (``min_results`` is a
-    per-group guarantee and carries into every slice unchanged).
+    rankings, checkpoints, and best handlers.  Every sketch of every
+    group is scored; the core checks its time budget only between
+    waves.
     """
 
     scorer: Any  #: repro.synth.scoring.Scorer, the same one every wave
     groups: tuple  #: tuple of sketch sequences, one per bucket
     segments: Sequence  #: the working set (shared trace segments)
-    deadline: float | None
-    min_results: int
     phase: str  #: "refinement" | "exhaustive"
 
 
 @dataclass(frozen=True)
 class WaveReply:
-    """Per-group result prefixes, positionally aligned with the request's
+    """Per-group results, positionally aligned with the request's
     groups, plus the executor's state after the wave.
 
     ``quarantined`` and ``pool_rebuilds`` are the run's cumulative

@@ -221,12 +221,7 @@ class Scheduler:
         pending.cursor += take
         quarantined_before = len(executor.quarantined)
         rebuilds_before = executor.pool_rebuilds
-        grouped = executor.score_grouped(
-            slice_groups,
-            request.segments,
-            deadline=request.deadline,
-            min_results=request.min_results,
-        )
+        grouped = executor.score_grouped(slice_groups, request.segments)
         pending.grouped.extend(grouped)
         job.quarantined.extend(executor.quarantined[quarantined_before:])
         job.pool_rebuilds += executor.pool_rebuilds - rebuilds_before

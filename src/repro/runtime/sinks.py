@@ -122,8 +122,12 @@ class ConsoleProgressSink:
             )
         elif isinstance(event, BudgetExceeded):
             self._say(
-                f"time budget of {event.budget_seconds:.1f}s exceeded "
-                f"during {event.phase}",
+                f"time budget of {event.budget_seconds:.1f}s exceeded, "
+                + (
+                    "refinement stops"
+                    if event.phase == "refinement"
+                    else "exhaustive pass skipped"
+                ),
                 t,
             )
         elif isinstance(event, RunFinished):

@@ -15,11 +15,14 @@ Execution rides on :mod:`repro.runtime`: one scoring executor per run
 through a :class:`~repro.runtime.context.RunContext`.  Neither changes
 results: any worker count, with or without sinks, ranks bit-identically.
 
-``time_budget_seconds`` is enforced *inside* scoring waves, not just
-between iterations: the deadline is passed down to the executor, which
-stops dispatching once it trips (while still scoring at least one
-sketch per live bucket so a ranking always exists), so a single large
-bucket cannot overshoot the budget unboundedly.
+``time_budget_seconds`` is a wall-clock test at iteration boundaries:
+after each iteration's checkpoint, and before the exhaustive pass.  A
+wave that has been dispatched always scores every sketch it holds, so
+the budget decides only *how many* iterations run, never what one
+concludes: a budgeted run's checkpoints are the uninterrupted run's
+prefix, and resuming one converges to the same answer.  A run can
+overrun its budget by one iteration, or by the exhaustive pass; a run
+the budget stopped says so in ``SynthesisResult.budget_exceeded``.
 
 Fault tolerance (``docs/RESILIENCE.md``): the executor quarantines
 candidates that hang, raise, or crash their worker (worst-case score
@@ -98,7 +101,9 @@ class SynthesisConfig:
     #: Scoring cost knobs, forwarded to :class:`~repro.synth.scoring.Scorer`.
     series_budget: int = 128
     max_replay_rows: int = 384
-    #: Wall-clock budget; enforced inside scoring waves (best-so-far wins).
+    #: Wall-clock budget, checked between iterations and before the
+    #: exhaustive pass (best-so-far wins); a run can overrun it by one
+    #: iteration or by the exhaustive pass.
     time_budget_seconds: float | None = None
     #: Per-sketch watchdog: a candidate scoring longer than this is
     #: quarantined (worst-case score) instead of wedging the run.
@@ -145,9 +150,11 @@ def _run_fingerprint(
 
     Only inputs that shape the search's *decisions* belong here: the
     DSL, the schedule, the scoring knobs, and the trace corpus size.
-    Execution knobs (workers, watchdog, budgets) change wall
-    clock, never results, so a run checkpointed with 4 workers can be
-    resumed with 1 — or vice versa.
+    Execution knobs (workers, watchdog) change wall clock, never
+    results, so a run checkpointed with 4 workers can be resumed with 1
+    — or vice versa.  The time budget only decides how many iterations
+    run: a budgeted run's checkpoints are a prefix of the unbudgeted
+    run's, so it resumes under any budget or none.
     """
     return {
         "dsl": dsl.name,
@@ -204,11 +211,8 @@ def synthesize_core(
     initial_bucket_count = len(pool.buckets)
     state = _LoopState()
     started = time.perf_counter()
-    deadline = (
-        started + config.time_budget_seconds
-        if config.time_budget_seconds is not None
-        else None
-    )
+    budget = config.time_budget_seconds
+    budget_exceeded = False
 
     ctx.emit(
         RunStarted(
@@ -220,18 +224,23 @@ def synthesize_core(
         )
     )
 
-    def out_of_time() -> bool:
-        return deadline is not None and time.perf_counter() >= deadline
-
-    def note_budget(phase: str) -> None:
-        assert config.time_budget_seconds is not None
-        ctx.emit(
-            BudgetExceeded(
-                phase=phase,
-                budget_seconds=config.time_budget_seconds,
-                elapsed_seconds=time.perf_counter() - started,
-            )
-        )
+    def out_of_budget(phase: str) -> bool:
+        """Read the clock at a boundary.  The first reading past the
+        budget emits ``budget_exceeded`` for *phase* (the loop it stops,
+        or the exhaustive pass it skips) and marks the result."""
+        nonlocal budget_exceeded
+        if budget is not None and not budget_exceeded:
+            elapsed = time.perf_counter() - started
+            if elapsed >= budget:
+                budget_exceeded = True
+                ctx.emit(
+                    BudgetExceeded(
+                        phase=phase,
+                        budget_seconds=budget,
+                        elapsed_seconds=elapsed,
+                    )
+                )
+        return budget_exceeded
 
     fingerprint = _run_fingerprint(dsl, config, len(segments))
     prior_quarantine: list[Quarantined] = []
@@ -382,8 +391,6 @@ def synthesize_core(
                 scorer=scorer,
                 groups=tuple(tuple(bucket.drawn) for bucket in buckets),
                 segments=working,
-                deadline=deadline,
-                min_results=1,
                 phase="refinement",
             )
             for bucket, results in zip(buckets, last.grouped):
@@ -447,14 +454,11 @@ def synthesize_core(
                 ),
                 handlers_scored=state.handlers_scored,
             )
-            if out_of_time():
-                note_budget("refinement")
-                break
-            if finished:
+            if out_of_budget("refinement") or finished:
                 break
 
     # Final exhaustive pass over the surviving bucket(s), within the cap.
-    if not out_of_time():
+    if not out_of_budget("exhaustive"):
         with ctx.timer("exhaustive"):
             working = _working_set(
                 segments, segment_count, config.seed + config.max_iterations
@@ -477,15 +481,11 @@ def synthesize_core(
                     scorer=scorer,
                     groups=tuple(tuple(fresh) for fresh in fresh_groups),
                     segments=working,
-                    deadline=deadline,
-                    min_results=0,
                     phase="exhaustive",
                 )
                 for results in last.grouped:
                     for result in results:
                         state.observe(result, 1)
-                if out_of_time():
-                    note_budget("exhaustive")
 
     run_quarantine = prior_quarantine + list(last.quarantined)
     if state.best is None:
@@ -502,6 +502,7 @@ def synthesize_core(
         quarantined=tuple(run_quarantine),
         pool_rebuilds=last.pool_rebuilds,
         degraded=last.degraded,
+        budget_exceeded=budget_exceeded,
     )
     ctx.emit(
         RunFinished(
@@ -557,10 +558,7 @@ def drive(
                     fault_plan=config.fault_plan,
                 )
             grouped = executor.score_grouped(
-                request.groups,
-                request.segments,
-                deadline=request.deadline,
-                min_results=request.min_results,
+                request.groups, request.segments
             )
             reply = WaveReply(
                 grouped=tuple(grouped),

@@ -61,6 +61,10 @@ class SynthesisResult:
     pool_rebuilds: int = 0
     #: True when supervision fell back to serial scoring mid-run.
     degraded: bool = False
+    #: True when ``time_budget_seconds`` stopped the loop at an
+    #: iteration boundary or skipped the exhaustive pass: the answer is
+    #: the best so far, not the full search's.
+    budget_exceeded: bool = False
 
     @property
     def expression(self) -> str:
@@ -88,4 +92,6 @@ class SynthesisResult:
             if self.degraded:
                 notes.append("degraded to serial")
             text += f"  [faults: {', '.join(notes)}]"
+        if self.budget_exceeded:
+            text += "  [stopped by the time budget]"
         return text

@@ -1,6 +1,4 @@
-"""Executor tests: serial/pooled agreement, priming, deadlines, chunking."""
-
-import time
+"""Executor tests: serial/pooled agreement, priming, wave order, chunking."""
 
 import pytest
 
@@ -70,18 +68,6 @@ def test_serial_matches_direct_scoring(sketches, reno_segments):
         )
 
 
-def test_serial_deadline_cuts_wave_short(sketches, reno_segments):
-    executor = SerialExecutor(_scorer())
-    expired = time.perf_counter() - 1.0
-    assert executor.score_grouped(
-        [sketches], reno_segments[:1], deadline=expired
-    ) == [[]]
-    (partial,) = executor.score_grouped(
-        [sketches], reno_segments[:1], deadline=expired, min_results=2
-    )
-    assert len(partial) == 2
-
-
 # ------------------------------------------------------------------- pooled
 
 
@@ -121,15 +107,6 @@ def test_pooled_tiny_wave_stays_in_process(sketches, reno_segments):
         results = _each(pooled, sketches[:2], reno_segments[:1])
     assert len(results) == 2
     assert collector.of_kind("pool_spawned") == []  # never forked
-
-
-def test_pooled_deadline_respects_min_results(sketches, reno_segments):
-    with PooledExecutor(_scorer(), 2) as pooled:
-        expired = time.perf_counter() - 1.0
-        (results,) = pooled.score_grouped(
-            [sketches], reno_segments[:1], deadline=expired, min_results=1
-        )
-    assert len(results) == 1
 
 
 def test_pooled_rejects_single_worker():
@@ -216,41 +193,41 @@ def test_pooled_stats_without_fork_match_serial(
 def test_wave_order_leaders_then_runs():
     from repro.runtime.executors import wave_order
 
-    # min_results=1, run_length=1: leaders round, then plain
-    # round-robin.
-    assert wave_order([2, 3, 1], 1) == [
+    # run_length=1: leaders round, then plain round-robin.
+    assert wave_order([2, 3, 1]) == [
         (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2),
     ]
     # run_length=2: leaders first, then same-group runs of two,
     # round-robined across groups.
-    assert wave_order([3, 4, 1], 1, run_length=2) == [
+    assert wave_order([3, 4, 1], run_length=2) == [
         (0, 0), (1, 0), (2, 0),
         (0, 1), (0, 2), (1, 1), (1, 2),
         (1, 3),
     ]
-    assert wave_order([], 1) == []
-    assert wave_order([0, 2], 1, run_length=4) == [(1, 0), (1, 1)]
+    assert wave_order([]) == []
+    assert wave_order([0, 2], run_length=4) == [(1, 0), (1, 1)]
 
 
-def test_wave_order_prefix_covers_min_results():
-    """The first sum(min(size, m)) tasks hold every group's first m
-    members — the deadline contract — for any run length."""
+def test_wave_order_leaders_first_and_prefixes_per_group():
+    """Every group's leader comes first, and any flat prefix maps to
+    per-group rank prefixes, for any run length — what positional
+    scatter and crash-retry prefix retention rely on."""
     from repro.runtime.executors import wave_order
 
-    sizes = [4, 1, 7, 3]
-    for m in (1, 2, 3):
-        for run_length in (1, 2, 5):
-            order = wave_order(sizes, m, run_length=run_length)
-            mandatory = sum(min(size, m) for size in sizes)
-            prefix = order[:mandatory]
-            for group, size in enumerate(sizes):
-                want = {(group, rank) for rank in range(min(size, m))}
-                assert want <= set(prefix)
-            # Any flat prefix maps to per-group rank prefixes.
-            seen = [0] * len(sizes)
-            for group, rank in order:
-                assert rank == seen[group]
-                seen[group] += 1
+    sizes = [4, 1, 7, 0, 3]
+    for run_length in (1, 2, 5):
+        order = wave_order(sizes, run_length=run_length)
+        leaders = [(group, 0) for group, size in enumerate(sizes) if size]
+        assert order[: len(leaders)] == leaders
+        assert sorted(order) == sorted(
+            (group, rank)
+            for group, size in enumerate(sizes)
+            for rank in range(size)
+        )
+        seen = [0] * len(sizes)
+        for group, rank in order:
+            assert rank == seen[group]
+            seen[group] += 1
 
 
 def test_serial_grouped_minima_match_per_group(sketches, reno_segments):
@@ -276,20 +253,6 @@ def test_serial_grouped_minima_match_per_group(sketches, reno_segments):
                 ).distance
 
 
-def test_serial_grouped_deadline_keeps_min_results_per_group(
-    sketches, reno_segments
-):
-    executor = SerialExecutor(_scorer())
-    expired = time.perf_counter() - 1.0
-    grouped = executor.score_grouped(
-        [sketches[:3], sketches[3:]],
-        reno_segments[:1],
-        deadline=expired,
-        min_results=1,
-    )
-    assert [len(results) for results in grouped] == [1, 1]
-
-
 def test_pooled_grouped_matches_serial_grouped(sketches, reno_segments):
     working = reno_segments[:2]
     groups = [sketches[:3], sketches[3:]]
@@ -301,20 +264,6 @@ def test_pooled_grouped_matches_serial_grouped(sketches, reno_segments):
         assert min(r.distance for r in mine) == min(
             r.distance for r in theirs
         )
-
-
-def test_pooled_grouped_deadline_keeps_min_results_per_group(
-    sketches, reno_segments
-):
-    with PooledExecutor(_scorer(), 2) as pooled:
-        expired = time.perf_counter() - 1.0
-        grouped = pooled.score_grouped(
-            [sketches[:3], sketches[3:]],
-            reno_segments[:1],
-            deadline=expired,
-            min_results=1,
-        )
-    assert [len(results) for results in grouped] == [1, 1]
 
 
 def test_grouped_fuses_small_groups_onto_pool(sketches, reno_segments):

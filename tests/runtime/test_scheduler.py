@@ -303,8 +303,6 @@ def test_sub_parallel_waves_never_spawn_a_pool(reno_segments):
             scorer=scorer,
             groups=(sketches,),  # 2 tasks < MIN_PARALLEL_SKETCHES
             segments=segments,
-            deadline=None,
-            min_results=0,
             phase="refinement",
         )
         return reply.grouped

@@ -108,6 +108,7 @@ def test_time_budget_stops_early(reno_segments):
     )
     result = synthesize(reno_segments[:4], TINY, config)
     assert len(result.iterations) == 1  # stopped right after iteration 1
+    assert result.budget_exceeded
 
 
 def test_rank_of_helper(result):

@@ -8,11 +8,13 @@ from — the tiny budgets the rest of the suite uses collapse to a single
 iteration and would only exercise the resume-from-finished path.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
 
 from repro.dsl import family, with_budget
+from repro.dsl.printer import to_text
 from repro.errors import SynthesisError
 from repro.runtime.sinks import CollectorSink
 from repro.runtime.context import RunContext
@@ -153,3 +155,57 @@ def test_resume_can_change_worker_count(full_run, segments, tmp_path):
         segments, DSL, replace(CONFIG, resume_path=str(path), workers=2)
     )
     _same_outcome(resumed, full)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budget_stop_resumes_to_full_run(full_run, segments, tmp_path, workers):
+    """A run the time budget stops leaves the uninterrupted run's first
+    checkpoint, byte for byte, and resuming it without a budget lands on
+    the uninterrupted result: the budget is checked only at iteration
+    boundaries, so it never changes what an iteration concludes."""
+    full, lines = full_run
+    path = tmp_path / "budgeted.jsonl"
+    stopped = synthesize(
+        segments,
+        DSL,
+        replace(
+            CONFIG,
+            checkpoint_path=str(path),
+            time_budget_seconds=0.0,
+            workers=workers,
+        ),
+    )
+    assert len(stopped.iterations) == 1
+    assert stopped.budget_exceeded
+    assert path.read_text(encoding="utf-8").splitlines() == lines[:1]
+    resumed = synthesize(
+        segments,
+        DSL,
+        replace(CONFIG, resume_path=str(path), workers=workers),
+    )
+    _same_outcome(resumed, full)
+    assert not resumed.budget_exceeded
+
+
+def test_budget_skipping_exhaustive_pass_is_marked(full_run, segments, tmp_path):
+    """A resumed run whose loop already finished meets the budget only
+    before the exhaustive pass: skipping that pass is marked too, with
+    one ``budget_exceeded`` event, and the answer is the checkpoint's."""
+    _, lines = full_run
+    path = tmp_path / "finished.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    collector = CollectorSink()
+    with RunContext([collector]) as ctx:
+        resumed = synthesize(
+            segments,
+            DSL,
+            replace(CONFIG, resume_path=str(path), time_budget_seconds=0.0),
+            context=ctx,
+        )
+    assert resumed.budget_exceeded
+    assert [e.phase for e in collector.of_kind("budget_exceeded")] == [
+        "exhaustive"
+    ]
+    finished = json.loads(lines[-1])
+    assert resumed.total_handlers_scored == finished["handlers_scored"]
+    assert to_text(resumed.best.handler) == finished["best_expression"]

@@ -2,8 +2,8 @@
 
 These pin the contract the `repro.runtime` refactor makes: parallel and
 serial runs agree bit-for-bit, one process pool serves a whole run, the
-event stream covers every iteration, and the time budget is enforced
-*inside* scoring waves.
+event stream covers every iteration, and the time budget stops a run only
+at an iteration boundary, never inside a scoring wave.
 """
 
 import pytest
@@ -88,24 +88,39 @@ def test_parallel_run_spawns_at_most_one_pool(reno_segments):
 
 
 def test_budget_enforced_inside_waves(reno_segments):
-    """With an already-expired budget, every bucket scores exactly its
-    guaranteed minimum of one sketch: the wave is cut short *inside*,
-    not only between iterations."""
-    collector = CollectorSink()
-    result = synthesize(
-        reno_segments[:4],
-        TINY,
-        _config(max_iterations=5, time_budget_seconds=0.0),
-        context=RunContext([collector]),
-    )
-    assert len(result.iterations) == 1  # stopped right after iteration 1
-    waves = collector.of_kind("bucket_scored")
-    assert waves
-    assert all(event.sketches == 1 for event in waves)
-    budget = collector.of_kind("budget_exceeded")
-    assert budget and budget[0].phase == "refinement"
-    # Best-so-far still exists despite the truncated waves.
-    assert result.best.distance < float("inf")
+    """Inside a wave an expired budget cuts nothing: the run stops at the
+    first iteration boundary, after every bucket scored as many sketches
+    as in the unbudgeted run's first iteration, and one
+    ``budget_exceeded`` event marks the stop."""
+    def run(**overrides):
+        collector = CollectorSink()
+        result = synthesize(
+            reno_segments[:4],
+            TINY,
+            _config(max_iterations=5, **overrides),
+            context=RunContext([collector]),
+        )
+        return result, collector
+
+    budgeted, collector = run(time_budget_seconds=0.0)
+    full, full_collector = run()
+    assert len(budgeted.iterations) == 1  # stopped right after iteration 1
+    assert budgeted.iterations[0] == full.iterations[0]
+    scored = [
+        (event.bucket, event.sketches, event.score)
+        for event in collector.of_kind("bucket_scored")
+    ]
+    assert scored == [
+        (event.bucket, event.sketches, event.score)
+        for event in full_collector.of_kind("bucket_scored")
+        if event.iteration == 1
+    ]
+    assert any(sketches > 1 for _, sketches, _ in scored)
+    (budget,) = collector.of_kind("budget_exceeded")
+    assert budget.phase == "refinement"
+    assert budgeted.budget_exceeded and not full.budget_exceeded
+    assert "time budget" in budgeted.summary()
+    assert full_collector.of_kind("budget_exceeded") == []
 
 
 def test_null_context_keeps_phase_timers_private(reno_segments):

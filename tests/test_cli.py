@@ -126,6 +126,7 @@ def test_synthesize_run_log_and_json_report(tmp_path, capsys):
     assert report["dsl"] == "reno-3"
     assert report["handler"]
     assert report["iterations"]
+    assert report["budget_exceeded"] is False
     assert "cache" not in report
     assert "phase_seconds" in report
 
@@ -140,6 +141,36 @@ def test_synthesize_run_log_and_json_report(tmp_path, capsys):
     iteration_events = [e for e in events if e["event"] == "iteration_finished"]
     assert len(iteration_events) == len(report["iterations"])
     assert all("t" in event for event in events)
+
+
+def test_synthesize_json_report_marks_budget_stop(tmp_path, capsys):
+    """An answer the time budget cut short says so in the JSON report."""
+    archive = tmp_path / "reno.json"
+    main(
+        [
+            "collect", "--cca", "reno", "--out", str(archive),
+            "--bandwidth", "10", "--rtt", "50", "--duration", "10",
+        ]
+    )
+    capsys.readouterr()
+    code = main(
+        [
+            "synthesize",
+            "--traces", str(archive),
+            "--dsl", "reno",
+            "--max-depth", "2",
+            "--max-nodes", "3",
+            "--samples", "4",
+            "--iterations", "1",
+            "--time-budget", "0",
+            "--report", "json",
+        ]
+    )
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["budget_exceeded"] is True
+    assert report["handler"]
+    assert len(report["iterations"]) == 1
 
 
 def test_synthesize_progress_and_summary_table(tmp_path, capsys):
