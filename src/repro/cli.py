@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.cca.registry import ALL_CCAS, cca_names
@@ -966,7 +967,19 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        status = _COMMANDS[args.command](args)
+        # Flush here, so a reader that went away (``repro ... | head``)
+        # is met inside this block and not in the exit-time flush.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The Python docs' recipe (signal module, "Note on SIGPIPE"):
+        # point stdout at devnull so the exit-time flush cannot raise
+        # again, and fail as a writer whose pipe closed does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

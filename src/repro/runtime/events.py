@@ -141,9 +141,9 @@ class ScoringStats(Event):
     Mirrors :class:`repro.synth.scoring.ScoringCounters`: how many sketch
     waves took the batched fast path, how many candidate×segment distance
     computations the lower-bound cascade skipped (``lb_pruned``), how many
-    DTW dynamic programs were abandoned mid-run (``dp_abandoned``), and how
-    many whole candidates were discarded without a full score
-    (``candidates_pruned``).
+    DTW lanes the kernel reports abandoned, by a DP or from the memo
+    (``dp_abandoned``), and how many whole candidates were discarded
+    without a full score (``candidates_pruned``).
     """
 
     kind: ClassVar[str] = "scoring_stats"

@@ -35,7 +35,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.distance.base import DEFAULT_METRIC, get_metric
-from repro.distance.dtw import band_width, dtw_distance_batch, inflate_bound
+from repro.distance.dtw import (
+    DTWMemo,
+    band_width,
+    dtw_distance_batch,
+    inflate_bound,
+)
 from repro.distance.lb import keogh_envelope, keogh_envelope_batch
 from repro.distance.preprocess import downsample
 from repro.dsl.compiled import compile_handler, compile_sketch_vector
@@ -200,7 +205,7 @@ class ScoringCounters:
     batched_waves: int = 0
     #: Candidate×segment distance computations skipped by LB_Keogh.
     lb_pruned: int = 0
-    #: DTW dynamic programs abandoned mid-row by the bound.
+    #: DTW lanes the kernel reports abandoned, by a DP or from the memo.
     dp_abandoned: int = 0
     #: Candidates dropped because their partial mean was already
     #: unbeatable (includes candidates whose segment loop stopped early).
@@ -236,7 +241,10 @@ class _SegmentEntry:
     one of the K×segments candidate evaluations; the LB_Keogh envelope
     is built lazily on first prescreen use (reach =
     :func:`~repro.distance.dtw.band_width` of the banded DP, so the
-    bound stays valid for every cell the DP can visit).
+    bound stays valid for every cell the DP can visit).  ``dtw_memo``
+    holds every DTW the sweeps ran against ``downsampled``, so a replay
+    any earlier lane or sketch produced runs no second DP; it lives and
+    dies with the entry.
     """
 
     segment: TraceSegment
@@ -244,6 +252,7 @@ class _SegmentEntry:
     observed: np.ndarray
     downsampled: np.ndarray
     envelope_cache: tuple[np.ndarray, np.ndarray] | None = None
+    dtw_memo: DTWMemo = field(default_factory=DTWMemo)
 
     def envelope(self) -> tuple[np.ndarray, np.ndarray]:
         if self.envelope_cache is None:
@@ -683,6 +692,7 @@ class Scorer:
                 queries_by_segment[seg_index][lanes[live]],
                 entry.downsampled,
                 bounds=bounds,
+                memo=entry.dtw_memo,
             )
             self.counters.batched_dtw_sweeps += 1
             # An abandoned DP (or a truly infinite distance, equally

@@ -27,7 +27,9 @@ CONFIG = SynthesisConfig(
     initial_keep=4,
     completion_cap=4,
     max_iterations=2,
-    exhaustive_cap=30,
+    # Above the 32 sketches per bucket iteration 2 draws, so the
+    # exhaustive pass scores sketches a resume has to score again.
+    exhaustive_cap=40,
     series_budget=48,
     max_replay_rows=192,
 )
@@ -65,6 +67,10 @@ def test_full_run_checkpoints_every_iteration(full_run):
     result, lines = full_run
     assert len(result.iterations) == 2
     assert len(lines) == 2
+    # The exhaustive pass scores something beyond the loop's last
+    # iteration, so resuming a finished loop has work to redo.
+    last = result.iterations[-1]
+    assert result.total_handlers_scored > last.handlers_scored
 
 
 def test_resume_from_mid_run_boundary_matches_full(full_run, segments, tmp_path):

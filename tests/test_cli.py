@@ -5,6 +5,9 @@ scope via the traces file produced by collect.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,28 @@ def test_zoo_lists_all(capsys):
     out = capsys.readouterr().out
     for name in ("reno", "cubic", "bbr", "student7"):
         assert name in out
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that closes the pipe at once (``repro zoo | true``) ends
+    the command with status 1 and no traceback on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, ["src", env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "zoo"],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
 
 
 def test_collect_writes_archive(tmp_path, capsys):
