@@ -34,22 +34,26 @@ differential harness in ``tests/integration`` enforces this).
 
 All repairs are pure (the input trace is never mutated) and
 deterministic: no randomness is involved, so the same hostile trace
-always repairs to the same bytes.  They run row by row, over the
-trace's ``acks`` view, on the dirty path only, and pack the repaired
-rows back into a columnar trace.
+always repairs to the same bytes.  Each defect class that repair mends
+(non-finite cells, negative cells, duplicate rows, ``ack_seq``
+regressions, clock jumps) is found by one detector over the trace's
+columns, and both its validation check and its repair pass call it, so
+the two cannot disagree on what the defect is.  Repair is column
+operations throughout: excisions are masks, the re-sort is a stable
+``argsort``, and the clock-jump pass loops over jumps, not rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.trace.model import ACK_FIELDS, AckRecord, LossRecord, Trace, counter
+from repro.trace.model import ACK_FIELDS, LossRecord, Trace, counter
 
 __all__ = [
     "TraceDefect",
@@ -160,12 +164,108 @@ class RepairAction:
 
 
 # ---------------------------------------------------------------------------
+# Defect detectors
+#
+# Each defect class that repair mends is found by one function over a
+# trace's columns (a ``Trace.columns()`` mapping): validation formats
+# its hits, and the repair pass drops or mends the same rows.
+
+Columns = dict[str, np.ndarray]
+
+
+def _nonfinite_cells(columns: Columns) -> dict[str, np.ndarray]:
+    """Per field, in report order, the rows whose cell is NaN or ±inf
+    (a missing RTT sample is no cell)."""
+    cells = {
+        name: ~np.isfinite(columns[name])
+        for name in ACK_FIELDS[:-1]
+        if name != "rtt_sample"
+    }
+    cells["rtt_sample"] = columns["has_rtt"] & ~np.isfinite(
+        columns["rtt_sample"]
+    )
+    return cells
+
+
+def _negative_cells(columns: Columns) -> dict[str, np.ndarray]:
+    """Per field, the rows whose byte count or window is below zero, or
+    whose RTT sample is not above it (``-inf`` included)."""
+    cells = {
+        name: columns[name] < 0
+        for name in ("acked_bytes", "cwnd_bytes", "inflight_bytes")
+    }
+    cells["rtt_sample"] = columns["has_rtt"] & (columns["rtt_sample"] <= 0)
+    return cells
+
+
+def _any_cell(cells: dict[str, np.ndarray]) -> np.ndarray:
+    """The rows with at least one flagged cell."""
+    return np.logical_or.reduce(list(cells.values()))
+
+
+def _duplicate_rows(columns: Columns) -> np.ndarray:
+    """The rows equal, cell for cell, to an earlier row: ``-0.0``
+    equals ``0.0``, and a NaN cell a NaN cell.
+
+    Only rows that share a row hash can be equal, so the full-row
+    comparison runs over those alone, in row order.
+    """
+    bits = []
+    for name in ACK_FIELDS[:-1]:
+        values = columns[name] + 0.0
+        values[np.isnan(values)] = np.nan
+        bits.append(values.view(np.uint64))
+    bits += [columns[name].astype(np.uint64) for name in ("dupack", "has_rtt")]
+    mixed = np.zeros(len(columns["time"]), dtype=np.uint64)
+    for column in bits:
+        mixed ^= column
+        mixed *= np.uint64(0x9E3779B97F4A7C15)
+    ordered = np.sort(mixed)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    duplicates = np.zeros(len(mixed), dtype=bool)
+    if shared.size:
+        seen: set[tuple] = set()
+        for row in np.flatnonzero(np.isin(mixed, shared)).tolist():
+            key = tuple(int(column[row]) for column in bits)
+            duplicates[row] = key in seen
+            seen.add(key)
+    return duplicates
+
+
+def _seq_regressions(columns: Columns) -> tuple[np.ndarray, np.ndarray]:
+    """The new-data rows whose cumulative ACK falls below the highest
+    earlier one, and that highest ACK for each.  A NaN compares false
+    both ways, so it restarts the running highest."""
+    rows = np.flatnonzero(~columns["dupack"])
+    seq = columns["ack_seq"][rows]
+    nan = np.isnan(seq)
+    values = np.where(nan, -np.inf, seq)
+    highest = np.full(len(seq), -np.inf)
+    restarts = np.flatnonzero(nan).tolist()
+    for start, stop in zip([0, *restarts], [*restarts, len(seq)]):
+        if stop - start > 1:
+            highest[start + 1 : stop] = np.maximum.accumulate(
+                values[start : stop - 1]
+            )
+    regressed = seq < highest
+    return rows[regressed], highest[regressed]
+
+
+def _clock_jumps(time: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows more than :data:`CLOCK_JUMP_SECONDS` after the finite
+    time before them, and those gaps."""
+    rows = np.flatnonzero(np.isfinite(time))
+    gaps = np.diff(time[rows])
+    jumps = gaps > CLOCK_JUMP_SECONDS
+    return rows[1:][jumps], gaps[jumps]
+
+
+# ---------------------------------------------------------------------------
 # Stage 1: validation
 #
-# Each check computes one mask per defect class over the trace's columns
-# and returns ``(counts, defects)``: exact per-class counts, and the
-# defect records in the order a row-by-row walk would meet them, built
-# lazily so that only the first few per class are ever formatted.
+# Each check returns ``(counts, defects)``: exact per-class counts, and
+# the defect records in the order a row-by-row walk would meet them,
+# built lazily so that only the first few per class are ever formatted.
 
 Check = Callable[[Trace], "tuple[dict[str, int], Iterator[TraceDefect]]"]
 
@@ -205,17 +305,12 @@ def _check_rtt_samples(trace: Trace):
 
 
 def _check_nonfinite_fields(trace: Trace):
-    fields = {
-        name: ~np.isfinite(getattr(trace, name))
-        for name in ACK_FIELDS[:-1]
-        if name != "rtt_sample"
-    }
-    fields["rtt_sample"] = trace.has_rtt & ~np.isfinite(trace.rtt_sample)
+    cells = _nonfinite_cells(trace.columns())
     counts, acks = _flagged(
         "nonfinite_field",
-        np.flatnonzero(np.logical_or.reduce(list(fields.values()))),
+        np.flatnonzero(_any_cell(cells)),
         lambda k, row: f"ack[{row}] has non-finite "
-        + "/".join(name for name, mask in fields.items() if mask[row]),
+        + "/".join(name for name, mask in cells.items() if mask[row]),
     )
     losses = np.flatnonzero(~np.isfinite(trace.loss_times()))
     counts["nonfinite_field"] += len(losses)
@@ -231,17 +326,16 @@ def _check_nonfinite_fields(trace: Trace):
 
 
 def _check_negative_fields(trace: Trace):
-    fields = {}
-    for name in ("acked_bytes", "cwnd_bytes", "inflight_bytes"):
-        column = getattr(trace, name)
-        fields[name] = np.isfinite(column) & (column < 0)
-    rtt = trace.rtt_sample
-    fields["rtt_sample"] = trace.has_rtt & np.isfinite(rtt) & (rtt <= 0)
+    # A non-finite cell is reported as non-finite, not also as negative.
+    cells = {
+        name: mask & np.isfinite(getattr(trace, name))
+        for name, mask in _negative_cells(trace.columns()).items()
+    }
     return _flagged(
         "negative_field",
-        np.flatnonzero(np.logical_or.reduce(list(fields.values()))),
+        np.flatnonzero(_any_cell(cells)),
         lambda k, row: f"ack[{row}] has negative "
-        + "/".join(name for name, mask in fields.items() if mask[row]),
+        + "/".join(name for name, mask in cells.items() if mask[row]),
     )
 
 
@@ -260,52 +354,18 @@ def _check_monotonic_time(trace: Trace):
 
 
 def _check_clock_jump(trace: Trace):
-    # The gap to the previous finite time.
-    rows = np.flatnonzero(np.isfinite(trace.time))
-    gaps = np.diff(trace.time[rows])
-    jumps = gaps > CLOCK_JUMP_SECONDS
-    jump_gaps = gaps[jumps]
+    rows, gaps = _clock_jumps(trace.time)
     return _flagged(
         "clock_jump",
-        rows[1:][jumps],
-        lambda k, row: f"ack[{row}] jumps {jump_gaps[k]:.1f}s forward",
+        rows,
+        lambda k, row: f"ack[{row}] jumps {gaps[k]:.1f}s forward",
     )
 
 
-def _cell_bits(trace: Trace) -> list[np.ndarray]:
-    """Each column as uint64 bit patterns, equal exactly when the cells
-    are: ``-0.0`` reads as ``0.0``, and every NaN as one NaN."""
-    columns = []
-    for name in ACK_FIELDS[:-1]:
-        values = getattr(trace, name) + 0.0
-        values[np.isnan(values)] = np.nan
-        columns.append(values.view(np.uint64))
-    return columns + [
-        trace.dupack.astype(np.uint64),
-        trace.has_rtt.astype(np.uint64),
-    ]
-
-
 def _check_duplicate_acks(trace: Trace):
-    # Only acks that share a row hash can be exact duplicates, so the
-    # full-row comparison runs over those alone, in row order.
-    columns = _cell_bits(trace)
-    mixed = np.zeros(len(trace), dtype=np.uint64)
-    for bits in columns:
-        mixed ^= bits
-        mixed *= np.uint64(0x9E3779B97F4A7C15)
-    ordered = np.sort(mixed)
-    shared = ordered[1:][ordered[1:] == ordered[:-1]]
-    duplicates = np.zeros(len(trace), dtype=bool)
-    if shared.size:
-        seen: set[tuple] = set()
-        for row in np.flatnonzero(np.isin(mixed, shared)).tolist():
-            key = tuple(int(bits[row]) for bits in columns)
-            duplicates[row] = key in seen
-            seen.add(key)
     return _flagged(
         "duplicate_ack",
-        np.flatnonzero(duplicates),
+        np.flatnonzero(_duplicate_rows(trace.columns())),
         lambda k, row: f"ack[{row}] duplicates an earlier record "
         f"(seq {counter(float(trace.ack_seq[row]))} "
         f"at t={trace.time[row]:.6f})",
@@ -313,25 +373,13 @@ def _check_duplicate_acks(trace: Trace):
 
 
 def _check_ack_seq_regression(trace: Trace):
-    # A new-data ack regresses below the highest earlier one.  A NaN
-    # compares false both ways, so it restarts the running highest.
-    rows = np.flatnonzero(~trace.dupack)
-    seq = trace.ack_seq[rows]
-    nan = np.isnan(seq)
-    values = np.where(nan, -np.inf, seq)
-    highest = np.full(len(seq), -np.inf)
-    restarts = np.flatnonzero(nan).tolist()
-    for start, stop in zip([0, *restarts], [*restarts, len(seq)]):
-        if stop - start > 1:
-            highest[start + 1 : stop] = np.maximum.accumulate(
-                values[start : stop - 1]
-            )
-    regressed = seq < highest
-    found, below = seq[regressed].tolist(), highest[regressed].tolist()
+    rows, below = _seq_regressions(trace.columns())
+    below = below.tolist()
     return _flagged(
         "ack_seq_regression",
-        rows[regressed],
-        lambda k, row: f"ack[{row}] cumulative seq {counter(found[k])} "
+        rows,
+        lambda k, row: f"ack[{row}] cumulative seq "
+        f"{counter(float(trace.ack_seq[row]))} "
         f"regresses below {counter(below[k])}",
     )
 
@@ -437,88 +485,63 @@ def validate_trace(trace: Trace) -> DefectReport:
 
 # ---------------------------------------------------------------------------
 # Stage 2: repair passes (pure, deterministic, each reports touch count)
+#
+# A pass takes the working columns and returns new ones: the trace's
+# own columns are read-only, and no pass walks the rows.
 
 
-def _repair_excise_unusable(acks: list[AckRecord]) -> tuple[list, int]:
-    """Drop records whose time cannot be trusted at all (NaN/inf)."""
-    kept = [ack for ack in acks if math.isfinite(ack.time)]
-    return kept, len(acks) - len(kept)
+def _rows(columns: Columns, rows) -> Columns:
+    """*columns* at *rows* (a slice or row indices)."""
+    return {name: column[rows] for name, column in columns.items()}
 
 
-def _repair_nonfinite_values(acks: list[AckRecord]) -> tuple[list, int]:
-    """Interpolate or excise non-finite payload fields.
+def _drop(columns: Columns, rows: np.ndarray) -> Columns:
+    """*columns* without *rows* (a mask or row indices)."""
+    return {name: np.delete(column, rows) for name, column in columns.items()}
 
+
+def _repair_nonfinite_values(columns: Columns) -> tuple[Columns, int]:
+    """Excise non-finite counters, unset non-finite RTT samples, and
+    interpolate non-finite windows.
+
+    Records whose counters (``ack_seq`` or a byte count) are non-finite
+    are dropped: there is nothing to interpolate a *count* from.
     ``cwnd_bytes`` interpolates linearly between the nearest finite
-    neighbors (window evolution is piecewise-smooth between losses);
-    non-finite RTT samples become ``None`` (no sample); records whose
-    counters (``ack_seq`` or a byte count) are non-finite are dropped —
-    there is nothing to interpolate a *count* from.
+    neighbors (window evolution is piecewise-smooth between losses), and
+    a window at either end copies its one neighbor.  With no finite
+    window left no record is kept, and every one counts as touched on
+    top of the RTT samples already unset.
     """
-    touched = 0
-    kept: list[AckRecord] = []
-    for ack in acks:
-        if not (
-            math.isfinite(ack.ack_seq)
-            and math.isfinite(ack.acked_bytes)
-            and math.isfinite(ack.inflight_bytes)
-        ):
-            touched += 1
-            continue
-        if ack.rtt_sample is not None and not math.isfinite(ack.rtt_sample):
-            ack = dc_replace(ack, rtt_sample=None)
-            touched += 1
-        kept.append(ack)
-    # Interpolate non-finite cwnd from finite neighbors.
-    finite_indices = [
-        i for i, ack in enumerate(kept) if math.isfinite(ack.cwnd_bytes)
-    ]
-    if finite_indices and len(finite_indices) < len(kept):
-        for i, ack in enumerate(kept):
-            if math.isfinite(ack.cwnd_bytes):
-                continue
-            before = max(
-                (j for j in finite_indices if j < i), default=None
-            )
-            after = min((j for j in finite_indices if j > i), default=None)
-            if before is not None and after is not None:
-                lo, hi = kept[before], kept[after]
-                frac = (i - before) / (after - before)
-                value = lo.cwnd_bytes + frac * (hi.cwnd_bytes - lo.cwnd_bytes)
-            elif before is not None:
-                value = kept[before].cwnd_bytes
-            elif after is not None:
-                value = kept[after].cwnd_bytes
-            else:  # pragma: no cover - guarded by finite_indices truthiness
-                continue
-            kept[i] = dc_replace(ack, cwnd_bytes=value)
-            touched += 1
-    elif not finite_indices:
-        touched += len(kept)
-        kept = []
-    return kept, touched
-
-
-def _repair_negative_values(acks: list[AckRecord]) -> tuple[list, int]:
-    """Excise records with negative counters or windows.
-
-    A negative byte count or window is field corruption, not
-    observation noise; the neighboring records are the trustworthy
-    signal, so the corrupt record is removed rather than clamped to a
-    fabricated value.
-    """
-    def bad(ack: AckRecord) -> bool:
-        return (
-            ack.acked_bytes < 0
-            or ack.cwnd_bytes < 0
-            or ack.inflight_bytes < 0
-            or (ack.rtt_sample is not None and ack.rtt_sample <= 0)
+    cells = _nonfinite_cells(columns)
+    counters = cells["ack_seq"] | cells["acked_bytes"] | cells["inflight_bytes"]
+    columns = _drop(columns, counters)
+    unset = np.delete(cells["rtt_sample"], counters)
+    columns["has_rtt"] = columns["has_rtt"] & ~unset
+    columns["rtt_sample"] = np.where(unset, np.nan, columns["rtt_sample"])
+    touched = int(counters.sum() + unset.sum())
+    cwnd = columns["cwnd_bytes"]
+    holes = ~np.isfinite(cwnd)
+    if holes.all():
+        return _rows(columns, slice(0)), touched + len(cwnd)
+    if holes.any():
+        # Each row's nearest finite neighbors (itself when finite).
+        rows = np.arange(len(cwnd))
+        before = np.maximum.accumulate(np.where(holes, -1, rows))
+        after = np.minimum.accumulate(np.where(holes, len(cwnd), rows)[::-1])[
+            ::-1
+        ]
+        before = np.where(before < 0, after, before)
+        after = np.where(after == len(cwnd), before, after)
+        lo, hi = cwnd[before], cwnd[after]
+        frac = (rows - before) / np.maximum(after - before, 1)
+        columns["cwnd_bytes"] = np.where(
+            before == after, lo, lo + frac * (hi - lo)
         )
+        touched += int(holes.sum())
+    return columns, touched
 
-    kept = [ack for ack in acks if not bad(ack)]
-    return kept, len(acks) - len(kept)
 
-
-def _repair_clock_jump(acks: list[AckRecord]) -> tuple[list, int, str]:
+def _repair_clock_jump(columns: Columns) -> tuple[Columns, int, str]:
     """De-skew forward clock jumps; truncate short trailing garbage.
 
     A forward discontinuity larger than :data:`CLOCK_JUMP_SECONDS`
@@ -526,93 +549,43 @@ def _repair_clock_jump(acks: list[AckRecord]) -> tuple[list, int, str]:
     (< :data:`TRAILING_GARBAGE_FRACTION` of the trace) it is dropped as
     trailing garbage; otherwise every subsequent timestamp shifts back
     so the gap collapses to the median inter-ACK spacing — preserving
-    the suffix's internal timing.
+    the suffix's internal timing.  One jump at a time, in row order,
+    each found in the times the earlier shifts left.
     """
-    if len(acks) < 2:
-        return acks, 0, ""
-    gaps = sorted(
-        b.time - a.time
-        for a, b in zip(acks, acks[1:])
-        if 0 <= b.time - a.time <= CLOCK_JUMP_SECONDS
+    time = columns["time"].copy()
+    if len(time) < 2:
+        return columns, 0, ""
+    gaps = np.diff(time)
+    gaps = np.sort(
+        gaps[(gaps >= 0) & (gaps <= CLOCK_JUMP_SECONDS)], kind="stable"
     )
-    median_gap = gaps[len(gaps) // 2] if gaps else 0.0
-    out = list(acks)
+    median_gap = float(gaps[len(gaps) // 2]) if len(gaps) else 0.0
     touched = 0
     detail = ""
     index = 1
-    while index < len(out):
-        jump = out[index].time - out[index - 1].time
-        if jump > CLOCK_JUMP_SECONDS:
-            suffix = len(out) - index
-            if suffix <= max(2, int(len(out) * TRAILING_GARBAGE_FRACTION)):
-                touched += suffix
-                detail = f"truncated {suffix} trailing record(s)"
-                out = out[:index]
-                break
-            shift = jump - median_gap
-            out[index:] = [
-                dc_replace(ack, time=ack.time - shift)
-                for ack in out[index:]
-            ]
-            # The corrupt datum is the one discontinuity; the shift
-            # restores the timeline without losing any record, so the
-            # quality-relevant touch count is 1 per jump, not the
-            # suffix length.
-            touched += 1
-            detail = f"de-skewed {suffix} record(s) by {shift:.1f}s"
+    while True:
+        rows, jumps = _clock_jumps(time[index - 1 :])
+        if not len(rows):
+            break
+        index += int(rows[0]) - 1
+        suffix = len(time) - index
+        if suffix <= max(2, int(len(time) * TRAILING_GARBAGE_FRACTION)):
+            columns["time"] = time
+            columns = _rows(columns, slice(index))
+            return columns, touched + suffix, (
+                f"truncated {suffix} trailing record(s)"
+            )
+        shift = float(jumps[0]) - median_gap
+        time[index:] -= shift
+        # The corrupt datum is the one discontinuity; the shift
+        # restores the timeline without losing any record, so the
+        # quality-relevant touch count is 1 per jump, not the
+        # suffix length.
+        touched += 1
+        detail = f"de-skewed {suffix} record(s) by {shift:.1f}s"
         index += 1
-    return out, touched, detail
-
-
-def _repair_resort_time(acks: list[AckRecord]) -> tuple[list, int]:
-    """Stable re-sort by timestamp (jitter/shuffle de-skew).
-
-    ``sorted`` is stable, so equal-time records keep their arrival
-    order; touch count is the number of records whose position changed.
-    """
-    resorted = sorted(acks, key=lambda ack: ack.time)
-    touched = sum(
-        1 for before, after in zip(acks, resorted) if before is not after
-    )
-    return resorted, touched
-
-
-def _repair_duplicate_acks(acks: list[AckRecord]) -> tuple[list, int]:
-    """Drop exact-duplicate ack records, keeping first occurrences.
-
-    The earlier passes leave no NaN cell, so tuple equality is the
-    validation's cell equality.
-    """
-    seen: set[tuple] = set()
-    kept: list[AckRecord] = []
-    for ack in acks:
-        key = (
-            ack.time,
-            ack.ack_seq,
-            ack.acked_bytes,
-            ack.rtt_sample,
-            ack.cwnd_bytes,
-            ack.inflight_bytes,
-            ack.dupack,
-        )
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(ack)
-    return kept, len(acks) - len(kept)
-
-
-def _repair_ack_seq_regression(acks: list[AckRecord]) -> tuple[list, int]:
-    """Drop new-data records whose cumulative ACK regresses."""
-    kept: list[AckRecord] = []
-    highest: int | None = None
-    for ack in acks:
-        if not ack.dupack:
-            if highest is not None and ack.ack_seq < highest:
-                continue
-            highest = ack.ack_seq
-        kept.append(ack)
-    return kept, len(acks) - len(kept)
+    columns["time"] = time
+    return columns, touched, detail
 
 
 def _repair_losses(
@@ -642,68 +615,56 @@ def repair_trace(trace: Trace) -> tuple[Trace, list[RepairAction]]:
 
     Pure: *trace* is never mutated.  Passes run in dependency order —
     excision before de-skew (NaN times cannot be sorted), de-skew
-    before dedup (duplicates are defined on final timestamps).
+    before dedup (duplicates are defined on final timestamps).  Each
+    excision drops the rows a detector finds; the re-sort is a stable
+    ``argsort`` and touches every row it moves.
     """
     actions: list[RepairAction] = []
-    acks = list(trace.acks)
 
-    acks, touched = _repair_excise_unusable(acks)
-    if touched:
-        actions.append(
-            RepairAction("excise_unusable", touched, "non-finite timestamps")
-        )
-    acks, touched = _repair_nonfinite_values(acks)
-    if touched:
-        actions.append(
-            RepairAction(
-                "nonfinite_values", touched, "interpolated/excised NaN-inf"
-            )
-        )
-    acks, touched = _repair_negative_values(acks)
-    if touched:
-        actions.append(
-            RepairAction("negative_values", touched, "excised negatives")
-        )
-    acks, touched = _repair_resort_time(acks)
-    if touched:
-        actions.append(
-            RepairAction("resort_time", touched, "stable re-sort by time")
-        )
-    acks, touched, detail = _repair_clock_jump(acks)
-    if touched:
-        actions.append(RepairAction("clock_jump", touched, detail))
-    acks, touched = _repair_duplicate_acks(acks)
-    if touched:
-        actions.append(
-            RepairAction("duplicate_acks", touched, "exact-duplicate dedup")
-        )
-    acks, touched = _repair_ack_seq_regression(acks)
-    if touched:
-        actions.append(
-            RepairAction(
-                "ack_seq_regression", touched, "dropped regressing acks"
-            )
-        )
+    def log(repair: str, touched: int, detail: str) -> None:
+        if touched:
+            actions.append(RepairAction(repair, touched, detail))
 
-    span = None
-    times = [ack.time for ack in acks]
-    if times:
-        span = (min(times), max(times))
+    columns = trace.columns()
+    unusable = _nonfinite_cells(columns)["time"]
+    columns = _drop(columns, unusable)
+    log("excise_unusable", int(unusable.sum()), "non-finite timestamps")
+    columns, touched = _repair_nonfinite_values(columns)
+    log("nonfinite_values", touched, "interpolated/excised NaN-inf")
+    negative = _any_cell(_negative_cells(columns))
+    columns = _drop(columns, negative)
+    log("negative_values", int(negative.sum()), "excised negatives")
+    order = np.argsort(columns["time"], kind="stable")
+    columns = _rows(columns, order)
+    moved = int((order != np.arange(len(order))).sum())
+    log("resort_time", moved, "stable re-sort by time")
+    columns, touched, detail = _repair_clock_jump(columns)
+    log("clock_jump", touched, detail)
+    duplicates = _duplicate_rows(columns)
+    columns = _drop(columns, duplicates)
+    log("duplicate_acks", int(duplicates.sum()), "exact-duplicate dedup")
+    regressions, _ = _seq_regressions(columns)
+    columns = _drop(columns, regressions)
+    log("ack_seq_regression", len(regressions), "dropped regressing acks")
+
+    time = columns["time"]
+    span = (float(time.min()), float(time.max())) if len(time) else None
     losses, touched = _repair_losses(list(trace.losses), span)
-    if touched:
-        actions.append(
-            RepairAction("loss_records", touched, "span/dedup loss hygiene")
-        )
+    log("loss_records", touched, "span/dedup loss hygiene")
 
     if not actions:
         return trace, []
-    repaired = Trace(
-        cca_name=trace.cca_name,
-        environment_label=trace.environment_label,
-        mss=trace.mss,
-        acks=acks,
-        losses=losses,
-        meta=dict(trace.meta),
+    # A count is stored as the number a row holds (``counter``), which
+    # reads -0.0 as 0.
+    for name in ("ack_seq", "acked_bytes", "inflight_bytes"):
+        columns[name] = columns[name] + 0.0
+    repaired = Trace.from_columns(
+        trace.cca_name,
+        trace.environment_label,
+        trace.mss,
+        columns,
+        losses,
+        dict(trace.meta),
     )
     return repaired, actions
 
