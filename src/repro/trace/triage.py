@@ -549,8 +549,10 @@ def _repair_clock_jump(columns: Columns) -> tuple[Columns, int, str]:
     (< :data:`TRAILING_GARBAGE_FRACTION` of the trace) it is dropped as
     trailing garbage; otherwise every subsequent timestamp shifts back
     so the gap collapses to the median inter-ACK spacing — preserving
-    the suffix's internal timing.  One jump at a time, in row order,
-    each found in the times the earlier shifts left.
+    the suffix's internal timing, and never to before the time it
+    follows (with a zero median gap the subtraction can round the suffix
+    a few ulps below it).  One jump at a time, in row order, each found
+    in the times the earlier shifts left.
     """
     time = columns["time"].copy()
     if len(time) < 2:
@@ -576,7 +578,9 @@ def _repair_clock_jump(columns: Columns) -> tuple[Columns, int, str]:
                 f"truncated {suffix} trailing record(s)"
             )
         shift = float(jumps[0]) - median_gap
-        time[index:] -= shift
+        shifted = time[index:] - shift
+        before = time[index - 1]
+        time[index:] = np.where(shifted < before, before, shifted)
         # The corrupt datum is the one discontinuity; the shift
         # restores the timeline without losing any record, so the
         # quality-relevant touch count is 1 per jump, not the

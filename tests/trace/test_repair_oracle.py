@@ -13,7 +13,8 @@ actions and quality, and the very same trace when nothing needed repair.
 Two habits of the row walk are part of the contract: a count read back
 through ``counter`` stores ``-0.0`` as ``0.0``, and when no finite
 window is left the touch count still includes the RTT samples that
-were dropped.
+were dropped.  Both sides carry the de-skew guard: a shifted suffix
+never starts before the time it follows.
 """
 
 from __future__ import annotations
@@ -29,10 +30,14 @@ from repro.trace.triage import (
     CLOCK_JUMP_SECONDS,
     LOSS_EPOCH_EPSILON,
     LOSS_SPAN_MARGIN,
+    REPAIRABLE_DEFECTS,
     TRAILING_GARBAGE_FRACTION,
     RepairAction,
+    TriagePolicy,
     repair_trace,
     trace_quality,
+    triage_trace,
+    validate_trace,
 )
 
 NAN = float("nan")
@@ -105,7 +110,8 @@ def _repair_negative_values(acks):
 
 
 def _repair_clock_jump(acks):
-    """De-skew forward clock jumps; truncate short trailing garbage."""
+    """De-skew forward clock jumps, never to before the time the suffix
+    follows; truncate short trailing garbage."""
     if len(acks) < 2:
         return acks, 0, ""
     gaps = sorted(
@@ -128,8 +134,9 @@ def _repair_clock_jump(acks):
                 out = out[:index]
                 break
             shift = jump - median_gap
+            before = out[index - 1].time
             out[index:] = [
-                dc_replace(ack, time=ack.time - shift)
+                dc_replace(ack, time=max(ack.time - shift, before))
                 for ack in out[index:]
             ]
             touched += 1
@@ -377,4 +384,33 @@ def test_columnar_repair_matches_row_oracle(trace):
     assert trace_quality(trace, actions) == trace_quality(
         trace, expected_actions
     )
+
+
+@given(trace=planted_traces())
+@settings(max_examples=300, deadline=None)
+def test_repair_leaves_no_repairable_defect(trace):
+    repaired, _ = repair_trace(trace)
+    assert not set(validate_trace(repaired).counts) & REPAIRABLE_DEFECTS
+
+
+def test_deskew_never_lands_before_the_time_it_follows():
+    """With a zero median gap, shifting a suffix back by its whole jump
+    can round it a few ulps below the time it follows (here to
+    0.001999999999995339 after 0.002).  The guard holds it there, so a
+    trace whose one defect is a clock jump is admitted, clean."""
+    rows = [
+        AckRecord(time, 1460 * (i + 1), 1460, 0.05, 14600.0, 14600)
+        for i, time in enumerate(
+            [0.002, 0.002, 100.002, 100.002, 100.002, 100.002]
+        )
+    ]
+    trace = Trace("hyp", "deskew", 1460, rows)
+    assert list(validate_trace(trace).counts) == ["clock_jump"]
+    result = triage_trace(trace, TriagePolicy("repair"))
+    assert result.action == "repaired", result.reason
+    assert validate_trace(result.trace).is_clean
+    assert result.trace.time.tolist() == [0.002] * 6
+    assert [(a.repair, a.touched) for a in result.repairs] == [
+        ("clock_jump", 1)
+    ]
 
