@@ -222,7 +222,9 @@ class PoolRebuilt(Event):
 
 @dataclass(frozen=True)
 class DegradedToSerial(Event):
-    """Too many consecutive pool failures: the run fell back to serial."""
+    """Pooled scoring gave up on the current scorer's (one job's)
+    waves: too many consecutive pool failures, or no plane for its
+    working set.  The job's waves fall back to serial."""
 
     kind: ClassVar[str] = "degraded_to_serial"
     reason: str

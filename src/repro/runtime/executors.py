@@ -23,8 +23,10 @@ substrate is explicit, and every wave goes through one call,
     the parent adds them to one running total, so ``stats()`` costs no
     round trip.  The plane is the only way segments reach workers, which
     start by ``fork`` where the host has it and by ``spawn`` otherwise.
-    When no plane can be built for a working set, the executor degrades
-    to in-process scoring, as it does for a pool it cannot keep alive.
+    When no plane can be built for a working set, the scorer's waves
+    degrade to in-process scoring, as they do when the pool cannot be
+    kept alive for them.  The verdict is the scorer's (one per job), not
+    the executor's: a scheduler's other jobs keep the pool.
 
 Both run the same task routine, :func:`_score_tasks`: a pool worker runs
 it over one chunk of a wave, and every in-process wave (the serial
@@ -52,9 +54,10 @@ Fault tolerance (``docs/RESILIENCE.md``) is layered on top:
   ``BrokenProcessPool``: it keeps the contiguous prefix of completed
   results, rebuilds the pool with exponential backoff, re-scores only
   the not-yet-completed suffix, blames (and, on a second strike,
-  quarantines) the sketch at the head of the suffix, and degrades
-  gracefully to serial scoring after ``max_pool_rebuilds`` consecutive
-  failures, or at once when the working set gets no plane.  A chunk
+  quarantines) the sketch at the head of the suffix, and degrades the
+  scorer's waves gracefully to serial scoring after
+  ``max_pool_rebuilds`` consecutive failures, or at once when the
+  working set gets no plane.  A chunk
   that raises outside the task guard (a plane the worker cannot attach,
   say) is supervised like a crash that blames no sketch — a wedged pool
   never propagates out of the executor.
@@ -305,8 +308,9 @@ class SerialExecutor:
 
     #: Crash-driven pool rebuilds (none in-process).
     pool_rebuilds = 0
-    #: True once supervision has fallen back to serial scoring.
-    degraded = False
+    #: Ids of the scorers whose waves supervision moved in-process
+    #: (none in-process).
+    _degraded = frozenset()
     #: Peak bytes of live shared-memory planes (none in-process).
     shm_bytes = 0
     #: Running total of the counter deltas pool chunks reported (none
@@ -335,6 +339,17 @@ class SerialExecutor:
     def _emit(self, event) -> None:
         if self.context is not None:
             self.context.emit(event)
+
+    @property
+    def degraded(self) -> bool:
+        """True once supervision has fallen back to in-process scoring
+        for the current scorer's waves."""
+        return self.degraded_for(self.scorer)
+
+    def degraded_for(self, scorer: Scorer) -> bool:
+        """Whether *scorer*'s waves score in-process: its job's verdict,
+        which no other job's waves share."""
+        return id(scorer) in self._degraded
 
     def adopt_scorer(self, scorer: Scorer) -> None:
         """Point subsequent waves at *scorer* (scheduler job switches).
@@ -623,6 +638,7 @@ class PooledExecutor(SerialExecutor):
         self._handle: PlaneHandle | None = None
         self._epoch = -1
         self._crash_strikes: dict[str, int] = {}
+        self._degraded: set[int] = set()
         self.pools_spawned = 0
         # Workers read the working set from the plane, never from the
         # parent's memory, so ``spawn`` serves hosts without ``fork``.
@@ -677,16 +693,14 @@ class PooledExecutor(SerialExecutor):
         self._primed = None
 
     def _degrade(self, reason: str) -> None:
-        """Give up on pooled scoring for the rest of the run."""
-        self._shutdown_pool()
-        self._release_planes()
-        self.degraded = True
-        self._emit(DegradedToSerial(reason=reason))
+        """Give up on pooled scoring for the current scorer's waves.
 
-    def _release_planes(self) -> None:
-        """Unlink every plane this executor owns (idempotent)."""
-        while self._planes:
-            self._planes.popitem(last=False)[1].close()
+        The pool and the planes stay for every other scorer, and the
+        next one starts a fresh failure streak.
+        """
+        self._degraded.add(id(self.scorer))
+        self.supervisor.consecutive_failures = 0
+        self._emit(DegradedToSerial(reason=reason))
 
     def _plane_key(self, segments: Sequence[TraceSegment]) -> tuple:
         """The working set under the scorer's data knobs.
@@ -990,6 +1004,7 @@ class PooledExecutor(SerialExecutor):
                             )
                         )
                 if self.supervisor.next_action() == "degrade":
+                    self._shutdown_pool()
                     self._degrade(
                         f"{self.supervisor.consecutive_failures} consecutive"
                         " pool failures"
@@ -1026,7 +1041,8 @@ class PooledExecutor(SerialExecutor):
         fresh plane along with the pool.
         """
         self._shutdown_pool(wait=wait)
-        self._release_planes()
+        while self._planes:
+            self._planes.popitem(last=False)[1].close()
 
 
 def make_executor(

@@ -276,15 +276,17 @@ class Scheduler:
                     job.waves_dispatched += 1
                 continue
             if pending.done:
-                # The job's own faults and no counters: the shared
-                # executor's are fleet-wide.  A wave with no groups
-                # dispatches no slice, so no executor may exist yet.
+                # The job's own faults and verdict, and no counters:
+                # the shared executor's are fleet-wide.  A wave with no
+                # groups dispatches no slice, so no executor may exist
+                # yet.
                 executor = self._executor
                 active.reply = WaveReply(
                     grouped=tuple(pending.grouped),
                     quarantined=tuple(job.quarantined),
                     pool_rebuilds=job.pool_rebuilds,
-                    degraded=executor is not None and executor.degraded,
+                    degraded=executor is not None
+                    and executor.degraded_for(pending.request.scorer),
                 )
                 active.pending = None
                 continue

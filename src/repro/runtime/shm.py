@@ -15,7 +15,7 @@ a chunk names it and rebuilds numpy views over the same physical pages
 Ownership is parent-side and fleet-safe: every working set gets its own
 uniquely-named plane (``repro-plane-<pid>-<token>``), so N jobs
 multiplexed on one scheduler never alias each other's planes, and the
-executor unlinks every plane it created on close or degradation.
+executor unlinks every plane it created on close or LRU eviction.
 Workers attach read-only views and never unlink;
 :func:`attach_plane` suppresses Python's resource-tracker registration
 (which fires on *attach* before 3.13) so a worker exit never unlinks a
@@ -25,7 +25,8 @@ Fallback contract: the plane is the only way segments reach pool
 workers, whether they were started by ``fork`` or by ``spawn``.
 :meth:`SegmentPlane.build` returns ``None`` for inputs it cannot pack
 (no segments, an empty series) or when ``/dev/shm`` is unusable; the
-executor then degrades to in-process scoring for the rest of the run.
+scorer's waves then degrade to in-process scoring for the rest of its
+run (other jobs on the same executor keep the pool).
 Results are bit-identical either way: the plane only changes how bytes
 travel.
 """

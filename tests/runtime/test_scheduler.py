@@ -322,6 +322,52 @@ def test_sub_parallel_waves_never_spawn_a_pool(reno_segments):
     assert spawns == []
 
 
+def test_unpackable_job_degrades_alone(reno_segments, monkeypatch):
+    """A working set that gets no plane moves its own job in-process,
+    not the shared executor: the pool and the other job's plane stay
+    up, and the packable job after it scores in the pool and reports no
+    degradation."""
+    from repro.runtime.shm import SegmentPlane
+
+    unpackable = reno_segments[2:4]
+    build = SegmentPlane.build
+    monkeypatch.setattr(
+        SegmentPlane,
+        "build",
+        lambda entries: None
+        if any(entry.segment in unpackable for entry in entries)
+        else build(entries),
+    )
+    jobs = {
+        "before": reno_segments[:2],
+        "unpackable": unpackable,
+        "after": reno_segments[4:6],
+    }
+    collector = CollectorSink()
+    with RunContext([collector]) as ctx:
+        scheduler = Scheduler(workers=2, max_active=1, context=ctx)
+        for job_id, segments in jobs.items():
+            scheduler.submit(_core_job(job_id, segments, FAST))
+        with scheduler:
+            completed = scheduler.run()
+            executor = scheduler._executor
+            assert executor.pools_spawned == 1
+            assert executor.shm_bytes > 0
+            assert len(executor._planes) == 2
+    assert {job_id: completed[job_id].result.degraded for job_id in jobs} == {
+        "before": False,
+        "unpackable": True,
+        "after": False,
+    }
+    kinds = [
+        event.kind
+        for event in collector.events
+        if event.kind in ("degraded_to_serial", "segments_primed")
+    ]
+    assert kinds.count("degraded_to_serial") == 1
+    assert kinds[-1] == "segments_primed"
+
+
 # ------------------------------------------------- fleet-server plumbing
 
 
