@@ -361,19 +361,12 @@ def dtw_distance(
         raise ValueError("DTW requires non-empty series")
     if np.isinf(left).any() or np.isinf(right).any():
         return _INF
-    width = band_width(n, m, band)
+    raw_bound = None
     if bound is not None and np.isfinite(bound):
         raw_bound = inflate_bound(bound * (n + m))
-        total = _banded_cost(left, right, width, raw_bound)[0]
-        if total == _INF:
-            # band_width keeps the corner reachable, so an infinite
-            # corner here means the DP was abandoned: distance > bound.
-            return _INF
-        return float(total / (n + m))
-    total = _banded_cost(left, right, width, None)[0]
-    if total == _INF:
-        # Band too narrow for these lengths; fall back to an exact pass.
-        total = _banded_cost(left, right, band_width(n, m, None), None)[0]
+    # band_width keeps the corner reachable, so an infinite corner means
+    # the DP was abandoned (distance > bound) or its costs overflowed.
+    total = _banded_cost(left, right, band_width(n, m, band), raw_bound)[0]
     return float(total / (n + m))
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distance.dtw import dtw_distance, dtw_matrix
+from repro.distance.dtw import band_width, dtw_distance, dtw_matrix
 
 
 def test_identity_is_zero():
@@ -51,12 +51,15 @@ def test_different_lengths_supported():
     assert dtw_distance(a, b) < 0.05
 
 
-def test_band_fallback_when_too_narrow():
-    # Extremely different lengths force the band fallback path.
+def test_narrow_band_widens_to_reach_the_corner():
+    """A band too narrow for the lengths is widened to ``abs(n - m) +
+    1``, which keeps the corner reachable: the DP runs at width 191."""
     a = np.linspace(0, 1, 10)
     b = np.linspace(0, 1, 200)
+    assert band_width(10, 200, 0.01) == band_width(10, 200, 0.5) == 191
     value = dtw_distance(a, b, band=0.01)
     assert np.isfinite(value)
+    assert value == dtw_distance(a, b, band=0.5)
 
 
 def test_budget_downsamples():
