@@ -327,9 +327,10 @@ def _check_nonfinite_fields(trace: Trace):
 
 def _check_negative_fields(trace: Trace):
     # A non-finite cell is reported as non-finite, not also as negative.
+    columns = trace.columns()
     cells = {
-        name: mask & np.isfinite(getattr(trace, name))
-        for name, mask in _negative_cells(trace.columns()).items()
+        name: mask & np.isfinite(columns[name])
+        for name, mask in _negative_cells(columns).items()
     }
     return _flagged(
         "negative_field",
@@ -513,7 +514,9 @@ def _repair_nonfinite_values(columns: Columns) -> tuple[Columns, int]:
     top of the RTT samples already unset.
     """
     cells = _nonfinite_cells(columns)
-    counters = cells["ack_seq"] | cells["acked_bytes"] | cells["inflight_bytes"]
+    counters = (
+        cells["ack_seq"] | cells["acked_bytes"] | cells["inflight_bytes"]
+    )
     columns = _drop(columns, counters)
     unset = np.delete(cells["rtt_sample"], counters)
     columns["has_rtt"] = columns["has_rtt"] & ~unset
@@ -527,9 +530,8 @@ def _repair_nonfinite_values(columns: Columns) -> tuple[Columns, int]:
         # Each row's nearest finite neighbors (itself when finite).
         rows = np.arange(len(cwnd))
         before = np.maximum.accumulate(np.where(holes, -1, rows))
-        after = np.minimum.accumulate(np.where(holes, len(cwnd), rows)[::-1])[
-            ::-1
-        ]
+        after = np.minimum.accumulate(np.where(holes, len(cwnd), rows)[::-1])
+        after = after[::-1]
         before = np.where(before < 0, after, before)
         after = np.where(after == len(cwnd), before, after)
         lo, hi = cwnd[before], cwnd[after]
@@ -554,9 +556,9 @@ def _repair_clock_jump(columns: Columns) -> tuple[Columns, int, str]:
     a few ulps below it).  One jump at a time, in row order, each found
     in the times the earlier shifts left.
     """
-    time = columns["time"].copy()
-    if len(time) < 2:
+    if len(columns["time"]) < 2:
         return columns, 0, ""
+    time = columns["time"].copy()
     gaps = np.diff(time)
     gaps = np.sort(
         gaps[(gaps >= 0) & (gaps <= CLOCK_JUMP_SECONDS)], kind="stable"
@@ -572,9 +574,8 @@ def _repair_clock_jump(columns: Columns) -> tuple[Columns, int, str]:
         index += int(rows[0]) - 1
         suffix = len(time) - index
         if suffix <= max(2, int(len(time) * TRAILING_GARBAGE_FRACTION)):
-            columns["time"] = time
-            columns = _rows(columns, slice(index))
-            return columns, touched + suffix, (
+            kept = _rows({**columns, "time": time}, slice(index))
+            return kept, touched + suffix, (
                 f"truncated {suffix} trailing record(s)"
             )
         shift = float(jumps[0]) - median_gap
@@ -588,8 +589,7 @@ def _repair_clock_jump(columns: Columns) -> tuple[Columns, int, str]:
         touched += 1
         detail = f"de-skewed {suffix} record(s) by {shift:.1f}s"
         index += 1
-    columns["time"] = time
-    return columns, touched, detail
+    return {**columns, "time": time}, touched, detail
 
 
 def _repair_losses(

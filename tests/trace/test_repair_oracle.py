@@ -197,7 +197,9 @@ def _repair_losses(losses, span):
     kept = []
     for loss in finite:
         if span is not None and not (
-            span[0] - LOSS_SPAN_MARGIN <= loss.time <= span[1] + LOSS_SPAN_MARGIN
+            span[0] - LOSS_SPAN_MARGIN
+            <= loss.time
+            <= span[1] + LOSS_SPAN_MARGIN
         ):
             continue
         if kept and loss.time - kept[-1].time <= LOSS_EPOCH_EPSILON:
